@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,19 +72,30 @@ def _load_spec(name_or_path: str) -> metrics.MetricSpec:
     )
 
 
+def _parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers; anything else is a setup error naming ``what``."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise FinslerError(f"{what} has a component that is not a number") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise FinslerError(f"{what} has a non-finite component")
+    return vals
+
+
 def _parse_point(text: str, n: int) -> tensors.PhasePoint:
     parts = text.split(";")
     if len(parts) != 2:
         raise FinslerError(f"point {text!r} must look like 'x1,..,xn;y1,..,yn'")
-    x = [float(v) for v in parts[0].split(",")]
-    y = [float(v) for v in parts[1].split(",")]
+    x = _parse_floats(parts[0], f"point {text!r}")
+    y = _parse_floats(parts[1], f"point {text!r}")
     if len(x) != n or len(y) != n:
         raise FinslerError(f"point {text!r} does not match dimension {n}")
     return tensors.PhasePoint(x, y)
 
 
 def _parse_vector(text: str, n: int, flag: str) -> tuple[float, ...]:
-    vals = [float(v) for v in text.split(",")]
+    vals = _parse_floats(text, f"{flag} {text!r}")
     if len(vals) != n:
         raise FinslerError(f"{flag} must have {n} comma-separated components")
     return tuple(vals)
@@ -177,8 +189,10 @@ def cmd_flow(args) -> int:
         traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
     except ValueError as exc:
         raise FinslerError(str(exc)) from exc
+    # the CSV and the drift report share one evaluation per sample
+    values = flow.field_values(spec, traj, watch) if watch else None
     if args.out:
-        Path(args.out).write_text(flow.trajectory_csv(spec, traj, watch))
+        Path(args.out).write_text(flow.trajectory_csv(spec, traj, watch, values=values))
     report = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": _timestamp(),
@@ -192,7 +206,7 @@ def cmd_flow(args) -> int:
     }
     exit_code = 0
     if watch:
-        drift_report = flow.drift(spec, traj, watch, tol=args.tol)
+        drift_report = flow.drift(spec, traj, watch, tol=args.tol, values=values)
         report["drift"] = {
             "passed": drift_report.passed,
             "fields": drift_report.fields,

@@ -37,6 +37,7 @@ __all__ = [
     "DriftReport",
     "geodesic_rhs",
     "integrate",
+    "field_values",
     "drift",
     "trajectory_csv",
 ]
@@ -305,22 +306,31 @@ def _refine_exit(spec, state, f0, elapsed, h, direction, margin, guard):
     return advance, state, nfev
 
 
-def drift(spec, traj: Trajectory, fields, tol: float = 1e-6) -> DriftReport:
-    """Evaluate fields at every trajectory sample and report drift."""
+def field_values(spec, traj: Trajectory, fields) -> list[dict[str, float]]:
+    """Values of the named fields at every trajectory sample, one shared
+    pipeline evaluation per sample."""
     fields = list(fields)
     order = integrals.field_order(spec, fields)
-    rows = []
-    for t, x, y in traj.samples:
-        ev = PointEvaluation(spec, PhasePoint(x, y), order=order)
-        rows.append((t, integrals.evaluate_fields(spec, fields, None, ev=ev)))
+    return [
+        integrals.evaluate_fields(spec, fields, None, ev=PointEvaluation(spec, PhasePoint(x, y), order=order))
+        for x, y in zip(traj.xs, traj.ys)
+    ]
+
+
+def drift(spec, traj: Trajectory, fields, tol: float = 1e-6, values=None) -> DriftReport:
+    """Drift of fields over the samples; ``values`` (from :func:`field_values`)
+    is evaluated here when not given."""
+    fields = list(fields)
+    if values is None:
+        values = field_values(spec, traj, fields)
     report_fields = {}
     passed = True
     for name in fields:
-        initial = rows[0][1][name]
+        initial = values[0][name]
         denom = max(abs(initial), 1e-8)
         max_abs = 0.0
-        t_at = rows[0][0]
-        for t, vals in rows:
+        t_at = traj.ts[0]
+        for t, vals in zip(traj.ts, values):
             dev = abs(vals[name] - initial)
             if dev > max_abs:
                 max_abs = dev
@@ -333,18 +343,18 @@ def drift(spec, traj: Trajectory, fields, tol: float = 1e-6) -> DriftReport:
     return DriftReport(fields=report_fields, tol=tol, passed=passed)
 
 
-def trajectory_csv(spec, traj: Trajectory, fields=()) -> str:
-    """CSV text: t, x, y and optional field columns at every sample."""
+def trajectory_csv(spec, traj: Trajectory, fields=(), values=None) -> str:
+    """CSV text: t, x, y and optional field columns at every sample;
+    ``values`` (from :func:`field_values`) is evaluated here when not given."""
     fields = list(fields)
     n = traj.xs.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)] + fields
-    order = integrals.field_order(spec, fields) if fields else 0
+    if fields and values is None:
+        values = field_values(spec, traj, fields)
     lines = [",".join(header)]
-    for t, x, y in traj.samples:
+    for k, (t, x, y) in enumerate(traj.samples):
         row = [t, *x, *y]
         if fields:
-            ev = PointEvaluation(spec, PhasePoint(x, y), order=order)
-            vals = integrals.evaluate_fields(spec, fields, None, ev=ev)
-            row += [vals[name] for name in fields]
+            row += [values[k][name] for name in fields]
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"

@@ -24,9 +24,11 @@ callers must treat the pair (g1_paper, g2_paper) and the pair (c_1, c_2)
 as separate claims and report the discrepancy rather than reconcile it.
 
 Scalar fields (F, f_a, c_a, the closed forms) are registered under stable
-string ids so the flow and CLI layers can address them.  All fields
-evaluate through the generic pipeline, so seeding duals instead of jets
-yields exact phase-space gradients; the Poisson bracket
+string ids so the flow and CLI layers can address them.  A field built
+from jets seeded one order above its ``min_order`` comes out as a jet of
+order >= 1, and its degree-1 Taylor coefficients are its exact phase-space
+gradient: one pipeline run per point gives every partial derivative.  The
+Poisson bracket
 
     {u, v} = 1/2 g^{ij} (du/dy^j delta v/dx^i - dv/dy^j delta u/dx^i)
 
@@ -44,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
-from .jets import seed_dual_phase_point
 from .metrics import MetricSpec
 from .tensors import CurvaturePacket, PhasePoint, PointEvaluation, _add, _dot_scal, _mul, _sub, _values, spray_values
 
@@ -367,20 +368,13 @@ def evaluate_fields(spec: MetricSpec, names, p, ev: PointEvaluation | None = Non
 
 
 def field_gradient(spec: MetricSpec, name: str, p) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, d/dx gradient, d/dy gradient) of a field by dual seeding."""
+    """(value, d/dx gradient, d/dy gradient) of a field, from one jet
+    evaluation seeded one order above the field's minimum."""
     field = _lookup(spec, name)
-    if not isinstance(p, PhasePoint):
-        p = PhasePoint(*p)
+    out = field.build(PointEvaluation(spec, p, order=field.min_order + 1))
+    grad = out.gradient()
     n = spec.dimension
-    value = math.nan
-    grad = np.empty(2 * n)
-    for direction in range(2 * n):
-        seeds = seed_dual_phase_point(p, field.min_order, direction)
-        ev = PointEvaluation(spec, p, seeds=seeds)
-        out = field.build(ev)
-        value = out.num
-        grad[direction] = out.tangent.num
-    return value, grad[:n], grad[n:]
+    return out.num, grad[:n], grad[n:]
 
 
 def spray_derivative_of_field(spec: MetricSpec, name: str, p) -> float:
@@ -393,22 +387,14 @@ def spray_derivative_of_field(spec: MetricSpec, name: str, p) -> float:
 
 
 def _bracket_terms(spec: MetricSpec, fa: str, fb: str, p):
-    if not isinstance(p, PhasePoint):
-        p = PhasePoint(*p)
     n = spec.dimension
-    order = max(field_order(spec, [fa, fb]), 3)
-    field_a = _lookup(spec, fa)
-    field_b = _lookup(spec, fb)
-    grad_a = np.empty(2 * n)
-    grad_b = np.empty(2 * n)
-    for direction in range(2 * n):
-        seeds = seed_dual_phase_point(p, order, direction)
-        ev = PointEvaluation(spec, p, seeds=seeds)
-        grad_a[direction] = field_a.build(ev).tangent.num
-        grad_b[direction] = field_b.build(ev).tangent.num
-    base = PointEvaluation(spec, p, order=3)
-    N = _values(base.N)
-    g_inv = _values(base.g_inv)
+    # one evaluation carries both gradients (one order above the fields)
+    # and the values of N (seed order >= 3) and g^-1
+    ev = PointEvaluation(spec, p, order=max(field_order(spec, [fa, fb]) + 1, 3))
+    grad_a = _lookup(spec, fa).build(ev).gradient()
+    grad_b = _lookup(spec, fb).build(ev).gradient()
+    N = _values(ev.N)
+    g_inv = _values(ev.g_inv)
     # delta u / dx^i = du/dx^i - N^k_i du/dy^k
     delta_a = grad_a[:n] - N.T @ grad_a[n:]
     delta_b = grad_b[:n] - N.T @ grad_b[n:]

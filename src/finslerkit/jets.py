@@ -17,8 +17,10 @@ tuple.  For ``dim=2, order=2`` the order is::
     (0,0), (0,1), (1,0), (0,2), (1,1), (2,0)
 
 The enumeration of order ``m-1`` is a prefix of the enumeration of order
-``m``, so truncation is a slice.  The layout is fixed; it is part of the
-on-disk/test surface and must not change.
+``m``, so truncation is a slice.  The degree-1 block lists the variables in
+reverse order: variable ``v`` sits at position ``dim - v``, which
+:meth:`Jet.gradient` reads as one slice.  The layout is fixed; it is part
+of the on-disk/test surface and must not change.
 
 Storage is dense (one float per multi-index).  The intended regime is
 ``dim <= 8`` and ``order <= 6``; larger signatures work but tables grow
@@ -31,13 +33,20 @@ mixing them raises :class:`~finslerkit.errors.SignatureError`.  Use
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
 extra directional derivative through any computation written against the
 shared scalar interface (operators plus ``sqrt/ln/exp/powc/d/truncated``).
-It nests: the components may themselves be duals.
+It nests: the components may themselves be duals.  The library no longer
+computes with it: gradients come from the degree-1 coefficients of a jet
+seeded one order higher (see :mod:`finslerkit.integrals`).  It and
+:func:`seed_dual_phase_point` remain only as the independent oracle from
+which the gradient tests rebuild the former dual-seeded route, for one more
+change.  Their removal waits for the benchmark tracer (``bench/tracer.py``),
+which patches ``DualLayer.__mul__``, to stop doing so.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -74,6 +83,12 @@ class JetSpace:
 
     Instances are interned: :func:`jet_space` returns the same object for
     the same signature, so identity comparison is a valid signature check.
+
+    Each multi-index has an integer key, ``degree * R**dim`` plus its
+    exponents read as base-``R`` digits (first variable most significant),
+    with ``R = order + 1``.  Keys ascend in the coefficient layout and add
+    like the multi-indices do, as long as the sum stays within ``order``, so
+    the position of a product or shifted index is a ``searchsorted`` away.
     """
 
     def __init__(self, dim: int, order: int):
@@ -90,51 +105,58 @@ class JetSpace:
             self.degree_end.append(len(exps))
         self.exponents = np.array(exps, dtype=np.int64)
         self.size = len(exps)
-        self.index_of = {e: i for i, e in enumerate(exps)}
         self.degrees = self.exponents.sum(axis=1)
-        # Mixed-radix keys for vectorized product-index lookup.
         radix = order + 1
-        self._powers = radix ** np.arange(dim, dtype=np.int64)
-        keys = self.exponents @ self._powers
-        self._key_sort = np.argsort(keys)
-        self._sorted_keys = keys[self._key_sort]
-        self._keys = keys
+        digits = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self._keys = self.degrees * radix**dim + self.exponents @ digits
+        self._unit_keys = radix**dim + digits  # key of each variable's degree-1 index
         # extract(): d^|a| f / dx^a = coeff[a] * a!
-        self.factorials = np.array(
-            [math.prod(math.factorial(int(e)) for e in ex) for ex in exps], dtype=np.float64
-        )
+        fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=np.float64)
+        self.factorials = fact[self.exponents].prod(axis=1)
         self._mult = None
         self._diff = {}
 
+    @cached_property
+    def index_of(self) -> dict[tuple[int, ...], int]:
+        """Position of each multi-index; only :meth:`Jet.extract` needs it."""
+        return {tuple(e): i for i, e in enumerate(self.exponents.tolist())}
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._keys, keys)
+
     def _mult_table(self):
-        """(ia, ib, io) index triples covering every coefficient product
-        that lands at total degree <= order."""
+        """(ia, ib, starts): every coefficient product that lands at total
+        degree <= order, grouped by output position in ascending order;
+        output ``k`` sums the products ``ia[j], ib[j]`` for ``j`` in
+        ``starts[k]:starts[k+1]``."""
         if self._mult is None:
-            ia_parts, ib_parts = [], []
-            for i in range(self.size):
-                room = self.order - int(self.degrees[i])
-                nb = self.degree_end[room]
-                ia_parts.append(np.full(nb, i, dtype=np.int64))
-                ib_parts.append(np.arange(nb, dtype=np.int64))
-            ia = np.concatenate(ia_parts)
-            ib = np.concatenate(ib_parts)
-            out_keys = self._keys[ia] + self._keys[ib]
-            pos = np.searchsorted(self._sorted_keys, out_keys)
-            io = self._key_sort[pos]
-            self._mult = (ia, ib, io)
+            # row i pairs with every index of degree <= order - deg(i), a
+            # prefix; narrow dtypes keep the transient arrays small
+            partners = np.array(self.degree_end)[self.order - self.degrees]
+            ia = np.repeat(np.arange(self.size, dtype=np.int32), partners)
+            ib = np.arange(ia.size, dtype=np.int32)
+            ib -= np.repeat((np.cumsum(partners) - partners).astype(np.int32), partners)
+            keys = self._keys[ia]
+            keys += self._keys[ib]
+            out = self._positions(keys).astype(np.min_scalar_type(self.size))
+            del keys
+            group = np.argsort(out, kind="stable")
+            starts = np.zeros(self.size, dtype=np.int64)
+            np.cumsum(np.bincount(out, minlength=self.size)[:-1], out=starts[1:])
+            del out
+            # gathers index fastest with native-width indices
+            self._mult = (ia[group].astype(np.intp), ib[group].astype(np.intp), starts)
         return self._mult
 
     def _diff_table(self, var: int):
-        """(dst, src, factor) arrays mapping coefficients of f to
-        coefficients of df/dx_var in the (dim, order-1) space."""
+        """(src, factor) arrays mapping coefficients of f to coefficients
+        of df/dx_var in the (dim, order-1) space."""
         if var not in self._diff:
             lower = jet_space(self.dim, self.order - 1)
-            dst = np.arange(lower.size, dtype=np.int64)
-            shifted = lower.exponents.copy()
-            shifted[:, var] += 1
-            src = np.array([self.index_of[tuple(e)] for e in map(tuple, shifted)], dtype=np.int64)
+            # the lower layout is a prefix of this one, so its keys are too
+            src = self._positions(self._keys[: lower.size] + self._unit_keys[var])
             fac = (lower.exponents[:, var] + 1).astype(np.float64)
-            self._diff[var] = (dst, src, fac)
+            self._diff[var] = (src, fac)
         return self._diff[var]
 
 
@@ -196,8 +218,7 @@ class Jet:
             raise OrderError("seeding a variable requires order >= 1")
         c = np.zeros(space.size)
         c[0] = value
-        unit = tuple(1 if k == var else 0 for k in range(space.dim))
-        c[space.index_of[unit]] = 1.0
+        c[space.dim - var] = 1.0  # degree-1 block in reverse variable order
         return cls(space, c)
 
     def const(self, value: float) -> "Jet":
@@ -238,6 +259,13 @@ class Jet:
             )
         pos = self.space.index_of[index]
         return float(self.coeffs[pos] * self.space.factorials[pos])
+
+    def gradient(self) -> np.ndarray:
+        """First partials with respect to every variable at the base point
+        (a view of the degree-1 coefficients, in variable order)."""
+        if self.space.order < 1:
+            raise OrderError("a jet of order 0 carries no gradient")
+        return self.coeffs[self.space.dim : 0 : -1]
 
     def __repr__(self):
         return f"Jet(dim={self.space.dim}, order={self.space.order}, value={self.value!r})"
@@ -297,10 +325,11 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            ia, ib, io = self.space._mult_table()
+            ia, ib, starts = self.space._mult_table()
             self._peer(other)
-            prod = np.bincount(io, weights=self.coeffs[ia] * other.coeffs[ib], minlength=self.space.size)
-            return Jet(self.space, prod)
+            prod = self.coeffs[ia]
+            prod *= other.coeffs[ib]
+            return Jet(self.space, np.add.reduceat(prod, starts))
         if isinstance(other, numbers.Real):
             return Jet(self.space, self.coeffs * float(other))
         return NotImplemented
@@ -391,11 +420,10 @@ class Jet:
             raise OrderError("cannot differentiate a jet of order 0")
         if not 0 <= var < self.space.dim:
             raise DimensionError(f"variable index {var} out of range for dim {self.space.dim}")
-        dst, src, fac = self.space._diff_table(var)
-        lower = jet_space(self.space.dim, self.space.order - 1)
-        out = np.empty(lower.size)
-        out[dst] = self.coeffs[src] * fac
-        return Jet(lower, out)
+        src, fac = self.space._diff_table(var)
+        out = self.coeffs[src]
+        out *= fac
+        return Jet(jet_space(self.space.dim, self.space.order - 1), out)
 
 
 class DualLayer:
@@ -404,6 +432,7 @@ class DualLayer:
     Components are jets (or nested duals) of identical signature.  Running
     a computation on duals whose tangents are seeded with d/ds of the
     inputs yields the directional derivative of every output along s.
+    Kept only as a test oracle for the jet-based gradients (module docstring).
     """
 
     __slots__ = ("value", "tangent")
@@ -546,7 +575,8 @@ def seed_dual_phase_point(point, order: int, direction: int):
     Running any scalar computation on these seeds produces, in the tangent
     component, the partial derivative of the result with respect to phase
     variable ``direction`` (0..n-1 positions, n..2n-1 fiber), in addition to
-    whatever jet orders the value component carries.
+    whatever jet orders the value component carries.  Kept only as a test
+    oracle for the jet-based gradients (module docstring).
     """
     base = seed_phase_point(point, order)
     if not 0 <= direction < len(base):

@@ -34,10 +34,10 @@ The three mean-Berwald routes are exposed separately (``E`` from B,
 ``E_S = 1/2 d^2 S/dy^2``, ``E_CL = 1/2 (I_{j;i} + J_{i.j})``); they must
 agree for a correct implementation and are never collapsed into one.
 
-The pipeline is generic over the scalar type: seeding
-:class:`~finslerkit.jets.DualLayer` coordinates instead of jets pushes one
-extra directional derivative through every formula (used for Poisson
-brackets of the derived first integrals).
+Seeding one order above a quantity's depth leaves it a jet of order >= 1
+whose degree-1 coefficients are its phase-space gradient; the Poisson
+brackets of the derived first integrals read their gradients, ``N`` and
+``g^-1`` from one such evaluation (:mod:`finslerkit.integrals`).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class PointEvaluation:
 
     Properties are scalar-valued (jets by default); numpy views come from
     :meth:`packet` or the ``*_np`` helpers.  Pass ``seeds`` to run the same
-    formulas over a different scalar type (e.g. duals).
+    formulas over other coordinate scalars with the jet interface.
     """
 
     def __init__(self, spec: metrics.MetricSpec, point, order: int = 5, sigma=None, seeds=None):

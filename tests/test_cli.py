@@ -106,6 +106,21 @@ def test_flow_writes_csv_and_drift(tmp_path, capsys):
     assert header == "t,x1,x2,x3,y1,y2,y3,F,f1,c1"
 
 
+def test_flow_evaluates_watched_fields_once_per_sample(tmp_path, capsys, monkeypatch):
+    calls = []
+    evaluate = flow.integrals.evaluate_fields
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(flow.integrals, "evaluate_fields", counted)
+    argv = ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "2", "--watch", "F,f1"]
+    assert run(argv + ["--out", str(tmp_path / "traj.csv")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == report["samples"]
+
+
 def test_flow_exit_one_when_watched_field_drifts(capsys):
     # the first printed closed form is not constant along this geodesic;
     # watching it trips the drift tolerance
@@ -186,6 +201,22 @@ def test_setup_errors_exit_two(tmp_path, capsys):
     assert run(["inspect", "--metric", "euclidean", "--point", "0,0,0"]) == 2
     assert run(["flow", "--metric", "euclidean", "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "-1"]) == 2
     assert run(["inspect", "--metric", FUNK, "--point", "2,0,0;1,0,0"]) == 2  # outside the ball
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "--metric", FUNK, "--point", "nan,0,0;1,0,0"],
+        ["inspect", "--metric", FUNK, "--point", "0,0,0;inf,0,0"],
+        ["inspect", "--metric", FUNK, "--point", "0,0,0;1,zz,0"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,zz", "--y0", "1,0,0", "--tmax", "1"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,nan,0", "--tmax", "1"],
+    ],
+)
+def test_malformed_numbers_exit_two(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_script_and_module_entry():

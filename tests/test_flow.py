@@ -175,3 +175,12 @@ def test_integrator_stats_are_populated(funk):
     assert traj.stats.nfev >= 6 * traj.stats.steps
     assert traj.stats.min_step > 0
     assert traj.stats.rejections >= 0
+
+
+def test_shared_field_values_give_the_same_outputs(funk):
+    traj = integrate(funk, AXIS_INIT, 1.0, IntegrateSettings(max_samples=20))
+    fields = ["F", "f1", "c2"]
+    values = flow.field_values(funk, traj, fields)
+    assert len(values) == len(traj)
+    assert flow.trajectory_csv(funk, traj, fields, values=values) == flow.trajectory_csv(funk, traj, fields)
+    assert flow.drift(funk, traj, fields, values=values) == flow.drift(funk, traj, fields)

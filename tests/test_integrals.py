@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from finslerkit import fdcheck, integrals, metrics, tensors
 from finslerkit.errors import DimensionError, DomainError, FamilyError, UnknownFieldError
+from finslerkit.jets import seed_dual_phase_point
 from finslerkit.tensors import PhasePoint
+
+RANDERS = """
+[metric]
+name = randers3
+dimension = 3
+family = custom
+expression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2
+"""
 
 
 def _sample(spec, seed=0):
@@ -200,3 +209,64 @@ def test_bracket_with_energy_vanishes_for_invariants(funk):
     for name in ("f1", "c2"):
         value, scale = integrals.poisson_bracket_scaled(funk, "F2", name, p)
         assert abs(value) / scale < 1e-8
+
+
+# -- the jet gradient route against the dual-seeded route ------------------------
+
+def _dual_gradients(spec, names, p):
+    """Phase-space gradients by 2n dual-seeded pipeline runs, one per
+    direction, each reading the tangent of every named field."""
+    n = spec.dimension
+    order = max(integrals.field_order(spec, names), 3)
+    grads = {name: np.empty(2 * n) for name in names}
+    for direction in range(2 * n):
+        ev = tensors.PointEvaluation(spec, p, seeds=seed_dual_phase_point(p, order, direction))
+        for name in names:
+            grads[name][direction] = integrals._lookup(spec, name).build(ev).tangent.num
+    return grads
+
+
+def _dual_bracket_terms(spec, grad_a, grad_b, p):
+    """(term1, term2) from dual gradients and an order-3 evaluation, and the
+    magnitude of the products each term sums (its rounding scale: a term
+    can cancel to near zero)."""
+    n = spec.dimension
+    base = tensors.PointEvaluation(spec, p, order=3)
+    N = tensors._values(base.N)
+    g_inv = tensors._values(base.g_inv)
+    delta_a = grad_a[:n] - N.T @ grad_a[n:]
+    delta_b = grad_b[:n] - N.T @ grad_b[n:]
+    a, b, g, nn = np.abs(grad_a), np.abs(grad_b), np.abs(g_inv), np.abs(N)
+    terms = (grad_a[n:] @ g_inv @ delta_b, grad_b[n:] @ g_inv @ delta_a)
+    sizes = (a[n:] @ g @ (b[:n] + nn.T @ b[n:]), b[n:] @ g @ (a[:n] + nn.T @ a[n:]))
+    return np.array(terms), np.array(sizes)
+
+
+def _assert_close(got, want, size, what):
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-9 * max(1.0, size), (what, got, want)
+
+
+@pytest.mark.parametrize("case", ["ball3", "ball4", "randers"])
+def test_jet_gradients_match_dual_route(case, funk):
+    # sampled points from the centre to the sampler's limit (|x| = 0.93 on the balls)
+    if case == "ball3":
+        spec, names, seeds = funk, integrals.field_ids(funk), (21, 35)
+    elif case == "ball4":
+        spec, names, seeds = metrics.catalog(4)["funk_ball_berwald"], ["f1", "f3"], (27,)
+    else:
+        spec = metrics.parse_metric(RANDERS)
+        names, seeds = integrals.field_ids(spec), (24, 25)
+    n = spec.dimension
+    for seed in seeds:
+        p = _sample(spec, seed)
+        dual = _dual_gradients(spec, names, p)
+        for name in names:
+            value, grad_x, grad_y = integrals.field_gradient(spec, name, p)
+            assert value == integrals.evaluate_fields(spec, [name], p)[name]
+            assert grad_x.shape == grad_y.shape == (n,)
+            want = dual[name]
+            _assert_close(np.concatenate([grad_x, grad_y]), want, np.max(np.abs(want)), (case, seed, name))
+        for fa, fb in zip(names, names[1:] + names[:1]):
+            want, sizes = _dual_bracket_terms(spec, dual[fa], dual[fb], p)
+            got = integrals._bracket_terms(spec, fa, fb, p)
+            _assert_close(got, want, np.max(sizes), (case, seed, fa, fb))

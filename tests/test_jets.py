@@ -21,7 +21,7 @@ from finslerkit.errors import (
     PoleError,
     SignatureError,
 )
-from finslerkit.jets import DualLayer, Jet, jet_space, seed_dual_phase_point, seed_phase_point
+from finslerkit.jets import DualLayer, Jet, JetSpace, jet_space, seed_dual_phase_point, seed_phase_point
 
 # d^(a+b) f / du^a dv^b for f = exp(u)*sqrt(v)/(1+u*v) at (u,v) = (0.3, 1.7),
 # from sympy.diff evaluated at rational coordinates.
@@ -285,3 +285,42 @@ def test_phase_seed_rejects_degenerate_input():
 def test_space_size_is_binomial(dim, order):
     space = jet_space(dim, order)
     assert space.size == math.comb(dim + order, order)
+
+
+@pytest.mark.parametrize("dim, order", [(2, 3), (6, 5), (8, 6)])
+def test_product_table_matches_double_loop(dim, order):
+    space = jet_space(dim, order)
+    rng = np.random.default_rng(dim * 10 + order)
+    a = rng.uniform(-1.0, 1.0, space.size)
+    b = rng.uniform(-1.0, 1.0, space.size)
+    exps = [tuple(e) for e in space.exponents.tolist()]
+    position = {e: k for k, e in enumerate(exps)}
+    degrees = [sum(e) for e in exps]
+    want = np.zeros(space.size)
+    magnitude = np.zeros(space.size)  # sum of |terms| per output
+    terms = np.zeros(space.size)
+    for i, ei in enumerate(exps):
+        for j, ej in enumerate(exps):
+            if degrees[i] + degrees[j] > order:
+                break  # the layout ascends in degree
+            k = position[tuple(p + q for p, q in zip(ei, ej))]
+            want[k] += a[i] * b[j]
+            magnitude[k] += abs(a[i] * b[j])
+            terms[k] += 1
+    got = (Jet(space, a) * Jet(space, b)).coeffs
+    # summation order differs: bound by the float64 error of a sum of that many terms
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(got - want) <= 2.0 * terms * eps * magnitude)
+
+
+def test_gradient_matches_extract_without_the_index_dict():
+    space = JetSpace(8, 6)  # uninterned: nothing else has touched it
+    xs = [Jet.variable(space, k, 0.1 * k + 0.5) for k in range(8)]
+    f = (xs[0] * xs[3] + xs[7]).sqrt() * xs[5]
+    grad = f.gradient()
+    np.testing.assert_array_equal(xs[3].gradient(), np.eye(8)[3])
+    assert "index_of" not in vars(space)
+    want = [f.extract(tuple(np.eye(8, dtype=int)[k])) for k in range(8)]
+    np.testing.assert_array_equal(grad, want)
+    with pytest.raises(OrderError):
+        f.truncated(0).gradient()
