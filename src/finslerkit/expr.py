@@ -18,7 +18,12 @@ smooth on the domain where it evaluates without :class:`BranchError` /
 
 Evaluation is generic over the scalar type: floats, :class:`~finslerkit.jets.Jet`
 and :class:`~finslerkit.jets.DualLayer` all work, so the same tree serves
-the fast float path and every differentiation order.
+the fast float path and every differentiation order.  Literals stay plain
+numbers whatever the scalar type: a jet scaled by a float costs no table
+product, so ``0.3*x1`` or ``4/(1 + normx2)^2`` multiply only where a
+variable is involved, and a subtree without variables (``g_1_1 = 1.5``)
+evaluates to a float even over jets.  Callers that need a jet wrap such a
+result in a constant jet.
 """
 
 from __future__ import annotations
@@ -359,11 +364,10 @@ def _branch(fn_name: str, v: float):
 
 
 def evaluate(node: Node, xs, ys):
-    """Evaluate over scalars (floats, jets or duals) ``xs``, ``ys``."""
+    """Evaluate over scalars (floats, jets or duals) ``xs``, ``ys``; a
+    subtree without variables gives a float (module docstring)."""
     if isinstance(node, Num):
-        if _is_plain(xs[0]):
-            return node.value
-        return xs[0].const(node.value)
+        return node.value
     if isinstance(node, Var):
         seq = xs if node.axis == "x" else ys
         if node.index > len(seq):

@@ -7,11 +7,12 @@ The geodesic equation in spray form is the first-order system
 integrated with an embedded Dormand-Prince 5(4) pair, PI step-size
 control and the FSAL optimization.  The integrator is hand-rolled rather
 than delegated so the domain-guard contract is exact: a step whose stages
-leave the metric's domain is rejected and retried smaller, and when the
-trajectory approaches the guard boundary within ``exit_margin`` the final
-step is refined by bisection so every emitted sample stays strictly
-inside the smooth region (near the boundary the fundamental tensor's
-condition number blows up and field evaluations turn to noise).
+leave the metric's domain (non-finite coordinates included) is rejected
+and retried smaller, and when the trajectory approaches the guard boundary
+within ``exit_margin`` the final step is refined by bisection so every
+emitted sample stays strictly inside the smooth region (near the boundary
+the fundamental tensor's condition number blows up and field evaluations
+turn to noise).
 
 Drift of registered scalar fields is measured at output samples only,
 never at internal stages, so the measurement is decoupled from step
@@ -219,18 +220,13 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings | No
             fail(f"step size underflow at t = {elapsed:.6g}")
         h_signed = direction * h
 
-        ks[0] = f_cur
-        try:
-            for i in range(1, 7):
-                yi = state + h_signed * (ks[:i].T @ _A_NP[i])
-                ks[i] = _rhs_flat(spec, yi)
-                nfev += 1
-        except FinslerError:
+        new_state, used = _dp_stages(spec, state, f_cur, h_signed, ks)
+        nfev += used
+        if new_state is None:
             # a stage left the metric's domain: retry with a smaller step
             rejections += 1
             h *= 0.25
             continue
-        new_state = state + h_signed * (ks.T @ _B5_NP)
         err_vec = h_signed * (ks.T @ _ERR_NP)
         sc = settings.atol + settings.rtol * np.maximum(np.abs(state), np.abs(new_state))
         err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
@@ -266,15 +262,22 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings | No
     return done("completed")
 
 
-def _rk_step(spec, state, f0, h_signed):
-    """One raw DP5 step; returns (new_state, new_f, nfev)."""
-    ks = np.empty((7, len(state)))
+def _dp_stages(spec, state, f0, h_signed, ks):
+    """One raw DP5 step from ``state`` with ``f0`` its derivative (FSAL).
+
+    Fills ``ks`` with the seven stage derivatives and returns the
+    fifth-order state with the number of right-hand sides evaluated.  When
+    a stage leaves the metric's domain (a :class:`FinslerError`, non-finite
+    coordinates included) the state is ``None`` and the count covers the
+    stages that did evaluate.
+    """
     ks[0] = f0
     for i in range(1, 7):
-        yi = state + h_signed * (ks[:i].T @ _A_NP[i])
-        ks[i] = _rhs_flat(spec, yi)
-    new_state = state + h_signed * (ks.T @ _B5_NP)
-    return new_state, ks[6], 6
+        try:
+            ks[i] = _rhs_flat(spec, state + h_signed * (ks[:i].T @ _A_NP[i]))
+        except FinslerError:
+            return None, i - 1
+    return state + h_signed * (ks.T @ _B5_NP), 6
 
 
 def _refine_exit(spec, state, f0, elapsed, h, direction, margin, guard):
@@ -287,17 +290,17 @@ def _refine_exit(spec, state, f0, elapsed, h, direction, margin, guard):
     """
     nfev = 0
     advance = 0.0
+    ks = np.empty((7, len(state)))
     for _ in range(80):
         if h < 1e-13 * max(1.0, elapsed + advance):
             break
-        try:
-            cand, f_cand, used = _rk_step(spec, state, f0, direction * h)
-            nfev += used
-        except FinslerError:
+        cand, used = _dp_stages(spec, state, f0, direction * h, ks)
+        nfev += used
+        if cand is None:
             h *= 0.5
             continue
         if guard(cand) > margin:
-            state, f0 = cand, f_cand
+            state, f0 = cand, ks[6].copy()
             advance += h
             if guard(state) <= margin * 1.0625:
                 break

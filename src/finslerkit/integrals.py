@@ -39,9 +39,11 @@ catastrophically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -311,8 +313,15 @@ def _s_cl_scalar(ev: PointEvaluation):
     return acc
 
 
-def _field_table(spec: MetricSpec) -> dict[str, _Field]:
-    n = spec.dimension
+def _field_table(spec: MetricSpec) -> Mapping[str, _Field]:
+    return _fields_for(spec.dimension, spec.family)
+
+
+@functools.cache
+def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
+    """The registry depends on the dimension and family only, so it is built
+    once per such pair (a handful) and shared, read-only, by every spec of
+    that shape."""
     fields = {
         "one": _Field("one", 1, "constant 1 (bracket sanity field)", lambda ev: ev.F2.const(1.0)),
         "F": _Field("F", 1, "Finsler norm F (flow-constant by construction)", lambda ev: ev.F),
@@ -329,14 +338,14 @@ def _field_table(spec: MetricSpec) -> dict[str, _Field]:
             f"char-poly coefficient of Lambda^{n - a}",
             lambda ev, a=a: _charpoly_scalars(ev)[a - 1],
         )
-    if spec.family == "funk_ball_berwald" and n == 3:
+    if family == "funk_ball_berwald" and n == 3:
         fields["g1_paper"] = _Field(
             "g1_paper", 1, "printed closed form for g_1 (verbatim)", lambda ev: _g1_closed(ev.xs, ev.ys)
         )
         fields["g2_paper"] = _Field(
             "g2_paper", 1, "printed closed form for g_2 (verbatim)", lambda ev: _g2_closed(ev.xs, ev.ys)
         )
-    return fields
+    return MappingProxyType(fields)
 
 
 def field_ids(spec: MetricSpec) -> list[str]:

@@ -6,7 +6,9 @@ variables.  Arithmetic on jets is exact truncation: the coefficients of a
 sum/product/quotient/composition are exactly the Taylor coefficients of the
 corresponding function, truncated at ``order``.  Partial derivatives of the
 represented function are read off with :meth:`Jet.extract`, which multiplies
-the stored coefficient by the factorial of the multi-index.
+the stored coefficient by the factorial of the multi-index; the whole first
+and second partials come at once from :meth:`Jet.gradient` and
+:meth:`Jet.hessian`.
 
 Coefficient layout
 ------------------
@@ -159,6 +161,14 @@ class JetSpace:
             self._diff[var] = (src, fac)
         return self._diff[var]
 
+    @cached_property
+    def hessian_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, factors): the degree-2 coefficient of each pair
+        ``(i, j)`` sits at ``positions[i, j]``, and ``factors`` is 2 on the
+        diagonal (the factorial of exponent 2) and 1 off it."""
+        # keys add like the multi-indices: e_i + e_j is one sum away
+        return self._positions(self._unit_keys[:, None] + self._unit_keys), 1.0 + np.eye(self.dim)
+
 
 _SPACES: dict[tuple[int, int], JetSpace] = {}
 
@@ -184,12 +194,13 @@ def _ipow(base, n: int):
         return base.const(1.0)
     acc = None
     square = base
-    while n:
+    while True:
         if n & 1:
             acc = square if acc is None else acc * square
-        square = square * square
         n >>= 1
-    return acc
+        if not n:
+            return acc
+        square = square * square
 
 
 class Jet:
@@ -266,6 +277,16 @@ class Jet:
         if self.space.order < 1:
             raise OrderError("a jet of order 0 carries no gradient")
         return self.coeffs[self.space.dim : 0 : -1]
+
+    def hessian(self) -> np.ndarray:
+        """Symmetric matrix of second partials at the base point, gathered
+        from the degree-2 coefficients (diagonal ones doubled)."""
+        if self.space.order < 2:
+            raise OrderError("a jet of order < 2 carries no second partials")
+        pos, fac = self.space.hessian_table
+        out = self.coeffs[pos]
+        out *= fac
+        return out
 
     def __repr__(self):
         return f"Jet(dim={self.space.dim}, order={self.space.order}, value={self.value!r})"

@@ -7,7 +7,15 @@ its energy function F^2(x, y):
     F^2 = |y|^2.
 ``riemannian``
     F^2 = g_ij(x) y^i y^j with a symmetric component matrix of expressions
-    in x only.
+    in x only.  It is evaluated as a sum over the distinct component
+    expressions, F^2 = sum_node g_node(x) Q_node(y), where Q_node is the
+    quadratic form of the index pairs whose component is that node: zero
+    literals drop out, (i, j) and (j, i) merge into one pair of weight 2 when
+    their expressions are equal, and each distinct expression (the round
+    sphere's three equal diagonal ones, say) is evaluated once.  Expressions
+    that are only equal in value (``0.3*x1`` beside ``x1*0.3``) stay separate
+    terms, so the form is exactly the one written.  The grouping is built
+    once per spec (:attr:`MetricSpec.riemannian_terms`).
 ``funk_ball_berwald``
     The projectively flat metric on the open unit ball
 
@@ -47,6 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +107,27 @@ class MetricSpec:
     components: tuple[tuple[expr.Node, ...], ...] | None = None
     sigma: expr.Node | None = None
 
+    @cached_property
+    def riemannian_terms(self) -> tuple[tuple[expr.Node, tuple[tuple[int, int, float], ...]], ...]:
+        """``(node, pairs)`` terms with F^2 = sum node(x) * sum_pairs w y^i y^j
+        over ``(i, j, w)``; the grouping of the module docstring, built on
+        first use and kept on this instance (equality ignores it)."""
+        comps = self.components
+        groups: dict[expr.Node, list[tuple[int, int, float]]] = {}
+        for i in range(self.dimension):
+            for j in range(i, self.dimension):
+                if comps[i][j] == comps[j][i]:
+                    pairs = [(i, j, 1.0 if i == j else 2.0)]
+                else:
+                    pairs = [(i, j, 1.0), (j, i, 1.0)]
+                for a, b, w in pairs:
+                    if comps[a][b] != _ZERO:
+                        groups.setdefault(comps[a][b], []).append((a, b, w))
+        return tuple((node, tuple(pairs)) for node, pairs in groups.items())
+
+
+_ZERO = expr.Num(0.0)
+
 
 # -- scalar helpers (floats, jets and duals share one code path) ---------
 
@@ -113,11 +143,24 @@ def _sqrt(v):
     return v.sqrt()
 
 
-def _dot(a, b):
-    acc = a[0] * b[0]
-    for u, v in zip(a[1:], b[1:]):
-        acc = acc + u * v
+def _total(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
     return acc
+
+
+def _dot(a, b):
+    return _total([u * v for u, v in zip(a, b)])
+
+
+def _quadratic_form(pairs, ys):
+    """Sum of w y^i y^j over the ``(i, j, w)`` pairs."""
+    terms = []
+    for i, j, w in pairs:
+        yy = ys[i] * ys[j]
+        terms.append(yy if w == 1.0 else yy * w)
+    return _total(terms)
 
 
 def _num(v) -> float:
@@ -151,13 +194,11 @@ def eval_F2(spec: MetricSpec, xs, ys):
     if spec.family == "euclidean":
         out = _dot(ys, ys)
     elif spec.family == "riemannian":
-        acc = None
-        for i in range(spec.dimension):
-            for j in range(spec.dimension):
-                gij = expr.evaluate(spec.components[i][j], xs, ys)
-                term = gij * ys[i] * ys[j]
-                acc = term if acc is None else acc + term
-        out = acc
+        terms = [
+            expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
+            for node, pairs in spec.riemannian_terms
+        ]
+        out = _total(terms) if terms else 0.0  # all components zero: caught below
     elif spec.family == "funk_ball_berwald":
         a, w, one_minus = _funk_pieces(xs, ys)
         w2 = w * w
@@ -166,7 +207,7 @@ def eval_F2(spec: MetricSpec, xs, ys):
         out = expr.evaluate(spec.expression, xs, ys)
     else:
         raise FamilyError(f"unknown family {spec.family!r}")
-    if _num(out) <= 0.0:
+    if not _num(out) > 0.0:  # NaN fails too
         raise DomainError(
             f"F^2 is not positive at this point (value {_num(out)!r}); outside the domain"
         )
@@ -185,9 +226,10 @@ def eval_projective_factor(spec: MetricSpec, xs, ys):
 
 def eval_sigma(spec: MetricSpec, xs):
     """Reference volume density sigma(x); ``None`` expression means 1."""
-    if spec.sigma is None:
-        return 1.0 if _is_plain(xs[0]) else xs[0].const(1.0)
-    return expr.evaluate(spec.sigma, xs, xs)
+    value = 1.0 if spec.sigma is None else expr.evaluate(spec.sigma, xs, xs)
+    if _is_plain(value) and not _is_plain(xs[0]):
+        return xs[0].const(value)  # a constant density over jets
+    return value
 
 
 def f2_value(spec: MetricSpec, x, y) -> float:
@@ -199,15 +241,20 @@ def f2_value(spec: MetricSpec, x, y) -> float:
 # -- domain guards --------------------------------------------------------
 
 def check_domain(spec: MetricSpec, x, y) -> None:
-    """Raise :class:`DomainError` if (x, y) violates the metric's guard."""
+    """Raise :class:`DomainError` if (x, y) violates the metric's guard;
+    a NaN or infinite coordinate violates every guard."""
     if len(x) != spec.dimension or len(y) != spec.dimension:
         raise DimensionError(
             f"point has lengths ({len(x)}, {len(y)}), metric dimension is {spec.dimension}"
         )
-    if all(float(v) == 0.0 for v in y):
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if not all(map(math.isfinite, x + y)):
+        raise DomainError(f"non-finite coordinate in x = {x}, y = {y}")
+    if all(v == 0.0 for v in y):
         raise DomainError("y must be a nonzero vector")
     if spec.family == "funk_ball_berwald":
-        r = math.sqrt(sum(float(v) ** 2 for v in x))
+        r = math.sqrt(sum(v**2 for v in x))
         if r > 1.0 - FUNK_GUARD_INSET:
             raise DomainError(
                 f"|x| = {r!r} outside the ball guard |x| <= 1 - {FUNK_GUARD_INSET}"

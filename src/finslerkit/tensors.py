@@ -42,6 +42,7 @@ brackets of the derived first integrals read their gradients, ``N`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -362,9 +363,9 @@ class PointEvaluation:
     @cached_property
     def sigma(self):
         node = self._sigma_node
-        if node is None:
-            return self.xs[0].const(1.0)
-        return expr.evaluate(node, self.xs, self.ys)
+        value = 1.0 if node is None else expr.evaluate(node, self.xs, self.ys)
+        # a constant density comes back as a plain number
+        return self.xs[0].const(value) if isinstance(value, numbers.Real) else value
 
     @cached_property
     def tau(self):
@@ -506,10 +507,12 @@ def metric_tensor(spec, p):
 
 
 def spray_values(spec, p) -> np.ndarray:
-    """Spray coefficients G^i at p, by direct extraction at order 2.
+    """Spray coefficients G^i at p, read off one order-2 jet of F^2.
 
-    Same formula as the jet route, assembled from extracted second
-    derivatives; this is the fast path for geodesic right-hand sides.
+    Same formula as the jet route: g is half the yy block of the Hessian
+    of F^2, d^2F^2/dy dx . y its yx block applied to y, and dF^2/dx the x
+    part of the gradient; then one ``np.linalg.solve``.  This is the fast
+    path for geodesic right-hand sides.
     """
     if not isinstance(p, PhasePoint):
         p = PhasePoint(*p)
@@ -517,26 +520,14 @@ def spray_values(spec, p) -> np.ndarray:
     n = spec.dimension
     seeds = seed_phase_point(p, 2)
     f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
-    dim = 2 * n
-
-    def idx(*positions):
-        out = [0] * dim
-        for pos in positions:
-            out[pos] += 1
-        return tuple(out)
-
-    g = np.array([[0.5 * f2.extract(idx(n + i, n + j)) for j in range(n)] for i in range(n)])
+    hess = f2.hessian()
+    g = 0.5 * hess[n:, n:]
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMetricError(
             f"fundamental tensor is numerically singular at {p} (condition number {cond:.3e})"
         )
-    b = np.array(
-        [
-            sum(f2.extract(idx(n + j, k)) * p.y[k] for k in range(n)) - f2.extract(idx(j))
-            for j in range(n)
-        ]
-    )
+    b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
     return 0.25 * np.linalg.solve(g, b)
 
 

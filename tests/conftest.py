@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from finslerkit import metrics, tensors
+from finslerkit.jets import Jet
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +31,44 @@ def sphere(catalog3):
     return catalog3["riemannian_round_sphere"]
 
 
+@pytest.fixture(scope="session")
+def randers():
+    """Randers norm |y| + b.y with constant b, as a custom F^2."""
+    return metrics.parse_metric(
+        "[metric]\nname = randers3\ndimension = 3\nfamily = custom\n"
+        "expression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def written():
+    """Riemannian metric with a literal component, an explicit zero, and one
+    off-diagonal entry written two ways that agree only in value."""
+    return metrics.parse_metric(
+        "[metric]\nname = written\ndimension = 3\nfamily = riemannian\n"
+        "g_1_1 = 2\ng_2_2 = 1.5 + x1^2\ng_3_3 = exp(x2)\n"
+        "g_1_2 = 0.3*x1\ng_2_1 = x1*0.3\ng_1_3 = 0\ng_2_3 = 0.1\n"
+    )
+
+
 @pytest.fixture
 def origin_point():
     """Center of the ball, axis velocity: every tensor there has a short closed form."""
     return tensors.PhasePoint((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+@pytest.fixture
+def jet_products(monkeypatch):
+    """Counts jet-by-jet products in ``.count`` while the test runs; scaling
+    a jet by a number is not a table product and is not counted."""
+    counter = SimpleNamespace(count=0)
+    mul = Jet.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Jet):
+            counter.count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    return counter

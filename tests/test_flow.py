@@ -184,3 +184,21 @@ def test_shared_field_values_give_the_same_outputs(funk):
     assert len(values) == len(traj)
     assert flow.trajectory_csv(funk, traj, fields, values=values) == flow.trajectory_csv(funk, traj, fields)
     assert flow.drift(funk, traj, fields, values=values) == flow.drift(funk, traj, fields)
+
+
+def test_non_finite_stage_is_a_rejected_step(funk, monkeypatch):
+    spray = flow.spray_values
+    calls = []
+
+    def spray_with_one_nan(spec, p):
+        calls.append(p)
+        G = spray(spec, p)
+        return G * np.nan if len(calls) == 5 else G  # the third stage of the first step
+
+    monkeypatch.setattr(flow, "spray_values", spray_with_one_nan)
+    traj = integrate(funk, AXIS_INIT, 1.0)
+    assert traj.status == "completed"
+    assert traj.stats.rejections == 1
+    assert abs(traj.xs[-1][0] - _axis_x1(traj.ts[-1])) < 1e-8
+    # the next stage's point carried the NaN, and the domain guard refused it
+    assert np.isnan(calls[5].x + calls[5].y).any()

@@ -15,14 +15,6 @@ from finslerkit.errors import DimensionError, DomainError, FamilyError, UnknownF
 from finslerkit.jets import seed_dual_phase_point
 from finslerkit.tensors import PhasePoint
 
-RANDERS = """
-[metric]
-name = randers3
-dimension = 3
-family = custom
-expression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2
-"""
-
 
 def _sample(spec, seed=0):
     rng = np.random.default_rng(seed)
@@ -247,14 +239,14 @@ def _assert_close(got, want, size, what):
 
 
 @pytest.mark.parametrize("case", ["ball3", "ball4", "randers"])
-def test_jet_gradients_match_dual_route(case, funk):
+def test_jet_gradients_match_dual_route(case, funk, randers):
     # sampled points from the centre to the sampler's limit (|x| = 0.93 on the balls)
     if case == "ball3":
         spec, names, seeds = funk, integrals.field_ids(funk), (21, 35)
     elif case == "ball4":
         spec, names, seeds = metrics.catalog(4)["funk_ball_berwald"], ["f1", "f3"], (27,)
     else:
-        spec = metrics.parse_metric(RANDERS)
+        spec = randers
         names, seeds = integrals.field_ids(spec), (24, 25)
     n = spec.dimension
     for seed in seeds:
@@ -270,3 +262,14 @@ def test_jet_gradients_match_dual_route(case, funk):
             want, sizes = _dual_bracket_terms(spec, dual[fa], dual[fb], p)
             got = integrals._bracket_terms(spec, fa, fb, p)
             _assert_close(got, want, np.max(sizes), (case, seed, fa, fb))
+
+
+def test_field_registry_is_built_once_per_shape(funk):
+    integrals.field_ids(funk)
+    built = integrals._fields_for.cache_info().misses
+    again = metrics.parse_metric(metrics.format_metric(funk))  # an equal spec, another instance
+    assert integrals._field_table(again) is integrals._field_table(funk)
+    for _ in range(3):
+        integrals.field_order(again, ["f1", "c2", "F"])
+    assert integrals._fields_for.cache_info().misses == built
+    assert "g1_paper" not in integrals.field_ids(metrics.catalog(4)["funk_ball_berwald"])

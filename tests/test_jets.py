@@ -324,3 +324,26 @@ def test_gradient_matches_extract_without_the_index_dict():
     np.testing.assert_array_equal(grad, want)
     with pytest.raises(OrderError):
         f.truncated(0).gradient()
+
+
+@pytest.mark.parametrize("dim, order", [(6, 2), (6, 5), (8, 3)])
+def test_hessian_matches_extract_for_every_pair(dim, order):
+    space = jet_space(dim, order)
+    f = Jet(space, np.random.default_rng(dim + order).uniform(-1.0, 1.0, space.size))
+    unit = np.eye(dim, dtype=int)
+    want = [[f.extract(tuple(unit[i] + unit[j])) for j in range(dim)] for i in range(dim)]
+    np.testing.assert_array_equal(f.hessian(), want)
+    with pytest.raises(OrderError):
+        f.truncated(1).hessian()
+
+
+def test_integer_powers_skip_the_unused_square(jet_products):
+    space = jet_space(6, 3)
+    x = Jet(space, np.random.default_rng(5).uniform(-1.0, 1.0, space.size))
+    x2 = x * x
+    want = {2: x2, 3: x * x2, 4: x2 * x2}
+    for n, count in ((2, 1), (3, 2), (4, 2)):
+        jet_products.count = 0
+        got = x**n
+        assert jet_products.count == count, n
+        np.testing.assert_array_equal(got.coeffs, want[n].coeffs)

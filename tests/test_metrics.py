@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finslerkit import expr, metrics
+from finslerkit.jets import seed_phase_point
 from finslerkit.errors import (
     ConfigError,
     DimensionError,
@@ -293,3 +294,58 @@ def test_load_metric_file(tmp_path):
     path.write_text(QUARTIC)
     spec = metrics.load_metric_file(path)
     assert spec.name == "quartic"
+
+
+# -- riemannian grouping -------------------------------------------------------
+
+def test_riemannian_terms_group_equal_components(catalog3, written):
+    sphere = catalog3["riemannian_round_sphere"]
+    ((node, pairs),) = sphere.riemannian_terms  # three equal diagonal nodes, one term
+    assert node == sphere.components[0][0]
+    assert pairs == ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0))
+    skew_pairs = dict(catalog3["riemannian_flat_skew"].riemannian_terms)[expr.Num(0.3)]
+    assert skew_pairs == ((0, 1, 2.0), (1, 2, 2.0))  # mirrored entries merge
+    terms = dict(written.riemannian_terms)
+    assert terms[expr.parse_expression("0.3*x1")] == ((0, 1, 1.0),)
+    assert terms[expr.parse_expression("x1*0.3")] == ((1, 0, 1.0),)
+    assert expr.Num(0.0) not in terms
+    assert sum(len(pairs) for pairs in terms.values()) == 6
+    # built once, kept on the instance, invisible to equality and the round trip
+    assert written.riemannian_terms is written.riemannian_terms
+    assert metrics.parse_metric(metrics.format_metric(written)) == written
+
+
+@pytest.mark.parametrize("name", ["riemannian_round_sphere", "riemannian_flat_skew", "written"])
+def test_grouped_energy_matches_the_sum_over_all_components(catalog3, written, name):
+    spec = written if name == "written" else catalog3[name]
+    x, y = metrics.sample_phase_point(spec, np.random.default_rng(7))
+    seeds = seed_phase_point((x, y), 5)
+    xs, ys = seeds[:3], seeds[3:]
+    naive = None
+    for i in range(3):
+        for j in range(3):
+            term = expr.evaluate(spec.components[i][j], xs, ys) * ys[i] * ys[j]
+            naive = term if naive is None else naive + term
+    got = metrics.eval_F2(spec, xs, ys)
+    scale = max(1.0, np.max(np.abs(naive.coeffs)))
+    assert np.max(np.abs(got.coeffs - naive.coeffs)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([float("nan"), 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, float("-inf"), 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0]),
+    ],
+)
+def test_check_domain_rejects_non_finite_coordinates(catalog3, x, y):
+    for spec in catalog3.values():
+        with pytest.raises(DomainError, match="non-finite"):
+            metrics.check_domain(spec, x, y)
+
+
+def test_nan_energy_is_outside_the_domain(euclid):
+    with pytest.raises(DomainError):
+        metrics.eval_F2(euclid, [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import fdcheck, metrics, tensors
-from finslerkit.errors import OrderError, SingularMetricError
+from finslerkit.errors import DomainError, OrderError, SingularMetricError
 from finslerkit.jets import Jet, jet_space
 from finslerkit.tensors import PhasePoint, PointEvaluation, _values, mat_inv_det
 
@@ -302,3 +302,53 @@ def test_phase_point_is_immutable_and_coercing():
     assert p.y == (2.0, 3.0)
     with pytest.raises(Exception):
         p.x = (1.0, 1.0)
+
+
+# -- the order-2 spray route ----------------------------------------------------
+
+SPRAY_METRICS = (
+    "euclidean", "funk_ball_berwald", "riemannian_flat_skew", "riemannian_round_sphere",
+    "ball4", "randers3", "written",
+)
+
+
+@pytest.mark.parametrize("name", SPRAY_METRICS)
+def test_spray_values_match_the_jet_route(catalog3, randers, written, name):
+    others = {"ball4": metrics.catalog(4)["funk_ball_berwald"], "randers3": randers, "written": written}
+    spec = {**catalog3, **others}[name]
+    for seed in range(6):
+        p = _sample(spec, seed)
+        want = _values(PointEvaluation(spec, p, order=2).G)
+        got = tensors.spray_values(spec, p)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), (name, seed)
+
+
+@pytest.mark.parametrize(
+    "name, most", [("riemannian_round_sphere", 10), ("riemannian_flat_skew", 5), ("funk_ball_berwald", 22)]
+)
+def test_spray_values_product_count(catalog3, jet_products, name, most):
+    p = _sample(catalog3[name], 1)
+    jet_products.count = 0
+    tensors.spray_values(catalog3[name], p)
+    assert jet_products.count <= most
+
+
+NON_FINITE = {
+    "nan x": ((float("nan"), 0.0, 0.0), (1.0, 0.0, 0.0)),
+    "inf y": ((0.0, 0.0, 0.0), (float("inf"), 0.0, 0.0)),
+    "nan y": ((0.0, 0.0, 0.0), (float("nan"), 1.0, 0.0)),
+}
+ENTRY_POINTS = {
+    "compute_packet": lambda spec, x, y: tensors.compute_packet(spec, (x, y)),
+    "spray_values": lambda spec, x, y: tensors.spray_values(spec, (x, y)),
+    "f2_value": lambda spec, x, y: metrics.f2_value(spec, x, y),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
+def test_non_finite_points_raise_domain_error(catalog3, name, case, entry):
+    x, y = NON_FINITE[case]
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](catalog3[name], x, y)
