@@ -47,7 +47,6 @@ from .tensors import (
     metric_tensor,
     nabla_covariant2,
     s_function,
-    spray,
 )
 from .verify import VerifyReport, verify_metric
 
@@ -99,7 +98,6 @@ __all__ = [
     "poisson_bracket_scaled",
     "s_function",
     "sample_phase_point",
-    "spray",
     "verify_metric",
     "__version__",
 ]

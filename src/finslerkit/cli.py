@@ -281,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, npoints_default):
         p.add_argument("--metric", required=True, help="metric config file or built-in name")
         p.add_argument("--seed", type=int, default=0, help="seed for phase-point sampling")
-        p.add_argument("--tol", type=float, default=1e-6, help="pass/fail tolerance")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--npoints", type=int, default=npoints_default, help="sample count")
 
@@ -298,13 +296,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_flow = sub.add_parser("flow", help="integrate a geodesic and measure field drift")
-    common(p_flow, 0)
+    # flow samples no points: it takes no --seed or --npoints
+    p_flow.add_argument("--metric", required=True, help="metric config file or built-in name")
+    p_flow.add_argument("--out", help="write the sampled trajectory here as CSV")
     p_flow.add_argument("--x0", required=True, help="initial position, comma-separated")
     p_flow.add_argument("--y0", required=True, help="initial velocity, comma-separated")
     p_flow.add_argument("--tmax", type=float, required=True)
     p_flow.add_argument("--rtol", type=float, default=1e-10)
     p_flow.add_argument("--atol", type=float, default=1e-12)
     p_flow.add_argument("--watch", help="comma-separated field ids to track")
+    p_flow.add_argument("--tol", type=float, default=1e-6, help="relative drift tolerance")
     p_flow.set_defaults(fn=cmd_flow)
 
     p_bracket = sub.add_parser("bracket", help="Poisson bracket of two fields at sampled points")
@@ -313,6 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bracket.add_argument(
         "--assert-zero", action="store_true", help="exit 1 unless |bracket| <= tol (scaled)"
     )
+    p_bracket.add_argument("--tol", type=float, default=1e-6, help="scaled bracket tolerance")
+    p_bracket.add_argument("--format", choices=("json", "csv"), default="json")
     p_bracket.set_defaults(fn=cmd_bracket)
     return parser
 
@@ -328,7 +331,9 @@ def main(argv=None) -> int:
     except FinslerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # an escaped ValueError (numpy's LinAlgError is one) is still a
+        # setup error: one line and exit 2, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

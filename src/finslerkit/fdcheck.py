@@ -3,27 +3,30 @@
 Used to validate jet-propagated partials against a method that shares no
 code with the jet arithmetic.  Mixed partials are tensor products of 1-d
 central stencils (each of even-order accuracy, so the combined error is a
-series in h^2), evaluated at a geometric ladder of step sizes and
+series in h^2), evaluated on a geometric ladder of step sizes and
 Richardson-extrapolated.
 
 Accuracy is limited by roundoff amplification ~eps/h^k for a k-th
-derivative and by the h^6 extrapolation remainder; with the default step
-and 3 levels the oracle is good to roughly 1e-9 relative for first/second
-partials and 1e-6..1e-5 for third/fourth (worse when the function's
-higher derivatives carry large constants, and shrinking the step trades
-that truncation for amplified evaluation roundoff instead).  Values below
-:func:`noise_floor` are invisible to the oracle entirely, so comparisons
-should gate on it rather than trust a raw relative error.
+derivative and by the h^6 extrapolation remainder.  No single step suits
+every partial: a first derivative wants the smallest step, a fourth
+derivative of a function with moderate higher derivatives loses ~1e-4
+relative to roundoff at h = 0.01.  So :func:`fd_partial` extrapolates
+every window of ``levels`` adjacent steps of a ladder from 0.16 down to
+0.01 and keeps the window whose value moves least against its neighbour
+(the plateau between the truncation and the roundoff regimes).  Values
+below :func:`noise_floor` are invisible to the oracle entirely, so
+comparisons should gate on it rather than trust a raw relative error.
 """
 
 from __future__ import annotations
 
 import itertools
 
-__all__ = ["fd_partial", "noise_floor", "DEFAULT_BASE_H", "DEFAULT_LEVELS"]
+__all__ = ["fd_partial", "noise_floor", "DEFAULT_BASE_H", "DEFAULT_LEVELS", "LADDER_STEPS"]
 
-DEFAULT_BASE_H = 0.04
+DEFAULT_BASE_H = 0.16
 DEFAULT_LEVELS = 3
+LADDER_STEPS = 5
 
 # (offset, weight) pairs; weight already includes the stencil's rational
 # factor, so the k-th derivative is sum(w * f(x + off*h)) / h^k.
@@ -41,13 +44,18 @@ def fd_partial(fn, coords, orders, base_h: float = DEFAULT_BASE_H, levels: int =
     ``fn`` maps a list of floats to a float; ``orders`` gives the
     derivative order per variable (each <= 4, total unrestricted but
     accuracy beyond total order 4 is poor).  Steps scale with the
-    magnitude of each coordinate.
+    magnitude of each coordinate.  The ladder is ``base_h / 2**j`` for
+    ``j < LADDER_STEPS``; each window of ``levels`` adjacent steps gives
+    one Richardson value, and of the adjacent pair of windows whose values
+    differ least the one with the smaller steps is returned.
     """
     coords = [float(v) for v in coords]
     active = [(i, k) for i, k in enumerate(orders) if k > 0]
     for _, k in active:
         if k not in _STENCILS:
             raise ValueError(f"no stencil for single-variable order {k}")
+    if not 1 <= levels <= LADDER_STEPS:
+        raise ValueError(f"levels must be in 1..{LADDER_STEPS}")
     if not active:
         return float(fn(coords))
 
@@ -64,13 +72,18 @@ def fd_partial(fn, coords, orders, base_h: float = DEFAULT_BASE_H, levels: int =
             acc += weight * fn(point)
         return acc
 
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    values = [resolved(base_h / 2.0**j) for j in range(levels)]
-    for stage in range(1, levels):
-        factor = 4.0**stage
-        values = [(factor * values[j + 1] - values[j]) / (factor - 1.0) for j in range(len(values) - 1)]
-    return values[0]
+    def extrapolated(values):
+        for stage in range(1, levels):
+            factor = 4.0**stage
+            values = [(factor * values[j + 1] - values[j]) / (factor - 1.0) for j in range(len(values) - 1)]
+        return values[0]
+
+    ladder = [resolved(base_h / 2.0**j) for j in range(LADDER_STEPS)]
+    windows = [extrapolated(ladder[w : w + levels]) for w in range(LADDER_STEPS - levels + 1)]
+    best = 0
+    if len(windows) > 1:
+        best = 1 + min(range(len(windows) - 1), key=lambda w: abs(windows[w + 1] - windows[w]))
+    return windows[best]
 
 
 def noise_floor(
@@ -84,15 +97,16 @@ def noise_floor(
 
     Each function evaluation carries absolute error ~eps * f_scale; the
     stencil sums amplify it by prod(sum|w| / h_i^k_i), worst at the
-    smallest ladder step, and the extrapolation stages multiply it by at
-    most prod (4^s + 1)/(4^s - 1).  A comparison whose true value sits
-    below this bound measures nothing but floating-point noise.
+    smallest ladder step (so the bound holds whichever window
+    :func:`fd_partial` keeps), and the extrapolation stages multiply it
+    by at most prod (4^s + 1)/(4^s - 1).  A comparison whose true value
+    sits below this bound measures nothing but floating-point noise.
     """
     coords = [float(v) for v in coords]
     active = [(i, k) for i, k in enumerate(orders) if k > 0]
     if not active:
         return 2.3e-16 * abs(f_scale)
-    h_min = base_h / 2.0 ** (levels - 1)
+    h_min = base_h / 2.0 ** (LADDER_STEPS - 1)
     amp = 1.0
     for i, k in active:
         hi = h_min * max(1.0, abs(coords[i]))

@@ -59,7 +59,6 @@ __all__ = [
     "PointEvaluation",
     "compute_packet",
     "metric_tensor",
-    "spray",
     "spray_values",
     "connection",
     "flag_curvature",
@@ -138,7 +137,8 @@ def _align(*scalars):
 
 
 def _mul(a, b):
-    a, b = _align(a, b)
+    if a.order != b.order:
+        a, b = _align(a, b)
     return a * b
 
 
@@ -151,12 +151,14 @@ def _dot_scal(vec_a, vec_b):
 
 
 def _add(a, b):
-    a, b = _align(a, b)
+    if a.order != b.order:
+        a, b = _align(a, b)
     return a + b
 
 
 def _sub(a, b):
-    a, b = _align(a, b)
+    if a.order != b.order:
+        a, b = _align(a, b)
     return a - b
 
 
@@ -529,11 +531,6 @@ def spray_values(spec, p) -> np.ndarray:
         )
     b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
     return 0.25 * np.linalg.solve(g, b)
-
-
-def spray(spec, p) -> np.ndarray:
-    """Spray coefficients G^i at p."""
-    return spray_values(spec, p)
 
 
 def connection(spec, p):

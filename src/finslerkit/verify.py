@@ -19,6 +19,17 @@ Families gate what is asserted:
 
 All tolerances are relative to natural scales with an absolute floor, so
 identically-zero cases pass cleanly.
+
+Each sampled point is evaluated once, at seed order 6, and that one
+evaluation feeds every suite that looks at the point.  The suites that
+run on a leading subset of the sample -- sigma independence (25 points),
+the homogeneity ladder (40), Hamel y-independence and the printed closed
+forms (10) -- read the point's packet, first integrals and Hamel residual
+as the main loop kept them; an order-5 value part equals the order-6 one,
+so nothing changes by reading them off the deeper jet.  The evaluations
+that *are* the checks stay separate: the one under the overridden density
+sigma, the packets at lambda*y for lambda = 2 and 1/2, the Hamel residual
+at a second fiber direction, and the finite-difference oracle on F^2.
 """
 
 from __future__ import annotations
@@ -87,11 +98,6 @@ class _Collect:
         )
 
 
-def _point_evaluations(spec, points, order):
-    for x, y in points:
-        yield PointEvaluation(spec, PhasePoint(x, y), order=order)
-
-
 def _fd_index_sample(n: int) -> list[tuple[int, ...]]:
     """Fixed mixed-partial multi-indices covering total orders 1..4 (n >= 2)."""
     dim = 2 * n
@@ -129,8 +135,12 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     hamel_scaled_values = []
     jacobi_norms = []
     chi_note = ""
+    # (packet, first integrals, Hamel residual) of the leading points, for
+    # the subset suites after the loop
+    shared = []
 
-    for ev in _point_evaluations(spec, points, order=6):
+    for x, y in points:
+        ev = PointEvaluation(spec, PhasePoint(x, y), order=6)
         y = np.array(ev.point.y)
         F2 = ev.F2.num
         g = _values(ev.g)
@@ -202,6 +212,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             float(np.abs(fit[: n - 1] - fis.c).max()), abs(float(fit[-1]))
         ) / max(1.0, float(np.abs(fis.c).max()))
         collect("charpoly_fit_agrees", 1e-9).add(fit_res)
+        if len(shared) < 40:  # the largest subset read below
+            shared.append((pkt, fis, hamel))
 
         if is_riem:
             degeneration = collect("riemannian_degeneration", 1e-10)
@@ -246,22 +258,20 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     # sigma independence: E and chi must not see the reference volume
     sigma_check = collect("sigma_independence", 1e-8)
     sigma_shift = 0.0
-    for x, y in points[: min(25, n_points)]:
-        ev_a = PointEvaluation(spec, PhasePoint(x, y), order=5)
-        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=SIGMA_TEST_EXPRESSION)
-        E_a, E_b = _values(ev_a.E), _values(ev_b.E)
-        chi_a, chi_b = _values(ev_a.chi), _values(ev_b.chi)
-        sigma_check.add(_norm(E_a - E_b) / max(1.0, _norm(E_a)))
-        sigma_check.add(_norm(chi_a - chi_b) / max(1.0, _norm(chi_a)))
-        sigma_shift = max(sigma_shift, abs(ev_a.tau.num - ev_b.tau.num))
+    for pkt, _, _ in shared[:25]:
+        ev_b = PointEvaluation(spec, pkt.point, order=5, sigma=SIGMA_TEST_EXPRESSION)
+        E_b, chi_b = _values(ev_b.E), _values(ev_b.chi)
+        sigma_check.add(_norm(pkt.E - E_b) / max(1.0, _norm(pkt.E)))
+        sigma_check.add(_norm(pkt.chi - chi_b) / max(1.0, _norm(pkt.chi)))
+        sigma_shift = max(sigma_shift, abs(pkt.tau - ev_b.tau.num))
     collect(
         "sigma_shifts_tau", 0.0, asserted=False,
         note="tau must move when sigma does; reported as evidence the override is live",
     ).add(sigma_shift)
 
     # jets against the finite-difference oracle (sampled subset); the
-    # tolerance is the oracle's truncation budget for quartic-type
-    # energies at the default step, not the jets' accuracy
+    # tolerance is the oracle's error budget for quartic-type energies at
+    # the step it settles on, not the jets' accuracy
     fd_check = collect("jets_match_finite_differences", 1e-4)
     idxs = _fd_index_sample(n)
     for x, y in points[:2]:
@@ -288,11 +298,10 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
 
     # homogeneity: exact 0-homogeneous invariance and the degree ladder
     homog = collect("homogeneity_ladder", 1e-9)
-    for x, y in points[: min(40, n_points)]:
-        pkt1 = PointEvaluation(spec, PhasePoint(x, y), order=5).packet()
-        fis1 = integrals.first_integral_set(pkt1)
+    for pkt1, fis1, _ in shared[:40]:
+        x, y = pkt1.point.x, np.array(pkt1.point.y)
         for lam in (2.0, 0.5):
-            pkt2 = PointEvaluation(spec, PhasePoint(x, lam * np.asarray(y)), order=5).packet()
+            pkt2 = PointEvaluation(spec, PhasePoint(x, lam * y), order=5).packet()
             fis2 = integrals.first_integral_set(pkt2)
             homog.add(_norm(fis1.EE - fis2.EE) / max(1.0, _norm(fis1.EE)))
             homog.add(float(np.abs(fis1.f - fis2.f).max()) / max(1.0, float(np.abs(fis1.f).max())))
@@ -309,11 +318,10 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         note="reported only: no tolerance-bearing claim",
     )
     rng2 = np.random.default_rng(seed + 1)
-    for x, y in points[:10]:
+    for pkt, _, h1 in shared[:10]:
         y2 = rng2.standard_normal(n)
         y2 /= np.linalg.norm(y2)
-        h1 = _values(PointEvaluation(spec, PhasePoint(x, y), order=5).hamel)
-        h2 = _values(PointEvaluation(spec, PhasePoint(x, y2), order=5).hamel)
+        h2 = _values(PointEvaluation(spec, PhasePoint(pkt.point.x, y2), order=5).hamel)
         basic.add(_norm(h1 - h2))
 
     # report-only: printed closed forms against the char-poly coefficients
@@ -323,10 +331,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             note="reported only: normalizations differ; recorded, not reconciled",
         )
         worst_gap = 0.0
-        for x, y in points[:10]:
-            g1p, g2p = integrals.paper_closed_forms(PhasePoint(x, y))
-            pkt = PointEvaluation(spec, PhasePoint(x, y), order=5).packet()
-            fis = integrals.first_integral_set(pkt)
+        for pkt, fis, _ in shared[:10]:
+            g1p, g2p = integrals.paper_closed_forms(pkt.point)
             worst_gap = max(worst_gap, abs(g1p - fis.c[0]), abs(g2p - fis.c[1]))
         gap.add(worst_gap)
 

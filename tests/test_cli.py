@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from finslerkit import cli, flow, metrics
@@ -217,6 +218,38 @@ def test_malformed_numbers_exit_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [np.linalg.LinAlgError("Singular matrix"), ValueError("math domain error")],
+    ids=["LinAlgError", "ValueError"],
+)
+def test_escaped_library_errors_exit_two(monkeypatch, capsys, exc):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_inspect", raising)
+    assert run(["inspect", "--metric", FUNK]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "--metric", FUNK, "--format", "csv"],
+        ["verify", "--metric", FUNK, "--tol", "1e-3"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--format", "csv"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--seed", "3"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_script_and_module_entry():

@@ -78,7 +78,7 @@ class TestRoundSphere:
         rng = np.random.default_rng(5)
         for _ in range(10):
             x, y = metrics.sample_phase_point(sphere, rng)
-            G = np.asarray(tensors.spray(sphere, PhasePoint(x, y)))
+            G = np.asarray(tensors.spray_values(sphere, PhasePoint(x, y)))
             grad_phi = -2.0 * x / (1.0 + x @ x)
             want = (grad_phi @ y) * y - 0.5 * (y @ y) * grad_phi
             np.testing.assert_allclose(G, want, atol=1e-12 * max(1.0, np.abs(want).max()))
@@ -134,7 +134,7 @@ def test_spray_against_finite_differences(funk):
     G_fd = 0.25 * np.linalg.solve(g_fd, mixed @ np.array(p.y) - grad_x)
 
     g, _, _, _ = tensors.metric_tensor(funk, p)
-    G = tensors.spray(funk, p)
+    G = tensors.spray_values(funk, p)
     np.testing.assert_allclose(np.asarray(g), g_fd, rtol=1e-7, atol=1e-9)
     np.testing.assert_allclose(np.asarray(G), G_fd, rtol=1e-6, atol=1e-8)
 

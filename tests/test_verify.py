@@ -6,12 +6,14 @@ asserted versus merely reported, and that reports are reproducible.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finslerkit import expr, metrics, tensors
-from finslerkit.verify import SIGMA_TEST_EXPRESSION, verify_metric
+from finslerkit import expr, integrals, metrics, tensors
+from finslerkit.tensors import PhasePoint, PointEvaluation, _values
+from finslerkit.verify import SIGMA_TEST_EXPRESSION, SuiteResult, _norm, verify_metric
 
 # small sample keeps the whole module fast; the acceptance suite runs the
 # full 200-point configuration
@@ -179,3 +181,119 @@ def test_four_dimensional_metric_verifies():
     # the FD index sample adapts to the dimension instead of going out of range
     fd = _suite(rep, "jets_match_finite_differences")
     assert fd.asserted and fd.passed
+
+
+# -- one evaluation per sampled point ------------------------------------------------
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts ``PointEvaluation`` constructions in ``.count`` while the test runs."""
+    counter = SimpleNamespace(count=0)
+    init = PointEvaluation.__init__
+
+    def counted(self, *args, **kwargs):
+        counter.count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointEvaluation, "__init__", counted)
+    return counter
+
+
+def _per_suite_rows(spec, n_points, seed):
+    """The point-subset suites recomputed with an order-5 evaluation of
+    their own at every point, independently of the runner's order-6 one."""
+    rng = np.random.default_rng(seed)
+    points = [metrics.sample_phase_point(spec, rng) for _ in range(n_points)]
+    n = spec.dimension
+    rows = {}
+
+    worst = shift = 0.0
+    for x, y in points[:25]:
+        ev_a = PointEvaluation(spec, PhasePoint(x, y), order=5)
+        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=SIGMA_TEST_EXPRESSION)
+        E_a, E_b = _values(ev_a.E), _values(ev_b.E)
+        chi_a, chi_b = _values(ev_a.chi), _values(ev_b.chi)
+        worst = max(worst, _norm(E_a - E_b) / max(1.0, _norm(E_a)), _norm(chi_a - chi_b) / max(1.0, _norm(chi_a)))
+        shift = max(shift, abs(ev_a.tau.num - ev_b.tau.num))
+    rows["sigma_independence"] = SuiteResult("sigma_independence", worst <= 1e-8, worst, 1e-8)
+    rows["sigma_shifts_tau"] = shift
+
+    worst = 0.0
+    for x, y in points[:40]:
+        pkt1 = PointEvaluation(spec, PhasePoint(x, y), order=5).packet()
+        fis1 = integrals.first_integral_set(pkt1)
+        for lam in (2.0, 0.5):
+            pkt2 = PointEvaluation(spec, PhasePoint(x, lam * np.asarray(y)), order=5).packet()
+            fis2 = integrals.first_integral_set(pkt2)
+            worst = max(
+                worst,
+                _norm(fis1.EE - fis2.EE) / max(1.0, _norm(fis1.EE)),
+                float(np.abs(fis1.f - fis2.f).max()) / max(1.0, float(np.abs(fis1.f).max())),
+                float(np.abs(fis1.c - fis2.c).max()) / max(1.0, float(np.abs(fis1.c).max())),
+                abs(pkt2.F - lam * pkt1.F) / max(1.0, pkt1.F),
+                _norm(pkt2.g - pkt1.g) / max(1.0, _norm(pkt1.g)),
+                _norm(pkt2.G - lam**2 * pkt1.G) / max(1.0, _norm(pkt1.G)),
+                _norm(pkt2.N - lam * pkt1.N) / max(1.0, _norm(pkt1.N)),
+                _norm(pkt2.E - pkt1.E / lam) / max(1.0, _norm(pkt1.E)),
+            )
+    rows["homogeneity_ladder"] = SuiteResult("homogeneity_ladder", worst <= 1e-9, worst, 1e-9)
+
+    worst = gap = 0.0
+    rng2 = np.random.default_rng(seed + 1)
+    for x, y in points[:10]:
+        y2 = rng2.standard_normal(n)
+        y2 /= np.linalg.norm(y2)
+        h1 = _values(PointEvaluation(spec, PhasePoint(x, y), order=5).hamel)
+        h2 = _values(PointEvaluation(spec, PhasePoint(x, y2), order=5).hamel)
+        worst = max(worst, _norm(h1 - h2))
+        if spec.family == "funk_ball_berwald" and n == 3:
+            g1p, g2p = integrals.paper_closed_forms(PhasePoint(x, y))
+            fis = integrals.first_integral_set(PointEvaluation(spec, PhasePoint(x, y), order=5).packet())
+            gap = max(gap, abs(g1p - fis.c[0]), abs(g2p - fis.c[1]))
+    rows["hamel_y_independence"] = worst
+    rows["closed_forms_vs_charpoly"] = gap
+    return rows
+
+
+@pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
+def test_one_order6_evaluation_feeds_every_point_suite(catalog3, evaluations, name):
+    # per point: the shared order-6 evaluation, the sigma-overridden one and
+    # the lambda = 2 and 1/2 packets; per point of the first ten, the Hamel
+    # residual at a second fiber direction -- 4 * 5 = 20 at four points
+    # (36 on the ball and 32 on the sphere with an evaluation per suite)
+    verify_metric(catalog3[name], n_points=4, seed=SEED)
+    assert evaluations.count == 20
+
+
+@pytest.mark.parametrize(
+    "name, n_points",
+    [("funk_ball_berwald", 4), ("riemannian_round_sphere", 4), ("funk_ball_berwald", 12)],
+)
+def test_shared_evaluation_gives_the_per_suite_rows(catalog3, name, n_points):
+    # an order-5 value part equals the order-6 one, so sharing the point's
+    # evaluation leaves every row the same, bit for bit
+    spec = catalog3[name]
+    rows = {s.name: s for s in verify_metric(spec, n_points=n_points, seed=SEED).suites}
+    old = _per_suite_rows(spec, n_points, SEED)
+    for suite in ("sigma_independence", "homogeneity_ladder"):
+        assert rows[suite] == old[suite]
+    for suite in ("sigma_shifts_tau", "hamel_y_independence", "closed_forms_vs_charpoly"):
+        if suite in rows:
+            assert rows[suite].worst == old[suite], suite
+    assert ("closed_forms_vs_charpoly" in rows) == (name == "funk_ball_berwald")
+
+
+# -- the finite-difference oracle --------------------------------------------------
+
+@pytest.mark.parametrize(
+    "metric, seed",
+    [("ball4", 70131669), ("randers3", 2084654370)],
+)
+def test_fd_oracle_settles_on_a_step_it_can_resolve(randers, metric, seed):
+    # at these seeds a fixed finest step of 0.01 read 1.2e-4 (a fourth
+    # y-derivative at |y| = 1.39, roundoff-bound) and 1.0e-3 against tol 1e-4
+    spec = randers if metric == "randers3" else metrics.catalog(4)["funk_ball_berwald"]
+    rep = verify_metric(spec, n_points=4, seed=seed)
+    fd = _suite(rep, "jets_match_finite_differences")
+    assert fd.passed and fd.worst <= fd.tol
+    assert rep.passed
