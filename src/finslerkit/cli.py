@@ -117,7 +117,7 @@ def cmd_inspect(args) -> int:
     docs = []
     for p in points:
         pkt = tensors.compute_packet(spec, p)
-        fis = integrals.first_integral_set(pkt)
+        fis = integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(p.y))
         docs.append(
             {
                 "point": {"x": list(p.x), "y": list(p.y)},
@@ -331,9 +331,10 @@ def main(argv=None) -> int:
     except FinslerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        # an escaped ValueError (numpy's LinAlgError is one) is still a
-        # setup error: one line and exit 2, never a traceback
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # an escaped ValueError (numpy's LinAlgError is one) or a float
+        # overflow is still a setup error: one line and exit 2, never a
+        # traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

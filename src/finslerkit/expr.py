@@ -11,9 +11,11 @@ Grammar (infix, conventional precedence, ``^`` binds tightest)::
 
 ``VAR`` is ``x1..xn`` or ``y1..yn`` (1-based).  ``FUNC`` is ``sqrt``, ``ln``
 or ``exp``.  ``REDUCER`` is ``normx2`` (|x|^2), ``normy2`` (|y|^2) or
-``dotxy`` (<x, y>).  Exponents are integer or rational literals only; there
-is no ``abs`` and no piecewise construct, so every parsed expression is
-smooth on the domain where it evaluates without :class:`BranchError` /
+``dotxy`` (<x, y>).  A ``NUMBER`` must parse to a finite float: ``1e400``
+is rejected at parse time with :class:`ConfigError`, naming its line and
+column.  Exponents are integer or rational literals only; there is no
+``abs`` and no piecewise construct, so every parsed expression is smooth
+on the domain where it evaluates without :class:`BranchError` /
 :class:`PoleError`.
 
 Evaluation is generic over the scalar type: floats, :class:`~finslerkit.jets.Jet`
@@ -33,7 +35,7 @@ import numbers
 import re
 from dataclasses import dataclass
 
-from .errors import BranchError, DimensionError, ExpressionSyntaxError, PoleError
+from .errors import BranchError, ConfigError, DimensionError, ExpressionSyntaxError, PoleError
 
 __all__ = ["parse_expression", "to_text", "evaluate", "free_variables", "Node"]
 
@@ -225,7 +227,12 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.take()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"literal {tok.text!r} is not a finite float (line {tok.line}, column {tok.column})"
+                )
+            return Num(value)
         if tok.kind == "ident":
             name = tok.text
             if name in _REDUCERS:

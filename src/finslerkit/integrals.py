@@ -17,6 +17,12 @@ against Newton's identities applied to the f_a and against a brute-force
 polynomial fit of det(EE + Lambda I).  A further independent route to
 c_{n-1} is the bordered determinant det(2F E + F_y F_y^T) / det g.
 
+These array routines take the values they read -- F, g, g^-1, E and y --
+rather than a whole :class:`~finslerkit.tensors.CurvaturePacket`, so a
+caller that wants only the first integrals at a point (the homogeneity
+ladder of :mod:`finslerkit.verify`, say) never builds the curvature
+tensors R, S, chi, I and J that a packet carries.
+
 Closed-form expressions for two first integrals of the ball metric
 (n = 3) are evaluated verbatim as printed in their source; desk analysis
 shows they do not coincide with c_1, c_2 (different normalization), so
@@ -24,11 +30,15 @@ callers must treat the pair (g1_paper, g2_paper) and the pair (c_1, c_2)
 as separate claims and report the discrepancy rather than reconcile it.
 
 Scalar fields (F, f_a, c_a, the closed forms) are registered under stable
-string ids so the flow and CLI layers can address them.  A field built
-from jets seeded one order above its ``min_order`` comes out as a jet of
-order >= 1, and its degree-1 Taylor coefficients are its exact phase-space
-gradient: one pipeline run per point gives every partial derivative.  The
-Poisson bracket
+string ids so the flow and CLI layers can address them.  The f_a and c_a
+read E from the Berwald tensor; ``s_cl`` contracts the mean Cartan and
+mean Landsberg route E_CL instead, so the paper's second expression is a
+field of its own (it equals f_1 / (2F)).
+
+A field built from jets seeded one order above its ``min_order`` comes
+out as a jet of order >= 1, and its degree-1 Taylor coefficients are its
+exact phase-space gradient: one pipeline run per point gives every
+partial derivative.  The Poisson bracket
 
     {u, v} = 1/2 g^{ij} (du/dy^j delta v/dx^i - dv/dy^j delta u/dx^i)
 
@@ -49,7 +59,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
 from .metrics import MetricSpec
-from .tensors import CurvaturePacket, PhasePoint, PointEvaluation, _add, _dot_scal, _mul, _sub, _values, spray_values
+from .tensors import PhasePoint, PointEvaluation, _add, _dot_scal, _mul, _sub, _values, spray_values
 
 __all__ = [
     "FirstIntegralSet",
@@ -81,9 +91,9 @@ class FirstIntegralSet:
     bordered_value: float
 
 
-def build_EE(packet: CurvaturePacket) -> np.ndarray:
-    """EE^i_j = 2 F g^{ik} E_kj from a computed packet."""
-    return 2.0 * packet.F * (packet.g_inv @ packet.E)
+def build_EE(F: float, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """EE^i_j = 2 F g^{ik} E_kj from the values of F, g^-1 and E."""
+    return 2.0 * F * (g_inv @ E)
 
 
 def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +146,29 @@ def charpoly_fit(EE: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def bordered_determinant(packet: CurvaturePacket) -> float:
+def bordered_determinant(F: float, g: np.ndarray, E: np.ndarray, y: np.ndarray) -> float:
     """det(2F E_ij + F_{y^i} F_{y^j}) / det g, an independent route to c_{n-1}."""
-    y = np.array(packet.point.y)
-    f_y = packet.g @ y / packet.F
-    bordered = 2.0 * packet.F * packet.E + np.outer(f_y, f_y)
-    return float(np.linalg.det(bordered) / np.linalg.det(packet.g))
+    f_y = g @ y / F
+    bordered = 2.0 * F * E + np.outer(f_y, f_y)
+    return float(np.linalg.det(bordered) / np.linalg.det(g))
 
 
-def first_integral_set(packet: CurvaturePacket) -> FirstIntegralSet:
-    EE = build_EE(packet)
+def first_integral_set(
+    F: float, g: np.ndarray, g_inv: np.ndarray, E: np.ndarray, y: np.ndarray
+) -> FirstIntegralSet:
+    """EE, its invariants and their cross-checks from the values of F, g,
+    g^-1 and E at a point with fiber coordinates y.
+
+    These are all it reads, so a caller needs no curvature beyond E:
+    ``first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(pkt.point.y))``
+    for a :class:`~finslerkit.tensors.CurvaturePacket` ``pkt``.
+    """
+    EE = build_EE(F, g_inv, E)
     f, c = traces_and_charpoly(EE)
     newton = newton_from_traces(f)
     residual = float(max(abs(newton[a] - c[a]) / max(1.0, abs(c[a])) for a in range(len(c))))
     return FirstIntegralSet(
-        EE=EE, f=f, c=c, newton_residual=residual, bordered_value=bordered_determinant(packet)
+        EE=EE, f=f, c=c, newton_residual=residual, bordered_value=bordered_determinant(F, g, E, y)
     )
 
 
@@ -303,12 +321,12 @@ def _charpoly_scalars(ev: PointEvaluation):
 
 
 def _s_cl_scalar(ev: PointEvaluation):
-    # g^{ij} E_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}); flow-constant alongside
-    # f_1 = 2F * s for the ball example, differing by the factor 2F
+    # g^{ij} E_CL_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}), the mean Cartan and
+    # mean Landsberg route; it equals f_1 / (2F), which reads E from B
     n = ev.n
     acc = None
     for i in range(n):
-        term = _dot_scal(ev.g_inv[i], [ev.E[i][j] for j in range(n)])
+        term = _dot_scal(ev.g_inv[i], [ev.E_CL[i][j] for j in range(n)])
         acc = term if acc is None else _add(acc, term)
     return acc
 
@@ -326,7 +344,9 @@ def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
         "one": _Field("one", 1, "constant 1 (bracket sanity field)", lambda ev: ev.F2.const(1.0)),
         "F": _Field("F", 1, "Finsler norm F (flow-constant by construction)", lambda ev: ev.F),
         "F2": _Field("F2", 1, "energy F^2", lambda ev: ev.F2),
-        "s_cl": _Field("s_cl", 5, "g^{ij} E_ij, the half-trace route to f_1/(2F)", _s_cl_scalar),
+        "s_cl": _Field(
+            "s_cl", 5, "1/2 g^{ij} (I_{j;i} + J_{i.j}), the Cartan-Landsberg route to f_1/(2F)", _s_cl_scalar
+        ),
     }
     for a in range(1, n):
         fields[f"f{a}"] = _Field(

@@ -34,7 +34,7 @@ Config file format (UTF-8, line oriented)::
     # comment ('#' or ';' to end of line)
     [metric]
     name = ball3                  ; optional
-    dimension = 3
+    dimension = 3                 ; 2 .. MAX_DIMENSION (4)
     family = funk_ball_berwald
     sigma = exp(2*x1)             ; optional reference density, x only
 
@@ -74,6 +74,7 @@ __all__ = [
     "MetricSpec",
     "FAMILIES",
     "FUNK_GUARD_INSET",
+    "MAX_DIMENSION",
     "parse_metric",
     "format_metric",
     "load_metric_file",
@@ -91,6 +92,11 @@ FAMILIES = ("euclidean", "riemannian", "funk_ball_berwald", "custom")
 
 # The ball guard keeps a fixed inset from the true singular boundary |x| = 1.
 FUNK_GUARD_INSET = 1e-6
+
+# Largest accepted dimension n: the jets run in 2n phase variables and are
+# meant for 2n <= 8.  Their order-6 product table has 74 613 pairs at n = 4,
+# 230 230 at n = 5, and is never finished for a dimension like 100000.
+MAX_DIMENSION = 4
 
 # Load-time randomized checks use a fixed seed: loading is deterministic.
 _LOAD_CHECK_SEED = 20260814
@@ -233,9 +239,22 @@ def eval_sigma(spec: MetricSpec, xs):
 
 
 def f2_value(spec: MetricSpec, x, y) -> float:
-    """Float fast path for F^2 (guards checked)."""
+    """Float fast path for F^2 (guards checked); a float overflow in the
+    expression puts the point outside the domain."""
     check_domain(spec, x, y)
-    return float(eval_F2(spec, [float(v) for v in x], [float(v) for v in y]))
+    try:
+        return float(eval_F2(spec, [float(v) for v in x], [float(v) for v in y]))
+    except ArithmeticError as err:
+        raise DomainError(f"F^2 cannot be evaluated in floats at this point: {err}") from None
+
+
+def _float_expression(node: expr.Node, xs) -> float:
+    """A position-only expression at float coordinates ``xs``; overflow
+    raises :class:`DomainError`, as in :func:`f2_value`."""
+    try:
+        return float(expr.evaluate(node, xs, xs))
+    except ArithmeticError as err:
+        raise DomainError(f"expression cannot be evaluated in floats at x = {xs}: {err}") from None
 
 
 # -- domain guards --------------------------------------------------------
@@ -377,6 +396,8 @@ def parse_metric(text: str) -> MetricSpec:
         raise ConfigError(f"line {dim_item[1]}: dimension must be an integer") from None
     if dimension < 2:
         raise ConfigError(f"line {dim_item[1]}: dimension must be >= 2")
+    if dimension > MAX_DIMENSION:
+        raise ConfigError(f"line {dim_item[1]}: dimension must be <= {MAX_DIMENSION}")
     if family_item is None:
         raise ConfigError("missing required key 'family'")
     family = family_item[0]
@@ -482,7 +503,7 @@ def _validate_loaded(spec: MetricSpec) -> None:
             xs = [float(v) for v in x]
             for i in range(spec.dimension):
                 for j in range(spec.dimension):
-                    mat[i, j] = expr.evaluate(spec.components[i][j], xs, xs)
+                    mat[i, j] = _float_expression(spec.components[i][j], xs)
             scale = 1.0 + float(np.abs(mat).max())
             if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
                 raise ConfigError(f"component matrix is not symmetric at x = {xs}")
@@ -498,8 +519,8 @@ def _validate_loaded(spec: MetricSpec) -> None:
         for x, y in points:
             xs = [float(v) for v in x]
             try:
-                base = float(eval_F2(spec, xs, [float(v) for v in y]))
-                scaled = [float(eval_F2(spec, xs, [lam * float(v) for v in y])) for lam in (2.0, 3.0)]
+                base = f2_value(spec, xs, y)
+                scaled = [f2_value(spec, xs, [lam * float(v) for v in y]) for lam in (2.0, 3.0)]
             except FinslerError:
                 continue  # scaling may step on a fiber pole; try other samples
             for lam, got in zip((2.0, 3.0), scaled):
@@ -515,7 +536,7 @@ def _validate_loaded(spec: MetricSpec) -> None:
 
     if spec.sigma is not None:
         for x, _ in points:
-            value = float(expr.evaluate(spec.sigma, [float(v) for v in x], []))
+            value = _float_expression(spec.sigma, [float(v) for v in x])
             if value <= 0.0:
                 raise ConfigError(f"sigma is not positive at x = {list(map(float, x))}")
 

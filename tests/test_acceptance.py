@@ -25,6 +25,10 @@ N_POINTS = 200
 SEED = 0
 
 
+def _packet_integrals(pkt):
+    return integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(pkt.point.y))
+
+
 def _sample(spec, n_points=N_POINTS, seed=SEED):
     rng = np.random.default_rng(seed)
     return [metrics.sample_phase_point(spec, rng) for _ in range(n_points)]
@@ -162,8 +166,7 @@ def test_c4_printed_closed_forms(funk, axis_trajectory):
     for x, y in [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), _sample(funk, 1, seed=7)[0]]:
         p = PhasePoint(x, y)
         g1, g2 = integrals.paper_closed_forms(p)
-        fis = integrals.first_integral_set(
-            PointEvaluation(funk, p, order=5).packet())
+        fis = _packet_integrals(PointEvaluation(funk, p, order=5).packet())
         print(f"[C4 record] x={np.round(p.x, 4).tolist()}: "
               f"(g1_paper, g2_paper) = ({g1:.6g}, {g2:.6g}); "
               f"(c1, c2) = ({fis.c[0]:.6g}, {fis.c[1]:.6g})")
@@ -181,7 +184,7 @@ def test_c5_structural_identities_per_metric(catalog3):
         for x, y in _sample(spec):
             p = PhasePoint(x, y)
             pkt = PointEvaluation(spec, p, order=5).packet()
-            fis = integrals.first_integral_set(pkt)
+            fis = _packet_integrals(pkt)
             yv = np.asarray(y)
             w["Ey"] = max(w["Ey"], _norm(pkt.E @ yv) / max(1.0, _norm(pkt.E) * _norm(yv)))
             w["gyy"] = max(w["gyy"], abs(yv @ pkt.g @ yv - pkt.F**2) / max(1.0, pkt.F**2))
@@ -191,7 +194,7 @@ def test_c5_structural_identities_per_metric(catalog3):
                 abs(fis.bordered_value - fis.c[-1]) / max(1.0, abs(fis.c[-1])),
             )
             pkt2 = PointEvaluation(spec, PhasePoint(x, 2.0 * yv), order=5).packet()
-            fis2 = integrals.first_integral_set(pkt2)
+            fis2 = _packet_integrals(pkt2)
             denom_f = max(1.0, float(np.abs(fis.f).max()))
             denom_c = max(1.0, float(np.abs(fis.c).max()))
             w["rescale"] = max(
@@ -223,7 +226,7 @@ def test_c6_riemannian_degeneration_and_flat_curvature(catalog3, funk):
         for x, y in _sample(spec):
             ev = PointEvaluation(spec, PhasePoint(x, y), order=5)
             pkt = ev.packet()
-            fis = integrals.first_integral_set(pkt)
+            fis = _packet_integrals(pkt)
             w_zero = max(
                 w_zero,
                 float(np.abs(pkt.B).max()), float(np.abs(pkt.E).max()),

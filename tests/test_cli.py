@@ -1,13 +1,17 @@
 """CLI surface: subcommands, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finslerkit import cli, flow, metrics
+from finslerkit import cli, flow, jets, metrics
 from finslerkit.errors import StepFailure
 
 FUNK = "funk_ball_berwald"
@@ -222,8 +226,12 @@ def test_malformed_numbers_exit_two(argv, capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [np.linalg.LinAlgError("Singular matrix"), ValueError("math domain error")],
-    ids=["LinAlgError", "ValueError"],
+    [
+        np.linalg.LinAlgError("Singular matrix"),
+        ValueError("math domain error"),
+        OverflowError("math range error"),
+    ],
+    ids=["LinAlgError", "ValueError", "OverflowError"],
 )
 def test_escaped_library_errors_exit_two(monkeypatch, capsys, exc):
     def raising(args):
@@ -234,6 +242,74 @@ def test_escaped_library_errors_exit_two(monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("expression = normy2*exp(1e6*x1)", "could not sample"),
+        ("expression = normy2 + 1e400*y1^2", "literal '1e400' is not a finite float (line 4, column 23)"),
+    ],
+    ids=["overflow", "literal"],
+)
+def test_config_boundaries_exit_two(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[metric]\ndimension = 3\nfamily = custom\n{text}\n")
+    assert run(["verify", "--metric", str(cfg), "--npoints", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_large_dimension_exits_two_without_a_jet_table(tmp_path, capsys, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a jet table was requested")
+
+    monkeypatch.setattr(jets, "jet_space", no_tables)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("[metric]\ndimension = 100000\nfamily = euclidean\n")
+    assert run(["inspect", "--metric", str(cfg), "--npoints", "1"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: dimension must be <= {metrics.MAX_DIMENSION}\n"
+
+
+# each draw picks a valid value three times in four, so that most cases
+# get past the parser and reach the jets
+_DIMENSIONS = (("2", "3", "4"), ("0", "1", "5", "100000", "-3", "2.5", "nan"))
+_LITERALS = (("0.5", "2", "0.1", "1e308", "1e-400"), ("1e400", "-1e400", "nan", "inf"))
+_TERMS = ("normy2", "y1^2", "y1*y2", "dotxy", "x1*y1^2", "sqrt(normy2)*y1", "exp(x1)*normy2")
+
+
+@st.composite
+def _config_texts(draw):
+    def pick(choices):
+        return draw(st.sampled_from(choices[0] if draw(st.integers(0, 3)) else choices[1]))
+
+    lines = ["[metric]", f"dimension = {pick(_DIMENSIONS)}"]
+    family = draw(st.sampled_from(("custom", "riemannian", "euclidean", "funk_ball_berwald")))
+    lines.append(f"family = {family}")
+    if family == "custom":
+        shape = draw(st.sampled_from(("{t} + {l}*{u}", "{t}*exp({l}*x1)", "({t} - {l}*{u})^2/{t}", "{l}*{t}")))
+        t, u = draw(st.sampled_from(_TERMS)), draw(st.sampled_from(_TERMS))
+        lines.append("expression = " + shape.format(t=t, u=u, l=pick(_LITERALS)))
+    elif family == "riemannian":
+        lines += [f"g_{i}_{i} = {pick(_LITERALS)} + normx2" for i in (1, 2, 3)]
+    if draw(st.booleans()):
+        lines.append(f"sigma = exp({pick(_LITERALS)}*x1)")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_config_texts())
+def test_any_config_text_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, text):
+    cfg = tmp_path_factory.mktemp("config") / "metric.cfg"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["inspect", "--metric", str(cfg), "--npoints", "1", "--out", str(cfg.with_suffix(".json"))])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,10 @@ from finslerkit.jets import seed_dual_phase_point
 from finslerkit.tensors import PhasePoint
 
 
+def _packet_integrals(pkt):
+    return integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(pkt.point.y))
+
+
 def _sample(spec, seed=0):
     rng = np.random.default_rng(seed)
     x, y = metrics.sample_phase_point(spec, rng)
@@ -26,7 +30,7 @@ def _sample(spec, seed=0):
 
 def test_first_integral_set_at_center(funk, origin_point):
     pkt = tensors.compute_packet(funk, origin_point)
-    fis = integrals.first_integral_set(pkt)
+    fis = _packet_integrals(pkt)
     np.testing.assert_allclose(fis.EE, np.diag([0.0, 4.0, 4.0]), atol=1e-12)
     np.testing.assert_allclose(fis.f, [8.0, 32.0], atol=1e-11)
     np.testing.assert_allclose(fis.c, [8.0, 16.0], atol=1e-11)
@@ -45,7 +49,7 @@ def test_paper_closed_forms_at_center(origin_point):
 def test_charpoly_recursion_matches_vandermonde_fit(funk):
     for seed in (1, 2, 3):
         pkt = tensors.compute_packet(funk, _sample(funk, seed))
-        EE = integrals.build_EE(pkt)
+        EE = integrals.build_EE(pkt.F, pkt.g_inv, pkt.E)
         f, c = integrals.traces_and_charpoly(EE)
         fitted = integrals.charpoly_fit(EE)
         scale = max(1.0, float(np.abs(c).max()))
@@ -72,7 +76,7 @@ def test_newton_identities_connect_the_families():
 def test_bordered_determinant_equals_last_charpoly_coeff(funk, sphere):
     for spec, seed in ((funk, 5), (sphere, 6)):
         pkt = tensors.compute_packet(spec, _sample(spec, seed))
-        fis = integrals.first_integral_set(pkt)
+        fis = _packet_integrals(pkt)
         want = fis.c[-1] if len(fis.c) else 0.0
         assert fis.bordered_value == pytest.approx(want, abs=1e-8 * max(1.0, abs(want)))
 
@@ -80,15 +84,16 @@ def test_bordered_determinant_equals_last_charpoly_coeff(funk, sphere):
 def test_EE_annihilates_y_and_is_zero_homogeneous(funk):
     p = _sample(funk, 7)
     pkt = tensors.compute_packet(funk, p)
-    EE = integrals.build_EE(pkt)
+    EE = integrals.build_EE(pkt.F, pkt.g_inv, pkt.E)
     np.testing.assert_allclose(EE @ np.array(p.y), np.zeros(3), atol=1e-10)
     scaled = tensors.compute_packet(funk, PhasePoint(p.x, 3.0 * np.array(p.y)))
-    np.testing.assert_allclose(integrals.build_EE(scaled), EE, rtol=1e-9, atol=1e-11)
+    EE_scaled = integrals.build_EE(scaled.F, scaled.g_inv, scaled.E)
+    np.testing.assert_allclose(EE_scaled, EE, rtol=1e-9, atol=1e-11)
 
 
 def test_riemannian_families_are_identically_zero(sphere, skew):
     for spec, seed in ((sphere, 8), (skew, 9)):
-        fis = integrals.first_integral_set(tensors.compute_packet(spec, _sample(spec, seed)))
+        fis = _packet_integrals(tensors.compute_packet(spec, _sample(spec, seed)))
         np.testing.assert_allclose(fis.f, np.zeros(2), atol=1e-10)
         np.testing.assert_allclose(fis.c, np.zeros(2), atol=1e-10)
 
@@ -112,9 +117,22 @@ def test_evaluate_fields_consistency(funk):
     # the contracted trace s_cl carries the same content as f1 = tr(EE)
     assert vals["f1"] == pytest.approx(2.0 * vals["F"] * vals["s_cl"], rel=1e-11)
     pkt = tensors.compute_packet(funk, p)
-    fis = integrals.first_integral_set(pkt)
+    fis = _packet_integrals(pkt)
     assert vals["f1"] == pytest.approx(fis.f[0], rel=1e-12)
     assert vals["c2"] == pytest.approx(fis.c[1], rel=1e-12)
+
+
+def test_s_cl_reads_the_cartan_landsberg_route(funk, monkeypatch):
+    # s_cl contracts E_CL = 1/2 (I_{j;i} + J_{i.j}), never the Berwald E:
+    # with E replaced by garbage its value stays the same, bit for bit
+    p = _sample(funk, 10)
+    vals = integrals.evaluate_fields(funk, ["F", "f1", "s_cl"], p)
+    assert vals["f1"] == pytest.approx(2.0 * vals["F"] * vals["s_cl"], rel=1e-11)
+    garbage = tensors.PointEvaluation(funk, p, order=5).E_CL
+    garbage = [[entry * 1e3 for entry in row] for row in garbage]
+    monkeypatch.setattr(tensors.PointEvaluation, "E", property(lambda ev: garbage))
+    assert integrals.evaluate_fields(funk, ["s_cl"], p)["s_cl"] == vals["s_cl"]
+    assert integrals.evaluate_fields(funk, ["f1"], p)["f1"] != vals["f1"]
 
 
 def test_unknown_and_out_of_family_fields(euclid, funk):

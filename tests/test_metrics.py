@@ -133,6 +133,8 @@ def test_sigma_and_comments_parse():
         ("[metric]\ndimension = x\nfamily = euclidean", ConfigError, "line 2"),
         ("[metric]\ndimension = 0\nfamily = euclidean", ConfigError, "line 2"),
         ("[metric]\ndimension = 1\nfamily = euclidean", ConfigError, ">= 2"),
+        ("[metric]\ndimension = 5\nfamily = euclidean", ConfigError, "line 2: dimension must be <= 4"),
+        ("[metric]\ndimension = 100000\nfamily = euclidean", ConfigError, "<= 4"),
         ("[metric]\ndimension = 3\nfamily = weird", FamilyError, "weird"),
         ("[metric]\ndimension = 3\nfamily = custom", ConfigError, "expression"),
         ("[metric]\ndimension = 3\nfamily = euclidean\nexpression = normy2", ConfigError, "custom"),
@@ -165,6 +167,22 @@ def test_sigma_and_comments_parse():
             "[metric]\ndimension = 2\nfamily = custom\nexpression = normy2\nsigma = y1 + 1",
             DimensionError,
             "sigma",
+        ),
+        # number literals that do not parse to a finite float
+        (
+            "[metric]\ndimension = 3\nfamily = custom\nexpression = normy2 + 1e400*y1^2",
+            ConfigError,
+            "literal '1e400' is not a finite float (line 4, column 23)",
+        ),
+        (
+            "[metric]\ndimension = 3\nfamily = custom\nexpression = normy2 - 1.5e309*y1^2",
+            ConfigError,
+            "(line 4, column 23)",
+        ),
+        (
+            "[metric]\ndimension = 2\nfamily = euclidean\nsigma = exp(.1e999*x1)",
+            ConfigError,
+            "(line 4, column 13)",
         ),
     ],
 )
@@ -349,3 +367,23 @@ def test_check_domain_rejects_non_finite_coordinates(catalog3, x, y):
 def test_nan_energy_is_outside_the_domain(euclid):
     with pytest.raises(DomainError):
         metrics.eval_F2(euclid, [0.0, 0.0, 0.0], [float("nan"), 1.0, 0.0])
+
+
+# -- float overflow ------------------------------------------------------------------
+
+def test_float_overflow_is_outside_the_domain():
+    spec = metrics.MetricSpec(
+        name="overflow", dimension=3, family="custom",
+        expression=expr.parse_expression("normy2*exp(1e6*x1)"),
+    )
+    with pytest.raises(DomainError, match="math range error"):
+        metrics.f2_value(spec, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0])
+    # no sample survives, so loading fails with the domain error, not OverflowError
+    with pytest.raises(DomainError):
+        metrics.parse_metric(metrics.format_metric(spec))
+    # a float power that overflows, and a density that does
+    with pytest.raises(DomainError):
+        metrics.parse_metric("[metric]\ndimension = 2\nfamily = custom\nexpression = (1e300*normy2)^2\n")
+    with pytest.raises(DomainError):
+        metrics.parse_metric("[metric]\ndimension = 2\nfamily = euclidean\nsigma = exp(1e6*(1 + normx2))\n")
+

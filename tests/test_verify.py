@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from finslerkit import expr, integrals, metrics, tensors
+from finslerkit.jets import seed_phase_point
 from finslerkit.tensors import PhasePoint, PointEvaluation, _values
 from finslerkit.verify import SIGMA_TEST_EXPRESSION, SuiteResult, _norm, verify_metric
 
@@ -199,6 +200,10 @@ def evaluations(monkeypatch):
     return counter
 
 
+def _packet_integrals(pkt):
+    return integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(pkt.point.y))
+
+
 def _per_suite_rows(spec, n_points, seed):
     """The point-subset suites recomputed with an order-5 evaluation of
     their own at every point, independently of the runner's order-6 one."""
@@ -221,10 +226,10 @@ def _per_suite_rows(spec, n_points, seed):
     worst = 0.0
     for x, y in points[:40]:
         pkt1 = PointEvaluation(spec, PhasePoint(x, y), order=5).packet()
-        fis1 = integrals.first_integral_set(pkt1)
+        fis1 = _packet_integrals(pkt1)
         for lam in (2.0, 0.5):
             pkt2 = PointEvaluation(spec, PhasePoint(x, lam * np.asarray(y)), order=5).packet()
-            fis2 = integrals.first_integral_set(pkt2)
+            fis2 = _packet_integrals(pkt2)
             worst = max(
                 worst,
                 _norm(fis1.EE - fis2.EE) / max(1.0, _norm(fis1.EE)),
@@ -248,7 +253,7 @@ def _per_suite_rows(spec, n_points, seed):
         worst = max(worst, _norm(h1 - h2))
         if spec.family == "funk_ball_berwald" and n == 3:
             g1p, g2p = integrals.paper_closed_forms(PhasePoint(x, y))
-            fis = integrals.first_integral_set(PointEvaluation(spec, PhasePoint(x, y), order=5).packet())
+            fis = _packet_integrals(PointEvaluation(spec, PhasePoint(x, y), order=5).packet())
             gap = max(gap, abs(g1p - fis.c[0]), abs(g2p - fis.c[1]))
     rows["hamel_y_independence"] = worst
     rows["closed_forms_vs_charpoly"] = gap
@@ -281,6 +286,57 @@ def test_shared_evaluation_gives_the_per_suite_rows(catalog3, name, n_points):
         if suite in rows:
             assert rows[suite].worst == old[suite], suite
     assert ("closed_forms_vs_charpoly" in rows) == (name == "funk_ball_berwald")
+
+
+# -- only the tensors the suites compare ------------------------------------------------
+
+def _packet_route(spec, n_points, seed):
+    """Every jet that ``verify_metric`` built when each main-loop point and
+    each lambda*y point of the homogeneity ladder built a full curvature
+    packet; the other evaluations and the oracle's jet are as in the runner."""
+    rng = np.random.default_rng(seed)
+    points = [metrics.sample_phase_point(spec, rng) for _ in range(n_points)]
+    n = spec.dimension
+    for x, y in points:
+        ev = PointEvaluation(spec, PhasePoint(x, y), order=6)
+        ev.packet()
+        for name in ("h", "E_S", "E_CL", "hamel"):
+            getattr(ev, name)
+        ev.nabla2(ev.g)
+        ev.nabla2(ev.E)
+    for x, y in points[:25]:
+        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=SIGMA_TEST_EXPRESSION)
+        ev_b.E, ev_b.chi, ev_b.tau
+    for x, y in points[:40]:
+        for lam in (2.0, 0.5):
+            PointEvaluation(spec, PhasePoint(x, lam * np.asarray(y)), order=5).packet()
+    rng2 = np.random.default_rng(seed + 1)
+    for x, _ in points[:10]:
+        y2 = rng2.standard_normal(n)
+        PointEvaluation(spec, PhasePoint(x, y2 / np.linalg.norm(y2)), order=5).hamel
+    for x, y in points[:2]:
+        seeds = seed_phase_point(PhasePoint(0.5 * np.asarray(x), y), 4)
+        metrics.eval_F2(spec, seeds[:n], seeds[n:])
+
+
+@pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
+def test_verify_builds_neither_packets_nor_connection_curvature(catalog3, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_metric built a tensor no suite compares")
+
+    monkeypatch.setattr(PointEvaluation, "packet", refuse)
+    monkeypatch.setattr(PointEvaluation, "R_curv", property(refuse))
+    assert verify_metric(catalog3[name], n_points=4, seed=SEED).passed
+
+
+@pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
+def test_verify_needs_a_third_fewer_products_than_the_packet_route(catalog3, jet_products, name):
+    spec = catalog3[name]
+    verify_metric(spec, n_points=4, seed=SEED)
+    lean = jet_products.count
+    jet_products.count = 0
+    _packet_route(spec, 4, SEED)
+    assert lean <= 0.65 * jet_products.count, (lean, jet_products.count)
 
 
 # -- the finite-difference oracle --------------------------------------------------
