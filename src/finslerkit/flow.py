@@ -28,7 +28,7 @@ import numpy as np
 
 from . import integrals, metrics
 from .errors import FinslerError, StepFailure
-from .tensors import PhasePoint, PointEvaluation, spray_values
+from .tensors import PhasePoint, spray_values
 
 __all__ = [
     "IntegrateSettings",
@@ -313,11 +313,7 @@ def field_values(spec, traj: Trajectory, fields) -> list[dict[str, float]]:
     """Values of the named fields at every trajectory sample, one shared
     pipeline evaluation per sample."""
     fields = list(fields)
-    order = integrals.field_order(spec, fields)
-    return [
-        integrals.evaluate_fields(spec, fields, None, ev=PointEvaluation(spec, PhasePoint(x, y), order=order))
-        for x, y in zip(traj.xs, traj.ys)
-    ]
+    return [integrals.evaluate_fields(spec, fields, (x, y)) for x, y in zip(traj.xs, traj.ys)]
 
 
 def drift(spec, traj: Trajectory, fields, tol: float = 1e-6, values=None) -> DriftReport:

@@ -228,12 +228,10 @@ def paper_closed_forms(p) -> tuple[float, float]:
         def sqrt(self):
             return _S(math.sqrt(self))
 
-        def truncated(self, order):
-            return self
+        space = None  # one shared "space": alignment is a no-op
 
-        @property
-        def order(self):
-            return 10**9
+        def to_space(self, space):
+            return self
 
         def __add__(self, o):
             return _S(float(self) + float(o))
@@ -388,11 +386,13 @@ def field_order(spec: MetricSpec, names) -> int:
     return max(_lookup(spec, name).min_order for name in names)
 
 
-def evaluate_fields(spec: MetricSpec, names, p, ev: PointEvaluation | None = None) -> dict[str, float]:
-    """Values of the named fields at one phase point (shared evaluation)."""
+def evaluate_fields(spec: MetricSpec, names, p) -> dict[str, float]:
+    """Values of the named fields at one phase point (shared evaluation).
+
+    Values read at most one x-derivative of F^2 (E, for f_a and c_a), so
+    the evaluation is seeded at x-degree cap 1."""
     names = list(names)
-    if ev is None:
-        ev = PointEvaluation(spec, p, order=field_order(spec, names))
+    ev = PointEvaluation(spec, p, order=field_order(spec, names), x_cap=1)
     return {name: _lookup(spec, name).build(ev).num for name in names}
 
 

@@ -28,13 +28,34 @@ Storage is dense (one float per multi-index).  The intended regime is
 ``dim <= 8`` and ``order <= 6``; larger signatures work but tables grow
 combinatorially.
 
-Jets of different ``(dim, order)`` signatures never combine silently:
-mixing them raises :class:`~finslerkit.errors.SignatureError`.  Use
-:meth:`Jet.truncated` to align orders deliberately.
+Signatures and the x-degree cap
+-------------------------------
+A jet's signature is the triple ``(dim, order, x_cap)``: besides the total
+degree, ``x_cap`` bounds the total degree in the first ``dim // 2``
+variables, the positions of a phase point.  The capped layout is the grlex
+layout above with the rows of higher x-degree removed.  Monomials of
+x-degree above a cap form an ideal, so truncating at both the order and
+the cap keeps every retained coefficient exact, and bit for bit equal to
+the uncapped one: a kept product coefficient sums exactly the pairs it
+sums uncapped, in the same order.  ``d/dx_i`` lowers the cap by one,
+``d/dy_i`` keeps it.  A cap at or above the order is no cap at all:
+:func:`jet_space` maps it to the uncapped space, so ``jet_space(dim,
+order)`` and ``JetSpace(dim, order)`` mean what they always did.
+:meth:`Jet.gradient`, :meth:`Jet.hessian`, :meth:`Jet.extract` and
+:meth:`Jet.variable` refuse partials the cap has dropped.
+
+Jets of different signatures never combine silently: mixing them raises
+:class:`~finslerkit.errors.SignatureError`.  Align them deliberately with
+:meth:`Jet.to_space` and :meth:`JetSpace.meet`, or lower the order alone
+with :meth:`Jet.truncated`.  Where the target layout is a prefix of the
+source (a lower order at the same cap, say), the aligned jet is a view of
+the source's coefficients, not a copy; no jet operation writes into its
+operands' coefficients, so views are safe.
 
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
 extra directional derivative through any computation written against the
-shared scalar interface (operators plus ``sqrt/ln/exp/powc/d/truncated``).
+shared scalar interface (operators plus ``sqrt/ln/exp/powc/d`` and the
+``space``/``to_space`` alignment pair).
 It nests: the components may themselves be duals.  The library no longer
 computes with it: gradients come from the degree-1 coefficients of a jet
 seeded one order higher (see :mod:`finslerkit.integrals`).  It and
@@ -81,7 +102,7 @@ def _compositions(total: int, parts: int):
 
 
 class JetSpace:
-    """Shared tables for one ``(dim, order)`` signature.
+    """Shared tables for one ``(dim, order, x_cap)`` signature.
 
     Instances are interned: :func:`jet_space` returns the same object for
     the same signature, so identity comparison is a valid signature check.
@@ -93,30 +114,44 @@ class JetSpace:
     the position of a product or shifted index is a ``searchsorted`` away.
     """
 
-    def __init__(self, dim: int, order: int):
+    def __init__(self, dim: int, order: int, x_cap: int | None = None):
         if dim < 1:
             raise DimensionError(f"jet dimension must be >= 1, got {dim}")
         if order < 0:
             raise OrderError(f"jet order must be >= 0, got {order}")
+        if x_cap is not None and x_cap < 0:
+            raise OrderError(f"jet x-degree cap must be >= 0, got {x_cap}")
         self.dim = dim
         self.order = order
+        self.x_cap = _normal_cap(dim, order, x_cap)
+        nx = dim // 2
         exps = []
         self.degree_end = []  # degree_end[d] = number of indices with degree <= d
         for d in range(order + 1):
-            exps.extend(_compositions(d, dim))
+            exps.extend(e for e in _compositions(d, dim) if sum(e[:nx]) <= self.x_cap)
             self.degree_end.append(len(exps))
         self.exponents = np.array(exps, dtype=np.int64)
         self.size = len(exps)
         self.degrees = self.exponents.sum(axis=1)
+        self.x_degrees = self.exponents[:, :nx].sum(axis=1)
         radix = order + 1
-        digits = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        self._keys = self.degrees * radix**dim + self.exponents @ digits
-        self._unit_keys = radix**dim + digits  # key of each variable's degree-1 index
+        self._digits = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self._degree_key = radix**dim
+        self._keys = self._key(self.exponents)
+        self._unit_keys = self._degree_key + self._digits  # key of each variable's degree-1 index
         # extract(): d^|a| f / dx^a = coeff[a] * a!
         fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=np.float64)
         self.factorials = fact[self.exponents].prod(axis=1)
         self._mult = None
         self._diff = {}
+        self._meets = {}
+        self._truncations = {}
+
+    def __repr__(self):
+        return f"JetSpace(dim={self.dim}, order={self.order}, x_cap={self.x_cap})"
+
+    def _key(self, exponents: np.ndarray) -> np.ndarray:
+        return exponents.sum(axis=1) * self._degree_key + exponents @ self._digits
 
     @cached_property
     def index_of(self) -> dict[tuple[int, ...], int]:
@@ -126,11 +161,37 @@ class JetSpace:
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._keys, keys)
 
+    def meet(self, other: "JetSpace") -> "JetSpace":
+        """The largest space both this one and ``other`` truncate to: the
+        lower order and the lower cap (cached per pair)."""
+        space = self._meets.get(other)
+        if space is None:
+            if other.dim != self.dim:
+                raise SignatureError(f"cannot align {self!r} with {other!r}: dimensions differ")
+            space = jet_space(self.dim, min(self.order, other.order), min(self.x_cap, other.x_cap))
+            self._meets[other] = space
+        return space
+
+    def truncation(self, target: "JetSpace"):
+        """Index taking coefficients of this space to ``target`` (cached):
+        a prefix slice, so indexing returns a view, or else a gather."""
+        index = self._truncations.get(target)
+        if index is None:
+            if target.dim != self.dim or target.order > self.order or target.x_cap > self.x_cap:
+                raise OrderError(f"cannot truncate {self!r} to {target!r}")
+            pos = self._positions(self._key(target.exponents))
+            if np.array_equal(pos, np.arange(target.size)):
+                index = slice(0, target.size)
+            else:
+                index = pos
+            self._truncations[target] = index
+        return index
+
     def _mult_table(self):
         """(ia, ib, starts): every coefficient product that lands at total
-        degree <= order, grouped by output position in ascending order;
-        output ``k`` sums the products ``ia[j], ib[j]`` for ``j`` in
-        ``starts[k]:starts[k+1]``."""
+        degree <= order and x-degree <= x_cap, grouped by output position in
+        ascending order; output ``k`` sums the products ``ia[j], ib[j]`` for
+        ``j`` in ``starts[k]:starts[k+1]``."""
         if self._mult is None:
             # row i pairs with every index of degree <= order - deg(i), a
             # prefix; narrow dtypes keep the transient arrays small
@@ -138,6 +199,10 @@ class JetSpace:
             ia = np.repeat(np.arange(self.size, dtype=np.int32), partners)
             ib = np.arange(ia.size, dtype=np.int32)
             ib -= np.repeat((np.cumsum(partners) - partners).astype(np.int32), partners)
+            if self.x_cap < self.order:
+                # kept pairs stay in their order: kept sums are bit-identical
+                keep = self.x_degrees[ia] + self.x_degrees[ib] <= self.x_cap
+                ia, ib = ia[keep], ib[keep]
             keys = self._keys[ia]
             keys += self._keys[ib]
             out = self._positions(keys).astype(np.min_scalar_type(self.size))
@@ -151,14 +216,18 @@ class JetSpace:
         return self._mult
 
     def _diff_table(self, var: int):
-        """(src, factor) arrays mapping coefficients of f to coefficients
-        of df/dx_var in the (dim, order-1) space."""
+        """(lower, src, factor): the space of df/dx_var and the arrays
+        mapping coefficients of f to its coefficients.  An x variable
+        lowers the cap by one."""
         if var not in self._diff:
-            lower = jet_space(self.dim, self.order - 1)
-            # the lower layout is a prefix of this one, so its keys are too
-            src = self._positions(self._keys[: lower.size] + self._unit_keys[var])
+            cap = self.x_cap - 1 if var < self.dim // 2 else self.x_cap
+            if cap < 0:
+                raise OrderError(f"cannot differentiate by position variable {var} at x-degree cap 0")
+            lower = jet_space(self.dim, self.order - 1, cap)
+            # lower's indices shifted by e_var all sit in this space
+            src = self._positions(self._keys[self.truncation(lower)] + self._unit_keys[var])
             fac = (lower.exponents[:, var] + 1).astype(np.float64)
-            self._diff[var] = (src, fac)
+            self._diff[var] = (lower, src, fac)
         return self._diff[var]
 
     @cached_property
@@ -170,15 +239,24 @@ class JetSpace:
         return self._positions(self._unit_keys[:, None] + self._unit_keys), 1.0 + np.eye(self.dim)
 
 
-_SPACES: dict[tuple[int, int], JetSpace] = {}
+def _normal_cap(dim: int, order: int, x_cap: int | None) -> int:
+    """The cap as stored: a cap at or above the order, or in a space with
+    no position variables, is no cap and reads as the order."""
+    if x_cap is None or dim < 2:
+        return order
+    return min(x_cap, order)
 
 
-def jet_space(dim: int, order: int) -> JetSpace:
-    """Interned :class:`JetSpace` for the signature ``(dim, order)``."""
-    key = (dim, order)
+_SPACES: dict[tuple[int, int, int], JetSpace] = {}
+
+
+def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
+    """Interned :class:`JetSpace` for the signature ``(dim, order, x_cap)``;
+    no cap, or one at or above the order, gives the uncapped space."""
+    key = (dim, order, _normal_cap(dim, order, x_cap))
     space = _SPACES.get(key)
     if space is None:
-        space = _SPACES[key] = JetSpace(dim, order)
+        space = _SPACES[key] = JetSpace(dim, order, x_cap)
     return space
 
 
@@ -227,6 +305,8 @@ class Jet:
             raise DimensionError(f"variable index {var} out of range for dim {space.dim}")
         if space.order < 1:
             raise OrderError("seeding a variable requires order >= 1")
+        if var < space.dim // 2 and space.x_cap < 1:
+            raise OrderError(f"seeding position variable {var} requires an x-degree cap >= 1")
         c = np.zeros(space.size)
         c[0] = value
         c[space.dim - var] = 1.0  # degree-1 block in reverse variable order
@@ -268,6 +348,11 @@ class Jet:
             raise OrderError(
                 f"requested total order {sum(index)} exceeds jet order {self.space.order}"
             )
+        if sum(index[: self.space.dim // 2]) > self.space.x_cap:
+            raise OrderError(
+                f"requested x-degree {sum(index[: self.space.dim // 2])} exceeds "
+                f"the jet's x-degree cap {self.space.x_cap}"
+            )
         pos = self.space.index_of[index]
         return float(self.coeffs[pos] * self.space.factorials[pos])
 
@@ -276,6 +361,8 @@ class Jet:
         (a view of the degree-1 coefficients, in variable order)."""
         if self.space.order < 1:
             raise OrderError("a jet of order 0 carries no gradient")
+        if self.space.x_cap < 1:
+            raise OrderError("a jet with x-degree cap 0 carries no position gradient")
         return self.coeffs[self.space.dim : 0 : -1]
 
     def hessian(self) -> np.ndarray:
@@ -283,34 +370,39 @@ class Jet:
         from the degree-2 coefficients (diagonal ones doubled)."""
         if self.space.order < 2:
             raise OrderError("a jet of order < 2 carries no second partials")
+        if self.space.x_cap < 2:
+            raise OrderError("a jet with x-degree cap < 2 carries no second position partials")
         pos, fac = self.space.hessian_table
         out = self.coeffs[pos]
         out *= fac
         return out
 
     def __repr__(self):
-        return f"Jet(dim={self.space.dim}, order={self.space.order}, value={self.value!r})"
+        s = self.space
+        return f"Jet(dim={s.dim}, order={s.order}, x_cap={s.x_cap}, value={self.value!r})"
 
     # -- signature handling -------------------------------------------
 
     def _peer(self, other) -> "Jet":
         if other.space is not self.space:
             raise SignatureError(
-                f"cannot combine jets with signatures "
-                f"(dim={self.space.dim}, order={self.space.order}) and "
-                f"(dim={other.space.dim}, order={other.space.order}); "
-                "use truncated() to align orders explicitly"
+                f"cannot combine jets of {self.space!r} and {other.space!r}; "
+                "use to_space() or truncated() to align them explicitly"
             )
         return other
 
-    def truncated(self, order: int) -> "Jet":
-        """Copy truncated to a lower (or equal) order."""
-        if order == self.space.order:
+    def to_space(self, space: JetSpace) -> "Jet":
+        """This jet in a space of lower (or equal) order and cap; a view of
+        the coefficients where the target layout is a prefix."""
+        if space is self.space:
             return self
+        return Jet(space, self.coeffs[self.space.truncation(space)])
+
+    def truncated(self, order: int) -> "Jet":
+        """This jet truncated to a lower (or equal) order, at the same cap."""
         if order > self.space.order:
             raise OrderError(f"cannot extend jet of order {self.space.order} to {order}")
-        lower = jet_space(self.space.dim, order)
-        return Jet(lower, self.coeffs[: lower.size].copy())
+        return self.to_space(jet_space(self.space.dim, order, self.space.x_cap))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -435,16 +527,17 @@ class Jet:
         """Partial derivative with respect to variable ``var``.
 
         The result is a jet of order ``order - 1``: the top-degree
-        information is genuinely consumed by differentiation.
+        information is genuinely consumed by differentiation.  A position
+        variable also lowers the x-degree cap by one.
         """
         if self.space.order < 1:
             raise OrderError("cannot differentiate a jet of order 0")
         if not 0 <= var < self.space.dim:
             raise DimensionError(f"variable index {var} out of range for dim {self.space.dim}")
-        src, fac = self.space._diff_table(var)
+        lower, src, fac = self.space._diff_table(var)
         out = self.coeffs[src]
         out *= fac
-        return Jet(jet_space(self.space.dim, self.space.order - 1), out)
+        return Jet(lower, out)
 
 
 class DualLayer:
@@ -467,14 +560,20 @@ class DualLayer:
         return self.value.order
 
     @property
+    def space(self) -> JetSpace:
+        return self.value.space
+
+    @property
     def num(self) -> float:
         return self.value.num
 
     def const(self, v: float) -> "DualLayer":
         return DualLayer(self.value.const(v), self.tangent.const(0.0))
 
-    def truncated(self, order: int) -> "DualLayer":
-        return DualLayer(self.value.truncated(order), self.tangent.truncated(order))
+    def to_space(self, space: JetSpace) -> "DualLayer":
+        if space is self.space:
+            return self
+        return DualLayer(self.value.to_space(space), self.tangent.to_space(space))
 
     def __repr__(self):
         return f"DualLayer(value={self.value!r})"
@@ -567,14 +666,15 @@ def _check_phase(x, y):
     return x, y
 
 
-def seed_phase_point(point, order: int):
+def seed_phase_point(point, order: int, x_cap: int | None = None):
     """Coordinate jets for a phase point.
 
     ``point`` is anything with ``x`` and ``y`` sequences of equal length n
-    (or a pair of sequences).  Returns ``2n`` jets over the shared space of
-    dimension ``2n``: variables ``0..n-1`` are positions, ``n..2n-1`` are
-    fiber coordinates.  The zero vector ``y`` is rejected: every metric
-    here is fiberwise singular at the origin.
+    (or a pair of sequences).  Returns ``2n`` jets over the shared space
+    ``(2n, order, x_cap)``: variables ``0..n-1`` are positions, ``n..2n-1``
+    are fiber coordinates, and ``x_cap`` (default: none) bounds the number
+    of position derivatives carried.  The zero vector ``y`` is rejected:
+    every metric here is fiberwise singular at the origin.
     """
     if hasattr(point, "x"):
         x, y = point.x, point.y
@@ -584,7 +684,7 @@ def seed_phase_point(point, order: int):
     if order < 1:
         raise OrderError("seeding a phase point requires order >= 1")
     n = len(x)
-    space = jet_space(2 * n, order)
+    space = jet_space(2 * n, order, x_cap)
     seeds = [Jet.variable(space, k, v) for k, v in enumerate(x)]
     seeds += [Jet.variable(space, n + k, v) for k, v in enumerate(y)]
     return seeds

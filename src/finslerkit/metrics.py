@@ -189,8 +189,9 @@ def _funk_pieces(xs, ys):
 def eval_F2(spec: MetricSpec, xs, ys):
     """F^2 at scalar coordinates ``xs``, ``ys`` (one scalar per variable).
 
-    The value part of the result must be strictly positive; otherwise the
-    point is outside the metric's domain and :class:`DomainError` is raised.
+    The value part of the result must be finite and strictly positive;
+    otherwise the point is outside the metric's domain and
+    :class:`DomainError` is raised.
     """
     if len(xs) != spec.dimension or len(ys) != spec.dimension:
         raise DimensionError(
@@ -213,9 +214,9 @@ def eval_F2(spec: MetricSpec, xs, ys):
         out = expr.evaluate(spec.expression, xs, ys)
     else:
         raise FamilyError(f"unknown family {spec.family!r}")
-    if not _num(out) > 0.0:  # NaN fails too
+    if not 0.0 < _num(out) < math.inf:  # NaN fails too
         raise DomainError(
-            f"F^2 is not positive at this point (value {_num(out)!r}); outside the domain"
+            f"F^2 is not finite and positive at this point (value {_num(out)!r}); outside the domain"
         )
     return out
 
@@ -516,12 +517,15 @@ def _validate_loaded(spec: MetricSpec) -> None:
 
     if spec.family == "custom":
         checked = 0
+        failure = None
         for x, y in points:
             xs = [float(v) for v in x]
             try:
+                # f2_value holds every value to be finite and positive
                 base = f2_value(spec, xs, y)
                 scaled = [f2_value(spec, xs, [lam * float(v) for v in y]) for lam in (2.0, 3.0)]
-            except FinslerError:
+            except FinslerError as err:
+                failure = err
                 continue  # scaling may step on a fiber pole; try other samples
             for lam, got in zip((2.0, 3.0), scaled):
                 want = lam * lam * base
@@ -532,7 +536,9 @@ def _validate_loaded(spec: MetricSpec) -> None:
                     )
             checked += 1
         if checked < 4:
-            raise ConfigError("could not evaluate the expression at enough sample points")
+            raise ConfigError(
+                f"could not evaluate the expression at enough sample points (last failure: {failure})"
+            )
 
     if spec.sigma is not None:
         for x, _ in points:

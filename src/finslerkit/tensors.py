@@ -4,17 +4,25 @@ Everything is computed at a single phase point by seeding coordinate jets
 (:func:`finslerkit.jets.seed_phase_point`) and pushing them through the
 defining formulas.  With base order m, the energy function F^2 is a jet of
 order m and each differentiation consumes one order, so the deepest
-quantities dictate the seed order:
+quantities dictate the seed order.  No quantity takes more than two
+derivatives of F^2 in x:
 
-==============================  =========  ==========================
-quantity                         depth      min seed order for values
-==============================  =========  ==========================
-g_ij, spray G^i                      2          2
-connection N^i_j                     3          3
-Jacobi/curvature R                   4          4
-B, E, S-derived tensors, chi         5          5
-covariant derivative of E            6          6
-==============================  =========  ==========================
+==============================  =====  =========================  ======================
+quantity                        depth  min seed order for values  x-derivatives of F^2
+==============================  =====  =========================  ======================
+g_ij, spray G^i                   2    2                          1
+connection N^i_j                  3    3                          1
+Jacobi/curvature R                4    4                          2
+B, E, S-derived tensors, chi      5    5                          2
+covariant derivative of E         6    6                          2
+==============================  =====  =========================  ======================
+
+The cap rule: seeds capped at x-degree c (see :mod:`finslerkit.jets`)
+give every quantity that takes k <= c x-derivatives exactly, as a jet of
+cap c - k, and its gradient too when c - k >= 1.  So a
+:class:`PointEvaluation` seeds at cap 2, field gradients and brackets read
+cap-2 evaluations, and field values alone need only cap 1 (f_a and c_a
+read E, one x-derivative deep).
 
 Conventions (indices are 0-based in code):
 
@@ -132,12 +140,16 @@ class CurvaturePacket:
 
 
 def _align(*scalars):
-    m = min(s.order for s in scalars)
-    return tuple(s.truncated(m) for s in scalars)
+    """The scalars in the meet of their spaces: the lowest order and cap."""
+    space = scalars[0].space
+    for s in scalars[1:]:
+        if s.space is not space:
+            space = space.meet(s.space)
+    return [s.to_space(space) for s in scalars]
 
 
 def _mul(a, b):
-    if a.order != b.order:
+    if a.space is not b.space:
         a, b = _align(a, b)
     return a * b
 
@@ -151,13 +163,13 @@ def _dot_scal(vec_a, vec_b):
 
 
 def _add(a, b):
-    if a.order != b.order:
+    if a.space is not b.space:
         a, b = _align(a, b)
     return a + b
 
 
 def _sub(a, b):
-    if a.order != b.order:
+    if a.space is not b.space:
         a, b = _align(a, b)
     return a - b
 
@@ -175,7 +187,7 @@ def mat_inv_det(mat):
     k = len(mat)
     one = mat[0][0].const(1.0)
     zero = mat[0][0].const(0.0)
-    aug = [list(_align(*row)) + [one if i == j else zero for j in range(k)] for i, row in enumerate(mat)]
+    aug = [_align(*row) + [one if i == j else zero for j in range(k)] for i, row in enumerate(mat)]
     det = None
     sign = 1.0
     for col in range(k):
@@ -204,11 +216,15 @@ class PointEvaluation:
     """Lazy pipeline evaluation at one phase point.
 
     Properties are scalar-valued (jets by default); numpy views come from
-    :meth:`packet` or the ``*_np`` helpers.  Pass ``seeds`` to run the same
-    formulas over other coordinate scalars with the jet interface.
+    :meth:`packet` or the ``*_np`` helpers.  The seeds carry at most
+    ``x_cap`` position derivatives (module docstring; ``None`` for none);
+    the default 2 is all any quantity here needs.  Pass ``seeds`` to run the
+    same formulas over other coordinate scalars with the jet interface.
     """
 
-    def __init__(self, spec: metrics.MetricSpec, point, order: int = 5, sigma=None, seeds=None):
+    def __init__(
+        self, spec: metrics.MetricSpec, point, order: int = 5, sigma=None, seeds=None, x_cap: int | None = 2
+    ):
         if not isinstance(point, PhasePoint):
             point = PhasePoint(*point)
         metrics.check_domain(spec, point.x, point.y)
@@ -216,7 +232,7 @@ class PointEvaluation:
         self.point = point
         self.n = spec.dimension
         if seeds is None:
-            seeds = seed_phase_point(point, order)
+            seeds = seed_phase_point(point, order, x_cap)
         self.seeds = seeds
         self.order = seeds[0].order
         self.xs = list(seeds[: self.n])
@@ -332,19 +348,14 @@ class PointEvaluation:
         """Berwald curvature B^i_jkl."""
         if self.order < 5:
             raise OrderError("the Berwald tensor needs seed order >= 5")
+        n = self.n
         out = []
-        for i in range(self.n):
-            d1 = [self.dy(self.G[i], j) for j in range(self.n)]
-            d2 = [[self.dy(d1[j], k) for k in range(j, self.n)] for j in range(self.n)]
-            cube = []
-            for j in range(self.n):
-                plane = []
-                for k in range(self.n):
-                    jj, kk = min(j, k), max(j, k)
-                    row = [self.dy(d2[jj][kk - jj], l) for l in range(self.n)]
-                    plane.append(row)
-                cube.append(plane)
-            out.append(cube)
+        for i in range(n):
+            d1 = [self.dy(self.G[i], j) for j in range(n)]
+            d2 = {(j, k): self.dy(d1[j], k) for j in range(n) for k in range(j, n)}
+            # the row of (j, k) serves (k, j) as well: derivatives commute
+            rows = {jk: [self.dy(d2[jk], l) for l in range(n)] for jk in d2}
+            out.append([[rows[min(j, k), max(j, k)] for k in range(n)] for j in range(n)])
         return out
 
     @cached_property

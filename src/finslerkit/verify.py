@@ -39,9 +39,12 @@ Evaluations are lazy, and each builds only the tensors its suites read:
   euclidean family;
 * the one under the overridden density sigma: E, chi and tau;
 * the ones at lambda*y for lambda = 2 and 1/2: F, g, g^-1, G, N and E,
-  which are all the ladder and the first integrals compare;
+  which are all the ladder and the first integrals compare; these take
+  at most one x-derivative of F^2, so their jets are seeded at x-degree
+  cap 1 (:mod:`finslerkit.tensors`), the others at the default cap 2;
 * the one at a second fiber direction: the Hamel residual;
-* the finite-difference oracle: an order-4 jet of F^2 and float values.
+* the finite-difference oracle: an order-4 jet of F^2, also at cap 2,
+  and float values.
 
 None of them builds a full curvature packet (:meth:`PointEvaluation.packet`)
 or the curvature R^i_jk of the nonlinear connection.  No suite compares
@@ -152,8 +155,9 @@ def _fd_index_sample(n: int) -> list[tuple[int, ...]]:
 
 def _ladder_values(spec, point: PhasePoint):
     """(F, g, G, N, E, first integrals) at one point of the homogeneity
-    ladder, from a lazy order-5 evaluation that is freed on return."""
-    ev = PointEvaluation(spec, point, order=5)
+    ladder, from a lazy order-5 evaluation that is freed on return; none
+    of them needs a second x-derivative of F^2, so it is seeded at cap 1."""
+    ev = PointEvaluation(spec, point, order=5, x_cap=1)
     F, g, E = ev.F.num, _values(ev.g), _values(ev.E)
     fis = integrals.first_integral_set(F, g, _values(ev.g_inv), E, np.array(point.y))
     return F, g, _values(ev.G), _values(ev.N), E, fis
@@ -318,7 +322,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     idxs = _fd_index_sample(n)
     for x, y in points[:2]:
         x = 0.5 * np.asarray(x)  # keep FD stencils well inside the domain
-        seeds = seed_phase_point(PhasePoint(x, y), 4)
+        # the sampled indices take at most two x-derivatives
+        seeds = seed_phase_point(PhasePoint(x, y), 4, x_cap=2)
         jet = metrics.eval_F2(spec, seeds[:n], seeds[n:])
 
         def f2_flat(c):

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -59,14 +60,16 @@ def origin_point():
 
 @pytest.fixture
 def jet_products(monkeypatch):
-    """Counts jet-by-jet products in ``.count`` while the test runs; scaling
-    a jet by a number is not a table product and is not counted."""
-    counter = SimpleNamespace(count=0)
+    """Counts jet-by-jet products while the test runs: in total in
+    ``.count`` and per signature ``(dim, order, x_cap)`` in ``.by_space``.
+    Scaling a jet by a number is not a table product and is not counted."""
+    counter = SimpleNamespace(count=0, by_space=Counter())
     mul = Jet.__mul__
 
     def counted(a, b):
         if isinstance(b, Jet):
             counter.count += 1
+            counter.by_space[a.space.dim, a.space.order, a.space.x_cap] += 1
         return mul(a, b)
 
     monkeypatch.setattr(Jet, "__mul__", counted)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,19 @@ def test_config_boundaries_exit_two(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_non_finite_energy_exits_two_without_warnings(tmp_path, capsys):
+    # F^2 = 1e308 |y|^2 overflows to inf at 2y: the homogeneity check must
+    # not compare inf with inf, and no numpy overflow may reach stderr
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = 1e308*normy2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["inspect", "--metric", str(cfg), "--npoints", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "F^2 is not finite and positive" in err
 
 
 def test_large_dimension_exits_two_without_a_jet_table(tmp_path, capsys, monkeypatch):

@@ -347,3 +347,92 @@ def test_integer_powers_skip_the_unused_square(jet_products):
         got = x**n
         assert jet_products.count == count, n
         np.testing.assert_array_equal(got.coeffs, want[n].coeffs)
+
+
+# -- x-degree caps ----------------------------------------------------------------
+
+def _kept_rows(full, capped):
+    """Positions in ``full`` of the rows ``capped`` keeps, checked against
+    the exponents (first dim // 2 variables are positions)."""
+    keep = np.flatnonzero(full.exponents[:, : full.dim // 2].sum(axis=1) <= capped.x_cap)
+    np.testing.assert_array_equal(full.exponents[keep], capped.exponents)
+    return keep
+
+
+@pytest.mark.parametrize("dim, order, cap", [(6, 6, 2), (8, 6, 2), (6, 5, 1), (8, 5, 1)])
+def test_capped_products_equal_uncapped_on_kept_rows(dim, order, cap):
+    full, capped = jet_space(dim, order), jet_space(dim, order, cap)
+    keep = _kept_rows(full, capped)
+    rng = np.random.default_rng(dim * 100 + order * 10 + cap)
+    a, b = (Jet(full, rng.uniform(-1.0, 1.0, full.size)) for _ in range(2))
+    want = (a * b).coeffs[keep]
+    got = a.to_space(capped) * b.to_space(capped)
+    assert got.space is capped
+    np.testing.assert_array_equal(got.coeffs, want)  # bit for bit
+    np.testing.assert_array_equal(a.to_space(capped).coeffs, a.coeffs[keep])
+
+
+def test_d_lowers_the_cap_only_for_position_variables():
+    space = jet_space(6, 5, 2)
+    f = Jet(space, np.random.default_rng(3).uniform(-1.0, 1.0, space.size))
+    full = Jet(jet_space(6, 5), np.zeros(jet_space(6, 5).size))
+    full.coeffs[_kept_rows(full.space, space)] = f.coeffs
+    for var in range(6):
+        got = f.d(var)
+        cap = 1 if var < 3 else 2
+        assert got.space is jet_space(6, 4, cap)
+        # the kept coefficients of the derivative are those of the uncapped one
+        want = full.d(var).coeffs[_kept_rows(jet_space(6, 4), got.space)]
+        np.testing.assert_array_equal(got.coeffs, want)
+    # two position derivatives use the cap up; a third has nothing to read
+    g = f.d(0).d(1)
+    assert g.space is jet_space(6, 3, 0)
+    assert g.d(4).space is jet_space(6, 2, 0)
+    with pytest.raises(OrderError):
+        g.d(2)
+
+
+def test_a_cap_at_or_above_the_order_is_the_uncapped_space():
+    for cap in (5, 6, 99, None):
+        assert jet_space(6, 5, cap) is jet_space(6, 5)
+    assert jet_space(6, 5).x_cap == 5
+    assert jet_space(6, 5, 4) is not jet_space(6, 5)
+    assert jet_space(1, 4, 0) is jet_space(1, 4)  # no position variables, no cap
+    assert JetSpace(6, 5).size == jet_space(6, 5).size
+    with pytest.raises(OrderError):
+        jet_space(6, 5, -1)
+
+
+def test_mixing_caps_needs_explicit_alignment():
+    lo, hi = jet_space(6, 4, 1), jet_space(6, 4, 2)
+    a = Jet.variable(hi, 4, 1.0)
+    b = Jet.variable(lo, 4, 2.0)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(SignatureError):
+            op()
+    meet = hi.meet(jet_space(6, 3))
+    assert meet is jet_space(6, 3, 2) and meet is jet_space(6, 3).meet(hi)
+    assert (a.to_space(lo) * b).value == 2.0
+    # a lower order at the same cap is a prefix: the aligned jet is a view
+    assert np.shares_memory(a.truncated(2).coeffs, a.coeffs)
+    assert a.truncated(2).space is jet_space(6, 2, 2)
+    with pytest.raises(OrderError):
+        b.to_space(hi)  # a cap cannot be raised
+
+
+def test_partials_below_the_cap_are_refused():
+    space = jet_space(6, 4, 1)
+    xs = [Jet.variable(space, k, 0.1 * k + 0.5) for k in range(6)]
+    f = xs[0] * xs[4] + xs[5] * xs[5]
+    assert f.extract((1, 0, 0, 0, 1, 0)) == 1.0
+    assert f.gradient()[5] == pytest.approx(2.0 * xs[5].value)
+    with pytest.raises(OrderError):
+        f.extract((1, 1, 0, 0, 0, 0))
+    with pytest.raises(OrderError):
+        f.hessian()
+    with pytest.raises(OrderError):
+        f.d(0).gradient()
+    with pytest.raises(OrderError):
+        Jet.variable(jet_space(6, 4, 0), 1, 0.0)
+    # a fiber variable needs no cap
+    assert Jet.variable(jet_space(6, 4, 0), 3, 0.5).extract((0, 0, 0, 1, 0, 0)) == 1.0

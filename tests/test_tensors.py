@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import fdcheck, metrics, tensors
+from finslerkit import fdcheck, integrals, metrics, tensors
 from finslerkit.errors import DomainError, OrderError, SingularMetricError
 from finslerkit.jets import Jet, jet_space
 from finslerkit.tensors import PhasePoint, PointEvaluation, _values, mat_inv_det
@@ -352,3 +352,70 @@ def test_non_finite_points_raise_domain_error(catalog3, name, case, entry):
     x, y = NON_FINITE[case]
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](catalog3[name], x, y)
+
+
+# -- the x-degree cap ----------------------------------------------------------
+
+CAP_METRICS = (
+    "euclidean", "funk_ball_berwald", "riemannian_flat_skew", "riemannian_round_sphere", "ball4", "randers3",
+)
+
+
+def _same(a, b) -> bool:
+    """Exact equality of packet fields: arrays bit for bit, tuples item by item."""
+    if isinstance(a, tuple):
+        return all(_same(u, v) for u, v in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("name", CAP_METRICS)
+def test_capped_evaluations_equal_uncapped_bit_for_bit(catalog3, randers, jet_products, name):
+    spec = {**catalog3, "ball4": metrics.catalog(4)["funk_ball_berwald"], "randers3": randers}[name]
+    p = _sample(spec, 7)
+    capped = PointEvaluation(spec, p, order=6)
+    full = PointEvaluation(spec, p, order=6, x_cap=None)
+    assert capped.F2.space.x_cap == 2 and full.F2.space is jet_space(2 * spec.dimension, 6)
+    got, want = capped.packet(), full.packet()
+    for field in got.__dataclass_fields__:
+        assert _same(getattr(got, field), getattr(want, field)), field
+    for stage in ("chi", "hamel", "E_S", "E_CL"):
+        assert np.array_equal(_values(getattr(capped, stage)), _values(getattr(full, stage))), stage
+    for tensor in ("E", "g"):
+        got_n = _values(capped.nabla2(getattr(capped, tensor)))
+        assert np.array_equal(got_n, _values(full.nabla2(getattr(full, tensor)))), tensor
+
+    # field values at cap 1
+    names = integrals.field_ids(spec)
+    uncapped = PointEvaluation(spec, p, order=integrals.field_order(spec, names), x_cap=None)
+    jet_products.by_space.clear()
+    values = integrals.evaluate_fields(spec, names, p)
+    assert max(cap for _, _, cap in jet_products.by_space) == 1
+    assert values == {field: integrals._lookup(spec, field).build(uncapped).num for field in names}
+
+
+@pytest.mark.parametrize("n, calls", [(3, 81), (4, 216)])
+def test_berwald_differentiates_each_fiber_plane_once(catalog3, monkeypatch, n, calls):
+    spec = catalog3["funk_ball_berwald"] if n == 3 else metrics.catalog(4)["funk_ball_berwald"]
+    ev = PointEvaluation(spec, _sample(spec, 2), order=5)
+    G = ev.G  # built before counting
+    count = 0
+    d = Jet.d
+
+    def counted(jet, var):
+        nonlocal count
+        count += 1
+        return d(jet, var)
+
+    monkeypatch.setattr(Jet, "d", counted)
+    B = ev.B
+    assert count == calls
+    monkeypatch.undo()
+    # every entry is the chain d/dy^l d/dy^max(j,k) d/dy^min(j,k) G^i, bit for bit
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lo, hi = min(j, k), max(j, k)
+                plane = ev.dy(ev.dy(G[i], lo), hi)
+                assert [ev.dy(plane, l).num for l in range(n)] == [b.num for b in B[i][j][k]]

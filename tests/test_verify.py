@@ -339,6 +339,15 @@ def test_verify_needs_a_third_fewer_products_than_the_packet_route(catalog3, jet
     assert lean <= 0.65 * jet_products.count, (lean, jet_products.count)
 
 
+def test_verify_builds_no_uncapped_order_six_product(jet_products):
+    # every verify evaluation is seeded at x-degree cap 2: the dense (8, 6)
+    # space, 74 613 pairs a product, is never multiplied in
+    spec = metrics.catalog(4)["funk_ball_berwald"]
+    assert verify_metric(spec, n_points=4, seed=SEED).passed
+    assert jet_products.by_space[8, 6, 6] == 0
+    assert jet_products.by_space[8, 6, 2] > 0
+
+
 # -- the finite-difference oracle --------------------------------------------------
 
 @pytest.mark.parametrize(
