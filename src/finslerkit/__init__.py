@@ -32,22 +32,7 @@ from .integrals import (
 )
 from .jets import DualLayer, Jet, JetSpace
 from .metrics import MetricSpec, catalog, load_metric_file, parse_metric, sample_phase_point
-from .tensors import (
-    CurvaturePacket,
-    FlagData,
-    PhasePoint,
-    PointEvaluation,
-    berwald,
-    cartan_landsberg,
-    chi,
-    compute_packet,
-    connection,
-    flag_curvature,
-    hamel_check,
-    metric_tensor,
-    nabla_covariant2,
-    s_function,
-)
+from .tensors import CurvaturePacket, FlagData, PhasePoint, PointEvaluation
 from .verify import VerifyReport, verify_metric
 
 __version__ = "0.1.0"
@@ -76,27 +61,17 @@ __all__ = [
     "Trajectory",
     "UnknownFieldError",
     "VerifyReport",
-    "berwald",
-    "cartan_landsberg",
     "catalog",
-    "chi",
-    "compute_packet",
-    "connection",
     "drift",
     "evaluate_fields",
     "field_ids",
     "first_integral_set",
-    "flag_curvature",
-    "hamel_check",
     "integrate",
     "load_metric_file",
-    "metric_tensor",
-    "nabla_covariant2",
     "paper_closed_forms",
     "parse_metric",
     "poisson_bracket",
     "poisson_bracket_scaled",
-    "s_function",
     "sample_phase_point",
     "verify_metric",
     "__version__",

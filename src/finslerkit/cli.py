@@ -116,7 +116,7 @@ def cmd_inspect(args) -> int:
     points = _gather_points(spec, args)
     docs = []
     for p in points:
-        pkt = tensors.compute_packet(spec, p)
+        pkt = tensors.PointEvaluation(spec, p).packet()
         fis = integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(p.y))
         docs.append(
             {
@@ -212,7 +212,7 @@ def cmd_flow(args) -> int:
             "fields": drift_report.fields,
         }
         exit_code = 0 if drift_report.passed else 1
-    sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    _emit(report, None)
     return exit_code
 
 

@@ -13,7 +13,8 @@ class FinslerError(Exception):
 
 
 class DomainError(FinslerError):
-    """A phase point lies outside the metric's domain (guard violated)."""
+    """A phase point lies outside the metric's domain (guard violated), or
+    a value computed there leaves the float range."""
 
 
 class PoleError(FinslerError):

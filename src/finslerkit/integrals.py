@@ -50,7 +50,6 @@ catastrophically.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -58,7 +57,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
-from .metrics import MetricSpec
+from .metrics import MetricSpec, _dot, _sqrt
 from .tensors import PhasePoint, PointEvaluation, _add, _dot_scal, _mul, _sub, _values, spray_values
 
 __all__ = [
@@ -174,33 +173,34 @@ def first_integral_set(
 
 # -- closed forms for the n=3 ball metric -----------------------------------
 
+# The closed forms take float or jet coordinates alike: every operand is a
+# plain number or lives in the coordinates' own space, so nothing needs aligning.
+
 def _closed_form_pieces(xs, ys):
-    ny2 = _dot_scal(ys, ys)
-    nx2 = _dot_scal(xs, xs)
-    d = _dot_scal(xs, ys)
+    ny2 = _dot(ys, ys)
+    nx2 = _dot(xs, xs)
+    d = _dot(xs, ys)
     # A = |y|^2 - |x|^2|y|^2 + <x,y>^2, positive on the unit ball
-    A = _add(_sub(ny2, _mul(nx2, ny2)), _mul(d, d))
+    A = ny2 - nx2 * ny2 + d * d
     return ny2, nx2, d, A
 
 
 def _g1_closed(xs, ys):
     ny2, nx2, d, A = _closed_form_pieces(xs, ys)
-    root = A.sqrt()
-    one = ny2.const(1.0)
-    num_factor = _sub(_sub(_mul(d, root) * (-2.0), _mul(d, d) * 2.0), _mul(ny2, _sub(one, nx2)))
-    numerator = _mul(num_factor, _mul(A, A))
-    den_core = _sub(_add(ny2 * 0.5, _mul(nx2, ny2)), _mul(d, d) * 2.0)
-    denominator = _mul(_mul(den_core, ny2), _mul(_add(d, root), _add(d, root))) * 8.0
+    root = _sqrt(A)
+    num_factor = d * root * (-2.0) - d * d * 2.0 - ny2 * (1.0 - nx2)
+    numerator = num_factor * (A * A)
+    den_core = ny2 * 0.5 + nx2 * ny2 - d * d * 2.0
+    denominator = den_core * ny2 * ((d + root) * (d + root)) * 8.0
     return numerator / denominator
 
 
 def _g2_closed(xs, ys):
     ny2, nx2, d, A = _closed_form_pieces(xs, ys)
-    one = ny2.const(1.0)
-    cross = _sub(_mul(nx2, ny2), _mul(d, d))
-    numerator = _mul(_add(ny2 * 2.0, cross), cross)
-    den_core = _sub(_add(ny2 * (-0.5), _mul(ny2, _add(one, nx2))), _mul(d, d))
-    return _add(one, numerator / _mul(den_core, ny2) * 0.5)
+    cross = nx2 * ny2 - d * d
+    numerator = (ny2 * 2.0 + cross) * cross
+    den_core = ny2 * (-0.5) + ny2 * (1.0 + nx2) - d * d
+    return 1.0 + numerator / (den_core * ny2) * 0.5
 
 
 def paper_closed_forms(p) -> tuple[float, float]:
@@ -219,35 +219,7 @@ def paper_closed_forms(p) -> tuple[float, float]:
         raise DomainError("closed forms are defined on the open unit ball |x| < 1")
     if not (y @ y > 0.0):
         raise DomainError("y must be nonzero")
-
-    class _S(float):
-        # tiny scalar shim so the generic formulas run on plain floats
-        def const(self, v):
-            return _S(v)
-
-        def sqrt(self):
-            return _S(math.sqrt(self))
-
-        space = None  # one shared "space": alignment is a no-op
-
-        def to_space(self, space):
-            return self
-
-        def __add__(self, o):
-            return _S(float(self) + float(o))
-
-        def __sub__(self, o):
-            return _S(float(self) - float(o))
-
-        def __mul__(self, o):
-            return _S(float(self) * float(o))
-
-        def __truediv__(self, o):
-            return _S(float(self) / float(o))
-
-    xs = [_S(v) for v in p.x]
-    ys = [_S(v) for v in p.y]
-    return float(_g1_closed(xs, ys)), float(_g2_closed(xs, ys))
+    return float(_g1_closed(p.x, p.y)), float(_g2_closed(p.x, p.y))
 
 
 # -- scalar-field registry ---------------------------------------------------

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import cached_property
 from itertools import combinations
 
@@ -258,6 +259,31 @@ def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
     if space is None:
         space = _SPACES[key] = JetSpace(dim, order, x_cap)
     return space
+
+
+def _series(name: str, b0: float, order: int, exponents, coefficient) -> np.ndarray:
+    """Outer series coefficients ``coefficient(k, b0 ** exponents[k])`` of the
+    jet function ``name`` at value part ``b0``.
+
+    The powers of b0 are taken in floats, so a value part far from 1
+    overflows or underflows at high order.  A power outside the normal float
+    range, or a coefficient that overflows or divides by zero, raises
+    :class:`DomainError`: an inf or a term flushed to zero would leave the
+    jet silently wrong.
+    """
+    outer = np.empty(len(exponents))
+    for k, e in enumerate(exponents):
+        try:
+            power = b0**e
+            outer[k] = coefficient(k, power)
+        except (OverflowError, ZeroDivisionError):
+            power = math.inf
+        if not (sys.float_info.min <= abs(power) < math.inf and math.isfinite(outer[k])):
+            raise DomainError(
+                f"{name} of a jet with value part {b0!r} at order {order}: "
+                f"Taylor coefficient {k} leaves the float range"
+            )
+    return outer
 
 
 def _ipow(base, n: int):
@@ -482,24 +508,20 @@ class Jet:
         if b0 == 0.0:
             raise PoleError("division by a jet with zero value part")
         m = self.space.order
-        outer = np.array([(-1.0) ** k / b0 ** (k + 1) for k in range(m + 1)])
+        outer = _series("recip", b0, m, range(1, m + 2), lambda k, p: (-1.0) ** k / p)
         return self._compose(outer)
 
     def sqrt(self) -> "Jet":
-        b0 = self.value
-        if b0 <= 0.0:
-            raise BranchError(f"sqrt of a jet with non-positive value part {b0!r}")
-        return self.powc(0.5)
+        return self._power(0.5, "sqrt")
 
     def ln(self) -> "Jet":
         b0 = self.value
         if b0 <= 0.0:
             raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
         m = self.space.order
-        outer = np.empty(m + 1)
-        outer[0] = math.log(b0)
-        for k in range(1, m + 1):
-            outer[k] = (-1.0) ** (k + 1) / (k * b0**k)
+        outer = _series(
+            "ln", b0, m, range(m + 1), lambda k, p: (-1.0) ** (k + 1) / (k * p) if k else math.log(b0)
+        )
         return self._compose(outer)
 
     def exp(self) -> "Jet":
@@ -510,15 +532,17 @@ class Jet:
 
     def powc(self, alpha: float) -> "Jet":
         """Real power with constant exponent; requires a positive value part."""
+        return self._power(alpha, f"power {alpha!r}")
+
+    def _power(self, alpha: float, name: str) -> "Jet":
         b0 = self.value
         if b0 <= 0.0:
-            raise BranchError(f"power {alpha!r} of a jet with non-positive value part {b0!r}")
+            raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
         m = self.space.order
-        outer = np.empty(m + 1)
-        binom = 1.0
-        for k in range(m + 1):
-            outer[k] = binom * b0 ** (alpha - k)
-            binom *= (alpha - k) / (k + 1)
+        binoms = [1.0]
+        for k in range(m):
+            binoms.append(binoms[-1] * ((alpha - k) / (k + 1)))
+        outer = _series(name, b0, m, [alpha - k for k in range(m + 1)], lambda k, p: binoms[k] * p)
         return self._compose(outer)
 
     # -- calculus -------------------------------------------------------

@@ -79,7 +79,6 @@ __all__ = [
     "format_metric",
     "load_metric_file",
     "eval_F2",
-    "eval_sigma",
     "eval_projective_factor",
     "f2_value",
     "check_domain",
@@ -229,14 +228,6 @@ def eval_projective_factor(spec: MetricSpec, xs, ys):
         )
     a, w, one_minus = _funk_pieces(xs, ys)
     return w / one_minus
-
-
-def eval_sigma(spec: MetricSpec, xs):
-    """Reference volume density sigma(x); ``None`` expression means 1."""
-    value = 1.0 if spec.sigma is None else expr.evaluate(spec.sigma, xs, xs)
-    if _is_plain(value) and not _is_plain(xs[0]):
-        return xs[0].const(value)  # a constant density over jets
-    return value
 
 
 def f2_value(spec: MetricSpec, x, y) -> float:
@@ -451,8 +442,6 @@ def parse_metric(text: str) -> MetricSpec:
         components = tuple(tuple(row) for row in grid)
     if body:
         raise ConfigError(f"unknown key(s) {sorted(body)!r} for family {family!r}")
-    if family == "funk_ball_berwald" and dimension < 2:
-        raise ConfigError("funk_ball_berwald requires dimension >= 2")
 
     spec = MetricSpec(
         name=name,

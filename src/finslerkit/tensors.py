@@ -65,17 +65,7 @@ __all__ = [
     "FlagData",
     "CurvaturePacket",
     "PointEvaluation",
-    "compute_packet",
-    "metric_tensor",
     "spray_values",
-    "connection",
-    "flag_curvature",
-    "berwald",
-    "s_function",
-    "chi",
-    "cartan_landsberg",
-    "nabla_covariant2",
-    "hamel_check",
 ]
 
 # g with condition number beyond this is treated as numerically singular.
@@ -213,13 +203,16 @@ def mat_inv_det(mat):
 
 
 class PointEvaluation:
-    """Lazy pipeline evaluation at one phase point.
+    """Lazy pipeline evaluation at one phase point, the one route to every
+    pointwise tensor.
 
-    Properties are scalar-valued (jets by default); numpy views come from
-    :meth:`packet` or the ``*_np`` helpers.  The seeds carry at most
-    ``x_cap`` position derivatives (module docstring; ``None`` for none);
-    the default 2 is all any quantity here needs.  Pass ``seeds`` to run the
-    same formulas over other coordinate scalars with the jet interface.
+    Properties are scalar-valued (jets by default), built on first use at a
+    seed ``order`` no lower than the module docstring's table asks for;
+    :meth:`packet` is the numpy snapshot of the whole tower (order >= 5).
+    The seeds carry at most ``x_cap`` position derivatives (module
+    docstring; ``None`` for none); the default 2 is all any quantity here
+    needs.  Pass ``seeds`` to run the same formulas over other coordinate
+    scalars with the jet interface.
     """
 
     def __init__(
@@ -506,18 +499,7 @@ class PointEvaluation:
         )
 
 
-# -- module-level operations (thin wrappers) -------------------------------
-
-def compute_packet(spec, p, order: int = 5, sigma=None) -> CurvaturePacket:
-    """Full pointwise curvature packet; ``order`` >= 5."""
-    return PointEvaluation(spec, p, order=order, sigma=sigma).packet()
-
-
-def metric_tensor(spec, p):
-    """(g, g_inv, h, F) values at p."""
-    ev = PointEvaluation(spec, p, order=2)
-    return _values(ev.g), _values(ev.g_inv), _values(ev.h), ev.F.num
-
+# -- the spray alone, for geodesic right-hand sides -------------------------
 
 def spray_values(spec, p) -> np.ndarray:
     """Spray coefficients G^i at p, read off one order-2 jet of F^2.
@@ -542,58 +524,3 @@ def spray_values(spec, p) -> np.ndarray:
         )
     b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
     return 0.25 * np.linalg.solve(g, b)
-
-
-def connection(spec, p):
-    """(N, R_jac, R_curv) values at p."""
-    ev = PointEvaluation(spec, p, order=4)
-    return _values(ev.N), _values(ev.R_jac), _values(ev.R_curv)
-
-
-def flag_curvature(spec, p) -> FlagData:
-    """Scalar-flag diagnosis of the Jacobi endomorphism at p."""
-    return PointEvaluation(spec, p, order=4).flag
-
-
-def berwald(spec, p):
-    """(B, E) values at p."""
-    ev = PointEvaluation(spec, p, order=5)
-    return _values(ev.B), _values(ev.E)
-
-
-def s_function(spec, p, sigma=None):
-    """(tau, S, E_S) at p; ``sigma`` overrides the metric's density."""
-    ev = PointEvaluation(spec, p, order=5, sigma=sigma)
-    return ev.tau.num, ev.S.num, _values(ev.E_S)
-
-
-def chi(spec, p, sigma=None) -> np.ndarray:
-    """chi covector at p."""
-    return _values(PointEvaluation(spec, p, order=5, sigma=sigma).chi)
-
-
-def cartan_landsberg(spec, p):
-    """(I, J, I_hcov, J_vder, E_CL, alpha) values at p."""
-    ev = PointEvaluation(spec, p, order=5)
-    I = _values(ev.I)
-    J = _values(ev.J)
-    return I, J, _values(ev.I_hcov), _values(ev.J_vder), _values(ev.E_CL), (J, -I)
-
-
-def nabla_covariant2(spec, p, tensor: str = "E", order: int = 6) -> np.ndarray:
-    """Covariant derivative values of a named (0,2) pipeline tensor.
-
-    ``tensor`` is ``"E"`` or ``"g"``.  E sits at depth 5, so its covariant
-    derivative needs seed order 6.
-    """
-    ev = PointEvaluation(spec, p, order=order)
-    if tensor == "E":
-        return _values(ev.nabla2(ev.E))
-    if tensor == "g":
-        return _values(ev.nabla2(ev.g))
-    raise ValueError(f"unknown tensor {tensor!r}; expected 'E' or 'g'")
-
-
-def hamel_check(spec, p, sigma=None) -> np.ndarray:
-    """Antisymmetric H_ij matrix at p (zero iff chi vanishes)."""
-    return _values(PointEvaluation(spec, p, order=5, sigma=sigma).hamel)

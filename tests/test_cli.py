@@ -275,6 +275,17 @@ def test_non_finite_energy_exits_two_without_warnings(tmp_path, capsys):
     assert "F^2 is not finite and positive" in err
 
 
+def test_series_out_of_float_range_exits_two_naming_the_function(tmp_path, capsys):
+    # F^2 = 1e300 |y|^2 loads and evaluates in floats, but the Taylor
+    # series of sqrt at a value part near 1e300 leaves the float range
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*1e300\n")
+    assert run(["inspect", "--metric", str(cfg), "--npoints", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sqrt of a jet with value part ") and err.count("\n") == 1
+    assert "leaves the float range" in err
+
+
 def test_large_dimension_exits_two_without_a_jet_table(tmp_path, capsys, monkeypatch):
     def no_tables(*args):
         raise AssertionError("a jet table was requested")

@@ -29,7 +29,7 @@ def _sample(spec, seed=0):
 # -- frozen values at the ball center -----------------------------------------
 
 def test_first_integral_set_at_center(funk, origin_point):
-    pkt = tensors.compute_packet(funk, origin_point)
+    pkt = tensors.PointEvaluation(funk, origin_point).packet()
     fis = _packet_integrals(pkt)
     np.testing.assert_allclose(fis.EE, np.diag([0.0, 4.0, 4.0]), atol=1e-12)
     np.testing.assert_allclose(fis.f, [8.0, 32.0], atol=1e-11)
@@ -44,11 +44,23 @@ def test_paper_closed_forms_at_center(origin_point):
     assert g2 == pytest.approx(1.0, rel=1e-13)
 
 
+def test_closed_forms_are_one_formula_for_floats_and_jets(funk):
+    # jet division goes through recip, so the float and jet runs of the same
+    # formula agree to rounding, not bit for bit
+    for seed in range(12):
+        p = _sample(funk, seed)
+        floats = integrals.paper_closed_forms(p)
+        jets = integrals.evaluate_fields(funk, ["g1_paper", "g2_paper"], p)
+        for got, want in zip(floats, (jets["g1_paper"], jets["g2_paper"])):
+            assert type(got) is float
+            assert abs(got - want) <= 1e-14 * abs(want), seed
+
+
 # -- the two families against the fit oracle ----------------------------------
 
 def test_charpoly_recursion_matches_vandermonde_fit(funk):
     for seed in (1, 2, 3):
-        pkt = tensors.compute_packet(funk, _sample(funk, seed))
+        pkt = tensors.PointEvaluation(funk, _sample(funk, seed)).packet()
         EE = integrals.build_EE(pkt.F, pkt.g_inv, pkt.E)
         f, c = integrals.traces_and_charpoly(EE)
         fitted = integrals.charpoly_fit(EE)
@@ -75,7 +87,7 @@ def test_newton_identities_connect_the_families():
 
 def test_bordered_determinant_equals_last_charpoly_coeff(funk, sphere):
     for spec, seed in ((funk, 5), (sphere, 6)):
-        pkt = tensors.compute_packet(spec, _sample(spec, seed))
+        pkt = tensors.PointEvaluation(spec, _sample(spec, seed)).packet()
         fis = _packet_integrals(pkt)
         want = fis.c[-1] if len(fis.c) else 0.0
         assert fis.bordered_value == pytest.approx(want, abs=1e-8 * max(1.0, abs(want)))
@@ -83,17 +95,17 @@ def test_bordered_determinant_equals_last_charpoly_coeff(funk, sphere):
 
 def test_EE_annihilates_y_and_is_zero_homogeneous(funk):
     p = _sample(funk, 7)
-    pkt = tensors.compute_packet(funk, p)
+    pkt = tensors.PointEvaluation(funk, p).packet()
     EE = integrals.build_EE(pkt.F, pkt.g_inv, pkt.E)
     np.testing.assert_allclose(EE @ np.array(p.y), np.zeros(3), atol=1e-10)
-    scaled = tensors.compute_packet(funk, PhasePoint(p.x, 3.0 * np.array(p.y)))
+    scaled = tensors.PointEvaluation(funk, PhasePoint(p.x, 3.0 * np.array(p.y))).packet()
     EE_scaled = integrals.build_EE(scaled.F, scaled.g_inv, scaled.E)
     np.testing.assert_allclose(EE_scaled, EE, rtol=1e-9, atol=1e-11)
 
 
 def test_riemannian_families_are_identically_zero(sphere, skew):
     for spec, seed in ((sphere, 8), (skew, 9)):
-        fis = _packet_integrals(tensors.compute_packet(spec, _sample(spec, seed)))
+        fis = _packet_integrals(tensors.PointEvaluation(spec, _sample(spec, seed)).packet())
         np.testing.assert_allclose(fis.f, np.zeros(2), atol=1e-10)
         np.testing.assert_allclose(fis.c, np.zeros(2), atol=1e-10)
 
@@ -116,7 +128,7 @@ def test_evaluate_fields_consistency(funk):
     assert vals["F2"] == pytest.approx(vals["F"] ** 2, rel=1e-13)
     # the contracted trace s_cl carries the same content as f1 = tr(EE)
     assert vals["f1"] == pytest.approx(2.0 * vals["F"] * vals["s_cl"], rel=1e-11)
-    pkt = tensors.compute_packet(funk, p)
+    pkt = tensors.PointEvaluation(funk, p).packet()
     fis = _packet_integrals(pkt)
     assert vals["f1"] == pytest.approx(fis.f[0], rel=1e-12)
     assert vals["c2"] == pytest.approx(fis.c[1], rel=1e-12)

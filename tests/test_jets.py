@@ -6,6 +6,7 @@ coordinate jets.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,24 @@ def test_branch_and_pole_errors():
         zero.recip()
     # negative value parts are fine for pure arithmetic
     assert (neg * neg).value == 1.0
+
+
+SERIES_FUNCTIONS = {"sqrt": Jet.sqrt, "recip": Jet.recip, "ln": Jet.ln, "power 1.5": lambda jet: jet.powc(1.5)}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("sqrt", 1e100), ("sqrt", 1e60), ("recip", 1e300), ("recip", -1e50), ("recip", 1e-50),
+        ("ln", 1e60), ("power 1.5", 1e100),
+    ],
+)
+def test_series_out_of_float_range_is_a_domain_error(name, value):
+    # the series are built from powers of the value part in floats: at order
+    # 6 these overflow, divide by zero, or flush the high terms to zero
+    jet = Jet.variable(jet_space(1, 6), 0, value)
+    with pytest.raises(DomainError, match=re.escape(f"{name} of a jet with value part {value!r} at order 6: ")):
+        SERIES_FUNCTIONS[name](jet)
 
 
 def test_phase_seed_rejects_degenerate_input():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from finslerkit import expr, metrics
 from finslerkit.jets import seed_phase_point
+from finslerkit.tensors import PointEvaluation
 from finslerkit.errors import (
     ConfigError,
     DimensionError,
@@ -121,7 +122,7 @@ def test_sigma_and_comments_parse():
     spec = metrics.parse_metric(SCALED + "; trailing comment\n# another\n")
     assert spec.name == "metric"  # defaulted
     assert spec.sigma is not None
-    assert metrics.eval_sigma(spec, [0.5, 0.25]) == pytest.approx(math.exp(0.25))
+    assert PointEvaluation(spec, ([0.5, 0.25], [1.0, 0.0]), order=1).sigma.num == pytest.approx(math.exp(0.25))
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ class TestBallCenter:
 
     @pytest.fixture(autouse=True)
     def _packet(self, funk, origin_point):
-        self.pkt = tensors.compute_packet(funk, origin_point)
+        self.pkt = PointEvaluation(funk, origin_point).packet()
 
     def test_metric_is_euclidean_at_center(self):
         assert self.pkt.F == pytest.approx(1.0, abs=1e-14)
@@ -87,14 +87,14 @@ class TestRoundSphere:
         rng = np.random.default_rng(6)
         for _ in range(5):
             x, y = metrics.sample_phase_point(sphere, rng)
-            flag = tensors.flag_curvature(sphere, PhasePoint(x, y))
+            flag = PointEvaluation(sphere, PhasePoint(x, y), order=4).flag
             assert flag.is_scalar
             assert flag.kappa == pytest.approx(1.0, rel=1e-10)
             assert flag.residual < 1e-10
 
     def test_riemannian_degeneration(self, sphere):
         p = _sample(sphere, 7)
-        pkt = tensors.compute_packet(sphere, p)
+        pkt = PointEvaluation(sphere, p).packet()
         np.testing.assert_allclose(pkt.B, np.zeros((3, 3, 3, 3)), atol=1e-10)
         np.testing.assert_allclose(pkt.E, np.zeros((3, 3)), atol=1e-10)
         np.testing.assert_allclose(pkt.I, np.zeros(3), atol=1e-10)
@@ -133,7 +133,7 @@ def test_spray_against_finite_differences(funk):
             mixed[j, k] = fd(orders)
     G_fd = 0.25 * np.linalg.solve(g_fd, mixed @ np.array(p.y) - grad_x)
 
-    g, _, _, _ = tensors.metric_tensor(funk, p)
+    g = _values(PointEvaluation(funk, p, order=2).g)
     G = tensors.spray_values(funk, p)
     np.testing.assert_allclose(np.asarray(g), g_fd, rtol=1e-7, atol=1e-9)
     np.testing.assert_allclose(np.asarray(G), G_fd, rtol=1e-6, atol=1e-8)
@@ -163,27 +163,26 @@ def test_berwald_tensor_is_totally_symmetric(funk):
 
 def test_three_berwald_trace_routes_agree(funk):
     p = _sample(funk, 17)
-    _, E_from_B = tensors.berwald(funk, p)
-    _, _, E_from_S = tensors.s_function(funk, p)
-    cl = tensors.cartan_landsberg(funk, p)
-    E_cl = cl[4]
-    a = np.asarray(E_from_B)
-    np.testing.assert_allclose(a, np.asarray(E_from_S), atol=1e-11 * max(1.0, np.abs(a).max()))
-    np.testing.assert_allclose(a, np.asarray(E_cl), atol=1e-11 * max(1.0, np.abs(a).max()))
+    ev = PointEvaluation(funk, p, order=5)
+    a = _values(ev.E)
+    np.testing.assert_allclose(a, _values(ev.E_S), atol=1e-11 * max(1.0, np.abs(a).max()))
+    np.testing.assert_allclose(a, _values(ev.E_CL), atol=1e-11 * max(1.0, np.abs(a).max()))
 
 
 def test_covariant_derivative_of_metric_vanishes(catalog3):
     for name, spec in catalog3.items():
         p = _sample(spec, 19)
-        nabla_g = np.asarray(tensors.nabla_covariant2(spec, p, tensor="g"))
+        ev = PointEvaluation(spec, p, order=6)
+        nabla_g = _values(ev.nabla2(ev.g))
         assert np.abs(nabla_g).max() < 1e-10, name
 
 
 def test_ball_metric_weak_berwald_invariants_vanish(funk):
     p = _sample(funk, 23)
-    chi = np.asarray(tensors.chi(funk, p))
-    nabla_E = np.asarray(tensors.nabla_covariant2(funk, p, tensor="E"))
-    hamel = np.asarray(tensors.hamel_check(funk, p))
+    ev, ev6 = PointEvaluation(funk, p, order=5), PointEvaluation(funk, p, order=6)
+    chi = _values(ev.chi)
+    nabla_E = _values(ev6.nabla2(ev6.E))
+    hamel = _values(ev.hamel)
     assert np.abs(chi).max() < 1e-9
     assert np.abs(nabla_E).max() < 1e-8
     assert np.abs(hamel).max() < 1e-8
@@ -194,14 +193,14 @@ def test_s_function_is_projective_factor_multiple(funk):
     rng = np.random.default_rng(29)
     for _ in range(5):
         x, y = metrics.sample_phase_point(funk, rng)
-        _, S, _ = tensors.s_function(funk, PhasePoint(x, y))
+        S = PointEvaluation(funk, PhasePoint(x, y), order=5).S.num
         P = metrics.eval_projective_factor(funk, list(x), list(y))
         assert S == pytest.approx(4.0 * P, rel=1e-11)
 
 
 def test_euclidean_everything_flat(euclid):
     p = _sample(euclid, 31)
-    pkt = tensors.compute_packet(euclid, p)
+    pkt = PointEvaluation(euclid, p).packet()
     y = np.array(p.y)
     np.testing.assert_allclose(pkt.g, np.eye(3), atol=1e-14)
     assert pkt.F == pytest.approx(np.linalg.norm(y), rel=1e-14)
@@ -212,7 +211,7 @@ def test_euclidean_everything_flat(euclid):
 
 def test_constant_coefficient_metric_has_no_spray(skew):
     p = _sample(skew, 37)
-    pkt = tensors.compute_packet(skew, p)
+    pkt = PointEvaluation(skew, p).packet()
     want_g = np.array([[1.5, 0.3, 0.0], [0.3, 2.0, 0.3], [0.0, 0.3, 2.5]])
     np.testing.assert_allclose(pkt.g, want_g, atol=1e-13)
     assert np.abs(np.asarray(pkt.G)).max() < 1e-13
@@ -225,8 +224,8 @@ def test_homogeneity_degrees(lam):
     funk = metrics.catalog(3)["funk_ball_berwald"]
     x = np.array([0.2, -0.1, 0.35])
     y = np.array([0.9, 0.3, -0.6])
-    a = tensors.compute_packet(funk, PhasePoint(x, y))
-    b = tensors.compute_packet(funk, PhasePoint(x, lam * y))
+    a = PointEvaluation(funk, PhasePoint(x, y)).packet()
+    b = PointEvaluation(funk, PhasePoint(x, lam * y)).packet()
     assert b.F == pytest.approx(lam * a.F, rel=1e-11)
     np.testing.assert_allclose(np.asarray(b.g), np.asarray(a.g), rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(np.asarray(b.G), lam**2 * np.asarray(a.G), rtol=1e-10, atol=1e-12)
@@ -270,7 +269,7 @@ def test_mat_inv_det_rejects_singular():
 def test_condition_guard_near_ball_boundary(funk):
     p = PhasePoint((0.9999985, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(SingularMetricError):
-        tensors.metric_tensor(funk, p)
+        PointEvaluation(funk, p, order=2).g_inv
     with pytest.raises(SingularMetricError):
         tensors.spray_values(funk, p)
 
@@ -293,7 +292,7 @@ def test_order_requirements(funk, origin_point):
     with pytest.raises(OrderError):
         ev4.packet()
     with pytest.raises(OrderError):
-        tensors.compute_packet(funk, origin_point, order=4)
+        PointEvaluation(funk, origin_point, order=4).packet()
 
 
 def test_phase_point_is_immutable_and_coercing():
@@ -339,7 +338,7 @@ NON_FINITE = {
     "nan y": ((0.0, 0.0, 0.0), (float("nan"), 1.0, 0.0)),
 }
 ENTRY_POINTS = {
-    "compute_packet": lambda spec, x, y: tensors.compute_packet(spec, (x, y)),
+    "compute_packet": lambda spec, x, y: PointEvaluation(spec, (x, y)).packet(),
     "spray_values": lambda spec, x, y: tensors.spray_values(spec, (x, y)),
     "f2_value": lambda spec, x, y: metrics.f2_value(spec, x, y),
 }
