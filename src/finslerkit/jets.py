@@ -52,6 +52,32 @@ source (a lower order at the same cap, say), the aligned jet is a view of
 the source's coefficients, not a copy; no jet operation writes into its
 operands' coefficients, so views are safe.
 
+Analytic functions
+------------------
+:meth:`Jet.recip`, :meth:`Jet.sqrt`, :meth:`Jet.powc`, :meth:`Jet.ln` and
+:meth:`Jet.exp` solve one homogeneous degree block at a time from an
+identity the function satisfies, written with the Euler operator ``E``,
+which maps a degree-d block to d times itself and is a derivation
+(Neidinger, *Math. Comp.* 74, 2005; Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).  With b0 the value part and
+``u / b0 = 1 + t`` the scaled jet (``t`` has a zero value part), block d
+of the result, for d >= 1, is::
+
+    recip  (1 + t) v = 1            v_d = -sum_{k=1..d} t_k v_{d-k}
+    powc   (1 + t) E(p) = a p E(t)  d p_d = sum_{k=1..d} ((a + 1) k - d) t_k p_{d-k}
+    ln     (1 + t) E(w) = E(t)      d w_d = d t_d + sum_{k=1..d} (k - d) t_k w_{d-k}
+    exp    E(e) = e E(t)            d e_d = sum_{k=1..d} k t_k e_{d-k}
+
+with ``v_0 = p_0 = e_0 = 1`` and ``w_0 = 0``; ``exp`` takes ``t = u - b0``
+unscaled.  The result is then ``v / b0``, ``b0**a p``, ``ln b0 + w`` and
+``exp(b0) e``, so its value part is the float function's value.  A term
+``t_k p_{d-k}`` is the degree-d part of a product of two blocks: block d
+reads the degree-d slice of the space's product table, so each function
+costs about one product's worth of pairs and issues no jet product.  The
+functions keep the domain of the power series they replaced: a value part
+at which a coefficient ``f^(k)(b0) / k!`` of that series would leave the
+normal float range raises :class:`~finslerkit.errors.DomainError`.
+
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
 extra directional derivative through any computation written against the
 shared scalar interface (operators plus ``sqrt/ln/exp/powc/d`` and the
@@ -216,6 +242,20 @@ class JetSpace:
             self._mult = (ia[group].astype(np.intp), ib[group].astype(np.intp), starts)
         return self._mult
 
+    @cached_property
+    def graded_table(self) -> list[tuple]:
+        """Per degree d >= 2, ``(d, lo, hi, ia, ib, starts)``: the pairs of
+        :meth:`_mult_table` whose outputs form the degree-d block ``lo:hi``,
+        as views, with group starts relative to the slice."""
+        ia, ib, starts = self._mult_table()
+        out = []
+        for d in range(2, self.order + 1):
+            lo, hi = self.degree_end[d - 1], self.degree_end[d]
+            first = starts[lo]
+            last = starts[hi] if hi < self.size else ia.size
+            out.append((d, lo, hi, ia[first:last], ib[first:last], starts[lo:hi] - first))
+        return out
+
     def _diff_table(self, var: int):
         """(lower, src, factor): the space of df/dx_var and the arrays
         mapping coefficients of f to its coefficients.  An x variable
@@ -261,29 +301,65 @@ def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
     return space
 
 
-def _series(name: str, b0: float, order: int, exponents, coefficient) -> np.ndarray:
-    """Outer series coefficients ``coefficient(k, b0 ** exponents[k])`` of the
-    jet function ``name`` at value part ``b0``.
+def _check_float_range(name: str, b0: float, order: int, exponents, coefficient) -> None:
+    """Raise :class:`DomainError` where the power-series coefficients
+    ``coefficient(k, b0 ** exponents[k])`` of the jet function ``name`` at
+    value part ``b0`` leave the normal float range.
 
-    The powers of b0 are taken in floats, so a value part far from 1
-    overflows or underflows at high order.  A power outside the normal float
-    range, or a coefficient that overflows or divides by zero, raises
-    :class:`DomainError`: an inf or a term flushed to zero would leave the
-    jet silently wrong.
+    The recurrences below never form these coefficients; the check keeps the
+    domain the functions had when they were built from them.  ``|b0|**e`` is
+    monotone in ``e``, so the two extreme exponents decide; only on failure
+    are the others walked, to name the first coefficient that leaves.
     """
-    outer = np.empty(len(exponents))
-    for k, e in enumerate(exponents):
+
+    def leaves(k: int) -> bool:
         try:
-            power = b0**e
-            outer[k] = coefficient(k, power)
+            power = b0 ** exponents[k]
+            value = coefficient(k, power)
         except (OverflowError, ZeroDivisionError):
-            power = math.inf
-        if not (sys.float_info.min <= abs(power) < math.inf and math.isfinite(outer[k])):
-            raise DomainError(
-                f"{name} of a jet with value part {b0!r} at order {order}: "
-                f"Taylor coefficient {k} leaves the float range"
-            )
-    return outer
+            return True
+        return not (sys.float_info.min <= abs(power) < math.inf and math.isfinite(value))
+
+    if leaves(0) or leaves(len(exponents) - 1):
+        k = next(k for k in range(len(exponents)) if leaves(k))
+        raise DomainError(
+            f"{name} of a jet with value part {b0!r} at order {order}: "
+            f"Taylor coefficient {k} leaves the float range"
+        )
+
+
+def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gamma: float, delta: float = 0.0):
+    """Coefficients ``p`` with ``p_0 = start`` and, for each degree d >= 1,
+
+        d p_d = delta d t_d + sum_{k=1..d} (beta k - gamma d) t_k p_{d-k},
+
+    where ``t`` has a zero value part and ``t_k p_{d-k}`` is the degree-d
+    part of the product of two homogeneous blocks (module docstring).
+
+    Block d is solved from the degree-d slice of the product table: its
+    pairs with a first factor of degree 0 read ``t_0 = 0``, and those with a
+    second factor of degree d read the block itself, still zero, so neither
+    needs masking.  The weight ``beta k - gamma d`` depends on the first
+    factor's degree alone, so it scales ``t`` before the gather; it is exact
+    for the library's exponents, and the block is divided by d once.
+    """
+    p = np.zeros(space.size)
+    p[0] = start
+    if space.order >= 1:
+        end = space.degree_end[1]
+        p[1:end] = t[1:end] * (delta + (beta - gamma) * start)
+    for d, lo, hi, ia, ib, starts in space.graded_table:
+        s = space.degrees[:hi] * beta
+        s -= gamma * d
+        s *= t[:hi]
+        prod = s[ia]
+        prod *= p[ib]
+        block = np.add.reduceat(prod, starts)
+        block /= d
+        if delta:
+            block += t[lo:hi] * delta
+        p[lo:hi] = block
+    return p
 
 
 def _ipow(base, n: int):
@@ -492,24 +568,24 @@ class Jet:
             return _ipow(self, int(n))
         return NotImplemented
 
-    # -- analytic functions via series composition ---------------------
+    # -- analytic functions by degree-graded recurrences ------------------
 
-    def _compose(self, outer: np.ndarray) -> "Jet":
-        """Horner evaluation of sum_k outer[k] * (self - value)**k."""
-        u = Jet(self.space, self.coeffs.copy())
-        u.coeffs[0] = 0.0
-        acc = self.const(float(outer[-1]))
-        for k in range(len(outer) - 2, -1, -1):
-            acc = acc * u + float(outer[k])
-        return acc
+    def _scaled(self, b0: float) -> np.ndarray:
+        """Coefficients of self / b0 - 1: the scaled jet less its value part."""
+        t = self.coeffs / b0
+        t[0] = 0.0
+        return t
 
     def recip(self) -> "Jet":
         b0 = self.value
         if b0 == 0.0:
             raise PoleError("division by a jet with zero value part")
         m = self.space.order
-        outer = _series("recip", b0, m, range(1, m + 2), lambda k, p: (-1.0) ** k / p)
-        return self._compose(outer)
+        _check_float_range("recip", b0, m, range(1, m + 2), lambda k, p: (-1.0) ** k / p)
+        # (1 + t) v = 1
+        p = _graded_solve(self.space, self._scaled(b0), 1.0, 0.0, 1.0)
+        p /= b0
+        return Jet(self.space, p)
 
     def sqrt(self) -> "Jet":
         return self._power(0.5, "sqrt")
@@ -519,16 +595,22 @@ class Jet:
         if b0 <= 0.0:
             raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
         m = self.space.order
-        outer = _series(
+        _check_float_range(
             "ln", b0, m, range(m + 1), lambda k, p: (-1.0) ** (k + 1) / (k * p) if k else math.log(b0)
         )
-        return self._compose(outer)
+        # (1 + t) E(w) = E(t)
+        p = _graded_solve(self.space, self._scaled(b0), 0.0, 1.0, 1.0, 1.0)
+        p[0] = math.log(b0)
+        return Jet(self.space, p)
 
     def exp(self) -> "Jet":
         e0 = math.exp(self.value)
-        m = self.space.order
-        outer = np.array([e0 / math.factorial(k) for k in range(m + 1)])
-        return self._compose(outer)
+        t = self.coeffs.copy()
+        t[0] = 0.0
+        # E(e) = e E(t)
+        p = _graded_solve(self.space, t, 1.0, 1.0, 0.0)
+        p *= e0
+        return Jet(self.space, p)
 
     def powc(self, alpha: float) -> "Jet":
         """Real power with constant exponent; requires a positive value part."""
@@ -542,8 +624,11 @@ class Jet:
         binoms = [1.0]
         for k in range(m):
             binoms.append(binoms[-1] * ((alpha - k) / (k + 1)))
-        outer = _series(name, b0, m, [alpha - k for k in range(m + 1)], lambda k, p: binoms[k] * p)
-        return self._compose(outer)
+        _check_float_range(name, b0, m, [alpha - k for k in range(m + 1)], lambda k, p: binoms[k] * p)
+        # (1 + t) E(p) = alpha p E(t)
+        p = _graded_solve(self.space, self._scaled(b0), 1.0, alpha + 1.0, 1.0)
+        p *= b0**alpha
+        return Jet(self.space, p)
 
     # -- calculus -------------------------------------------------------
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -495,9 +495,15 @@ def _validate_loaded(spec: MetricSpec) -> None:
                 for j in range(spec.dimension):
                     mat[i, j] = _float_expression(spec.components[i][j], xs)
             scale = 1.0 + float(np.abs(mat).max())
-            if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
+            try:
+                with np.errstate(over="raise"):
+                    skew = float(np.abs(mat - mat.T).max())
+                    sym = 0.5 * (mat + mat.T)
+            except FloatingPointError:
+                raise ConfigError(f"component matrix overflows the float range at x = {xs}") from None
+            if skew > 1e-10 * scale:
                 raise ConfigError(f"component matrix is not symmetric at x = {xs}")
-            eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+            eigs = np.linalg.eigvalsh(sym)
             if float(eigs.min()) <= 0.0:
                 raise ConfigError(
                     f"component matrix is not positive definite at x = {xs} "
@@ -587,8 +593,14 @@ def catalog(n: int = 3) -> dict[str, MetricSpec]:
     Contains a flat metric in two guises (euclidean and a constant
     anisotropic riemannian one), the round sphere in stereographic-style
     coordinates (constant positive curvature), and the projectively flat
-    ball metric.
+    ball metric.  The specs are parsed and load-checked once per ``n`` (they
+    are immutable); each call returns a new dict of them.
     """
+    return dict(_catalog(n))
+
+
+@cache
+def _catalog(n: int) -> dict[str, MetricSpec]:
     out = {}
     for key, template in _CATALOG_TEXTS.items():
         if key == "riemannian_flat_skew":

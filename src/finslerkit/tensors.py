@@ -50,6 +50,7 @@ brackets of the derived first integrals read their gradients, ``N`` and
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,7 +141,8 @@ def _align(*scalars):
 
 def _mul(a, b):
     if a.space is not b.space:
-        a, b = _align(a, b)
+        space = a.space.meet(b.space)
+        return a.to_space(space) * b.to_space(space)
     return a * b
 
 
@@ -154,14 +156,27 @@ def _dot_scal(vec_a, vec_b):
 
 def _add(a, b):
     if a.space is not b.space:
-        a, b = _align(a, b)
+        space = a.space.meet(b.space)
+        return a.to_space(space) + b.to_space(space)
     return a + b
 
 
 def _sub(a, b):
     if a.space is not b.space:
-        a, b = _align(a, b)
+        space = a.space.meet(b.space)
+        return a.to_space(space) - b.to_space(space)
     return a - b
+
+
+def _condition_number(g: np.ndarray) -> float:
+    """max|lambda| / min|lambda| over the eigenvalues of the symmetric
+    matrix g, which is its 2-norm condition number; inf when g is singular
+    or has an entry that is not finite."""
+    if not np.isfinite(g).all():
+        return math.inf
+    eigs = np.abs(np.linalg.eigvalsh(g))
+    smallest = float(eigs.min())
+    return float(eigs.max()) / smallest if smallest > 0.0 else math.inf
 
 
 def _values(obj) -> np.ndarray:
@@ -172,34 +187,51 @@ def _values(obj) -> np.ndarray:
 
 
 def mat_inv_det(mat):
-    """Inverse and determinant of a small scalar matrix by Gauss-Jordan
-    elimination with partial pivoting on the value parts."""
+    """Inverse and determinant of a small square matrix of scalars, by
+    Gauss-Jordan elimination on ``[mat | I]`` with partial pivoting on the
+    value parts.
+
+    The entries are first aligned to the meet of their spaces, so every
+    result lives there.  Only entries a later step reads are formed: once a
+    left column is eliminated it is never read again, and a right-block
+    column stays the identity's (structural zeros and one untouched) until
+    its row is a pivot row.  That takes ``(k-1) k (k+1)`` products and ``k``
+    reciprocals for a k x k matrix, with the full elimination's operands in
+    its order, so every entry it forms equals the full elimination's (up to
+    the sign of a zero coefficient).  Raises :class:`SingularMetricError` on an exactly singular value part.
+    """
     k = len(mat)
-    one = mat[0][0].const(1.0)
-    zero = mat[0][0].const(0.0)
-    aug = [_align(*row) + [one if i == j else zero for j in range(k)] for i, row in enumerate(mat)]
+    flat = _align(*(entry for row in mat for entry in row))
+    # each row's left block from the current column on
+    left = [flat[i * k : (i + 1) * k] for i in range(k)]
+    # each row's live right-block entries by column; None is the identity's 1
+    right = [{i: None} for i in range(k)]
     det = None
     sign = 1.0
     for col in range(k):
-        pivot_row = max(range(col, k), key=lambda r: abs(aug[r][col].num))
-        if aug[pivot_row][col].num == 0.0:
+        pivot_row = max(range(col, k), key=lambda r: abs(left[r][0].num))
+        if left[pivot_row][0].num == 0.0:
             raise SingularMetricError("matrix of scalars has an exactly singular value part")
         if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            left[col], left[pivot_row] = left[pivot_row], left[col]
+            right[col], right[pivot_row] = right[pivot_row], right[col]
             sign = -sign
-        pivot = aug[col][col]
-        det = pivot if det is None else _mul(det, pivot)
+        pivot = left[col][0]
+        det = pivot if det is None else det * pivot
         inv_pivot = pivot.recip()
-        aug[col] = [_mul(entry, inv_pivot) for entry in aug[col]]
+        left[col] = [entry * inv_pivot for entry in left[col][1:]]
+        right[col] = {j: inv_pivot if e is None else e * inv_pivot for j, e in right[col].items()}
         for row in range(k):
-            if row != col:
-                factor = aug[row][col]
-                if factor.num == 0.0 and factor is zero:
-                    continue
-                aug[row] = [_sub(e, _mul(factor, ce)) for e, ce in zip(aug[row], aug[col])]
-    inv = [row[k:] for row in aug]
-    det = _mul(det, det.const(sign)) if sign < 0 else det
-    return inv, det
+            if row == col:
+                continue
+            factor = left[row][0]
+            left[row] = [e - factor * ce for e, ce in zip(left[row][1:], left[col])]
+            entries = right[row]
+            for j, ce in right[col].items():
+                # a missing entry is a structural zero
+                entries[j] = entries[j] - factor * ce if j in entries else -(factor * ce)
+    inv = [[right[i][j] for j in range(k)] for i in range(k)]
+    return inv, (-det if sign < 0 else det)
 
 
 class PointEvaluation:
@@ -275,9 +307,8 @@ class PointEvaluation:
 
     @cached_property
     def _g_inv_det(self):
-        g_vals = _values(self.g)
-        cond = float(np.linalg.cond(g_vals))
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = _condition_number(_values(self.g))
+        if cond > COND_LIMIT:
             raise SingularMetricError(
                 f"fundamental tensor is numerically singular at {self.point} "
                 f"(condition number {cond:.3e} > {COND_LIMIT:.0e})"
@@ -517,8 +548,8 @@ def spray_values(spec, p) -> np.ndarray:
     f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
     hess = f2.hessian()
     g = 0.5 * hess[n:, n:]
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    cond = _condition_number(g)
+    if cond > COND_LIMIT:
         raise SingularMetricError(
             f"fundamental tensor is numerically singular at {p} (condition number {cond:.3e})"
         )

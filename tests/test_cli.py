@@ -275,6 +275,19 @@ def test_non_finite_energy_exits_two_without_warnings(tmp_path, capsys):
     assert "F^2 is not finite and positive" in err
 
 
+def test_overflowing_components_exit_two_without_warnings(tmp_path, capsys):
+    # g_1_1 = 1e308 is a float, but the load-time positivity check's
+    # symmetric part 0.5 (g + g^T) overflows: a setup error, no numpy warning
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = riemannian\ng_1_1 = 1e308\ng_2_2 = 1\ng_3_3 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["inspect", "--metric", str(cfg), "--npoints", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "component matrix overflows the float range" in err
+
+
 def test_series_out_of_float_range_exits_two_naming_the_function(tmp_path, capsys):
     # F^2 = 1e300 |y|^2 loads and evaluates in floats, but the Taylor
     # series of sqrt at a value part near 1e300 leaves the float range

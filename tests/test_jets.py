@@ -8,6 +8,7 @@ coordinate jets.
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -455,3 +456,84 @@ def test_partials_below_the_cap_are_refused():
         Jet.variable(jet_space(6, 4, 0), 1, 0.0)
     # a fiber variable needs no cap
     assert Jet.variable(jet_space(6, 4, 0), 3, 0.5).extract((0, 0, 0, 1, 0, 0)) == 1.0
+
+
+# -- analytic functions by degree-graded recurrences --------------------------------
+
+# (name, outer Taylor coefficient k at value part b0, as a 50-digit number, jet method)
+OUTER_SERIES = {
+    "recip": (lambda k, b0: (-1) ** k / b0 ** (k + 1), Jet.recip),
+    "sqrt": (lambda k, b0: mpmath.binomial(0.5, k) * b0 ** (0.5 - k), Jet.sqrt),
+    "ln": (lambda k, b0: mpmath.log(b0) if k == 0 else (-1) ** (k + 1) / (k * b0**k), Jet.ln),
+    "exp": (lambda k, b0: mpmath.exp(b0) / mpmath.factorial(k), Jet.exp),
+    "power 1.5": (lambda k, b0: mpmath.binomial(1.5, k) * b0 ** (1.5 - k), lambda jet: jet.powc(1.5)),
+    "power -1.5": (lambda k, b0: mpmath.binomial(-1.5, k) * b0 ** (-1.5 - k), lambda jet: jet.powc(-1.5)),
+}
+
+
+def _mp_product(space, a, b):
+    """Truncated product of two coefficient lists of 50-digit numbers,
+    through the space's product table."""
+    ia, ib, starts = space._mult_table()
+    bounds = list(starts) + [len(ia)]
+    return [mpmath.fsum(a[i] * b[j] for i, j in zip(ia[s:e], ib[s:e])) for s, e in zip(bounds, bounds[1:])]
+
+
+def _mp_reference(jet, outer):
+    """sum_k outer(k, b0) (jet - b0)**k by Horner's rule in 50 digits."""
+    space = jet.space
+    with mpmath.workdps(50):
+        b0 = mpmath.mpf(jet.value)
+        u = [mpmath.mpf(0)] + [mpmath.mpf(c) for c in jet.coeffs[1:]]
+        acc = [outer(space.order, b0)] + [mpmath.mpf(0)] * (space.size - 1)
+        for k in range(space.order - 1, -1, -1):
+            acc = _mp_product(space, acc, u)
+            acc[0] += outer(k, b0)
+        return np.array([float(c) for c in acc])
+
+
+@pytest.mark.parametrize("signature", [(6, 5, 2), (2, 6, None)])
+@pytest.mark.parametrize("name", sorted(OUTER_SERIES))
+def test_functions_match_a_50_digit_reference(signature, name):
+    space = jet_space(*signature)
+    rng = np.random.default_rng(sum(map(ord, name)) + space.size)
+    coeffs = 0.4 * rng.standard_normal(space.size)
+    coeffs[0] = 1.7
+    outer, method = OUTER_SERIES[name]
+    jet = Jet(space, coeffs)
+    want = _mp_reference(jet, outer)
+    got = method(jet).coeffs
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("signature", [(6, 6, 2), (8, 5, None), (3, 2, None)])
+def test_functions_invert_each_other_to_rounding(signature):
+    space = jet_space(*signature)
+    rng = np.random.default_rng(space.size)
+    coeffs = 0.3 * rng.standard_normal(space.size)
+    coeffs[0] = 1.3
+    u = Jet(space, coeffs)
+    one = u.const(1.0)
+    eps = np.finfo(np.float64).eps
+    for got, want in ((u.recip() * u, one), (u.sqrt() * u.sqrt(), u), (u.ln().exp(), u)):
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 64 * eps * np.max(np.abs(coeffs))
+
+
+def test_functions_issue_no_products(jet_products):
+    for signature in ((6, 6, 2), (8, 5, None), (6, 2, None)):
+        space = jet_space(*signature)
+        coeffs = 0.1 * np.random.default_rng(space.size).standard_normal(space.size)
+        coeffs[0] = 2.0
+        u = Jet(space, coeffs)
+        for fn in (Jet.recip, Jet.sqrt, Jet.ln, Jet.exp, lambda jet: jet.powc(-1.5)):
+            fn(u)
+    assert jet_products.count == 0
+
+
+def test_functions_keep_the_value_part_of_the_float_functions():
+    u = Jet.variable(jet_space(2, 5), 1, 2.7)
+    assert u.recip().value == 1.0 / 2.7
+    assert u.sqrt().value == 2.7**0.5
+    assert u.powc(-1.5).value == 2.7**-1.5
+    assert u.ln().value == math.log(2.7)
+    assert u.exp().value == math.exp(2.7)

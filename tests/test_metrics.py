@@ -308,6 +308,21 @@ def test_catalog_contents(catalog3):
     assert all(s.dimension == 4 for s in four.values())
 
 
+def test_catalog_is_parsed_once_per_dimension(monkeypatch):
+    first = metrics.catalog(3)
+
+    def no_parsing(text):
+        raise AssertionError("the catalog was parsed again")
+
+    monkeypatch.setattr(metrics, "parse_metric", no_parsing)
+    second = metrics.catalog(3)
+    assert second is not first and second.keys() == first.keys()
+    assert all(second[name] is first[name] for name in first)
+    # each call returns its own dict: an entry added to one is not in the next
+    second["extra"] = first["euclidean"]
+    assert "extra" not in metrics.catalog(3)
+
+
 def test_load_metric_file(tmp_path):
     path = tmp_path / "quartic.cfg"
     path.write_text(QUARTIC)

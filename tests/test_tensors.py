@@ -266,6 +266,87 @@ def test_mat_inv_det_rejects_singular():
         mat_inv_det(_const_matrix([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def _full_gauss_jordan(mat):
+    """Gauss-Jordan on the whole of [mat | I] with partial pivoting, every
+    entry updated at every step: the oracle for mat_inv_det."""
+    k = len(mat)
+    one, zero = mat[0][0].const(1.0), mat[0][0].const(0.0)
+    aug = [list(row) + [one if i == j else zero for j in range(k)] for i, row in enumerate(mat)]
+    det, sign = None, 1.0
+    for col in range(k):
+        pivot_row = max(range(col, k), key=lambda r: abs(aug[r][col].num))
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            sign = -sign
+        pivot = aug[col][col]
+        det = pivot if det is None else det * pivot
+        inv_pivot = pivot.recip()
+        aug[col] = [entry * inv_pivot for entry in aug[col]]
+        for row in range(k):
+            if row != col:
+                factor = aug[row][col]
+                aug[row] = [e - factor * ce for e, ce in zip(aug[row], aug[col])]
+    return [row[k:] for row in aug], det * det.const(sign)
+
+
+def _spd_jet_matrix(signature, seed):
+    """A symmetric matrix of jets whose value part is positive definite and
+    far from diagonal, so that elimination pivots."""
+    space = jet_space(*signature)
+    rng = np.random.default_rng(seed)
+    n = space.dim // 2
+    a = rng.standard_normal((n, n))
+    vals = a @ a.T + 0.5 * np.eye(n)
+    mat = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            coeffs = 0.3 * rng.standard_normal(space.size)
+            coeffs[0] = vals[i, j]
+            mat[i][j] = mat[j][i] = Jet(space, coeffs)
+    return mat
+
+
+@pytest.mark.parametrize("signature", [(6, 5, 2), (8, 5, 2)])
+def test_mat_inv_det_equals_the_full_elimination_bit_for_bit(signature):
+    for seed in range(4):
+        mat = _spd_jet_matrix(signature, seed)
+        inv, det = mat_inv_det(mat)
+        want_inv, want_det = _full_gauss_jordan(mat)
+        np.testing.assert_array_equal(det.coeffs, want_det.coeffs)
+        for got_row, want_row in zip(inv, want_inv):
+            for got, want in zip(got_row, want_row):
+                assert got.space is want.space
+                np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("signature, most", [((6, 5, 2), 26), ((8, 5, 2), 63)])
+def test_mat_inv_det_product_count(jet_products, signature, most):
+    mat = _spd_jet_matrix(signature, 0)
+    jet_products.count = 0
+    mat_inv_det(mat)
+    assert jet_products.count <= most
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_fundamental_tensor_is_singular(funk, monkeypatch, bad):
+    p = _sample(funk, 3)
+    ev = PointEvaluation(funk, p, order=2)
+    g = ev.g
+    g[1][1] = g[1][1] + bad
+    with pytest.raises(SingularMetricError):
+        ev.g_inv
+    eval_f2 = metrics.eval_F2
+
+    def spoiled(spec, xs, ys):
+        f2 = eval_f2(spec, xs, ys)
+        f2.coeffs[f2.space.degree_end[1]] = bad  # first of degree 2: y_n^2, a diagonal entry of g
+        return f2
+
+    monkeypatch.setattr(metrics, "eval_F2", spoiled)
+    with pytest.raises(SingularMetricError):
+        tensors.spray_values(funk, p)
+
+
 def test_condition_guard_near_ball_boundary(funk):
     p = PhasePoint((0.9999985, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(SingularMetricError):
