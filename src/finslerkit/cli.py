@@ -101,6 +101,20 @@ def _parse_vector(text: str, n: int, flag: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _bounded(option: str, kind, bound, strict: bool = True):
+    """An argparse type for ``option``: a finite ``kind`` above ``bound``, or
+    at it unless ``strict``; any other value is a setup error."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > bound if strict else value >= bound)):
+            raise FinslerError(f"{option} must be a finite number {relation} {bound}, got {text}")
+        return value
+
+    return parse
+
+
 def _gather_points(spec, args) -> list[tensors.PhasePoint]:
     pts = [_parse_point(t, spec.dimension) for t in args.point or []]
     if not pts:
@@ -282,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", required=True, help="metric config file or built-in name")
         p.add_argument("--seed", type=int, default=0, help="seed for phase-point sampling")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--npoints", type=int, default=npoints_default, help="sample count")
+        npoints = _bounded("--npoints", int, 1, strict=False)
+        p.add_argument("--npoints", type=npoints, default=npoints_default, help="sample count")
 
     p_inspect = sub.add_parser("inspect", help="curvature packet and first integrals at points")
     common(p_inspect, 3)
@@ -301,11 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--out", help="write the sampled trajectory here as CSV")
     p_flow.add_argument("--x0", required=True, help="initial position, comma-separated")
     p_flow.add_argument("--y0", required=True, help="initial velocity, comma-separated")
-    p_flow.add_argument("--tmax", type=float, required=True)
-    p_flow.add_argument("--rtol", type=float, default=1e-10)
-    p_flow.add_argument("--atol", type=float, default=1e-12)
+    p_flow.add_argument("--tmax", type=_bounded("--tmax", float, 0), required=True)
+    p_flow.add_argument("--rtol", type=_bounded("--rtol", float, 0, strict=False), default=1e-10)
+    p_flow.add_argument("--atol", type=_bounded("--atol", float, 0), default=1e-12)
     p_flow.add_argument("--watch", help="comma-separated field ids to track")
-    p_flow.add_argument("--tol", type=float, default=1e-6, help="relative drift tolerance")
+    p_flow.add_argument(
+        "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="relative drift tolerance"
+    )
     p_flow.set_defaults(fn=cmd_flow)
 
     p_bracket = sub.add_parser("bracket", help="Poisson bracket of two fields at sampled points")
@@ -314,16 +331,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bracket.add_argument(
         "--assert-zero", action="store_true", help="exit 1 unless |bracket| <= tol (scaled)"
     )
-    p_bracket.add_argument("--tol", type=float, default=1e-6, help="scaled bracket tolerance")
+    p_bracket.add_argument(
+        "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="scaled bracket tolerance"
+    )
     p_bracket.add_argument("--format", choices=("json", "csv"), default="json")
     p_bracket.set_defaults(fn=cmd_bracket)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # an option value out of range is a setup error, raised while parsing
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,8 +30,10 @@ result in a constant jet.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 import re
 from dataclasses import dataclass
 
@@ -424,8 +426,11 @@ def evaluate(node: Node, xs, ys):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _total(terms):
+    """Left-to-right sum of one or more scalars."""
+    return functools.reduce(operator.add, terms)
+
+
 def _sum_products(a, b):
-    acc = a[0] * b[0]
-    for u, v in zip(a[1:], b[1:]):
-        acc = acc + u * v
-    return acc
+    """Left-to-right sum of the products a[k] * b[k]."""
+    return _total(map(operator.mul, a, b))

@@ -172,8 +172,13 @@ def _build_trajectory(ts, states, n, status, steps, rejections, nfev, min_step, 
 
 def integrate(spec, init, t_max: float, settings: IntegrateSettings | None = None) -> Trajectory:
     """Integrate the geodesic flow from ``init = (x0, y0)`` for t in [0, t_max]."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    settings = settings or IntegrateSettings()
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    if not (math.isfinite(settings.atol) and settings.atol > 0.0):
+        raise ValueError(f"atol must be finite and positive, got {settings.atol!r}")
+    if not (math.isfinite(settings.rtol) and settings.rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and non-negative, got {settings.rtol!r}")
     return _integrate_signed(spec, init, t_max, settings)
 
 

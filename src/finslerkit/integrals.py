@@ -57,8 +57,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
-from .metrics import MetricSpec, _dot, _sqrt
-from .tensors import PhasePoint, PointEvaluation, _add, _dot_scal, _mul, _sub, _values, spray_values
+from .expr import _sum_products
+from .jets import Jet
+from .metrics import MetricSpec, _sqrt
+from .tensors import PhasePoint, PointEvaluation, _align, _entry, _nums, _values, spray_values
 
 __all__ = [
     "FirstIntegralSet",
@@ -90,9 +92,32 @@ class FirstIntegralSet:
     bordered_value: float
 
 
-def build_EE(F: float, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """EE^i_j = 2 F g^{ik} E_kj from the values of F, g^-1 and E."""
+def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or jets
+    in one space."""
     return 2.0 * F * (g_inv @ E)
+
+
+def _power_traces(EE: np.ndarray) -> np.ndarray:
+    """f_a = tr(EE^a), a = 1..n-1."""
+    power = EE
+    f = [np.trace(power)]
+    for _ in range(EE.shape[0] - 2):
+        power = power @ EE
+        f.append(np.trace(power))
+    return np.array(f, dtype=EE.dtype)
+
+
+def _charpoly(EE: np.ndarray) -> np.ndarray:
+    """c_1..c_{n-1} by Faddeev-LeVerrier (see :func:`traces_and_charpoly`)."""
+    n = EE.shape[0]
+    M = EE
+    c = [np.trace(M)]
+    eye = np.eye(n)
+    for k in range(1, n - 1):
+        M = EE @ (c[k - 1] * eye - M)
+        c.append(np.trace(M) / (k + 1))
+    return np.array(c, dtype=EE.dtype)
 
 
 def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,22 +125,10 @@ def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The c_a are the Faddeev-LeVerrier coefficients of det(Lambda I + EE):
     M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}), c_k = tr(M_k)/k.
+    EE holds floats or, for the scalar fields, jets; the arrays returned
+    hold the same type.
     """
-    n = EE.shape[0]
-    f = np.empty(n - 1)
-    power = EE
-    f[0] = np.trace(power)
-    for a in range(1, n - 1):
-        power = power @ EE
-        f[a] = np.trace(power)
-    c = np.empty(n - 1)
-    M = EE
-    c[0] = np.trace(M)
-    eye = np.eye(n)
-    for k in range(1, n - 1):
-        M = EE @ (c[k - 1] * eye - M)
-        c[k] = np.trace(M) / (k + 1)
-    return f, c
+    return _power_traces(EE), _charpoly(EE)
 
 
 def newton_from_traces(f: np.ndarray) -> np.ndarray:
@@ -177,9 +190,9 @@ def first_integral_set(
 # plain number or lives in the coordinates' own space, so nothing needs aligning.
 
 def _closed_form_pieces(xs, ys):
-    ny2 = _dot(ys, ys)
-    nx2 = _dot(xs, xs)
-    d = _dot(xs, ys)
+    ny2 = _sum_products(ys, ys)
+    nx2 = _sum_products(xs, xs)
+    d = _sum_products(xs, ys)
     # A = |y|^2 - |x|^2|y|^2 + <x,y>^2, positive on the unit ball
     A = ny2 - nx2 * ny2 + d * d
     return ny2, nx2, d, A
@@ -232,73 +245,43 @@ class _Field:
     build: Callable[[PointEvaluation], object]
 
 
-def _ee_scalars(ev: PointEvaluation):
-    cached = getattr(ev, "_ee_cache", None)
-    if cached is not None:
-        return cached
-    n = ev.n
-    two_f = ev.F * 2.0
-    EE = [
-        [_mul(two_f, _dot_scal(ev.g_inv[i], [ev.E[k][j] for k in range(n)])) for j in range(n)]
-        for i in range(n)
-    ]
-    ev._ee_cache = EE
-    return EE
+_constants = np.frompyfunc(lambda value, space: Jet.constant(space, value), 2, 1)
 
 
-def _mat_mul_scalars(A, B):
-    n = len(A)
-    return [[_dot_scal(A[i], [B[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+def _contract(fn, *tensors):
+    """fn of the tensors aligned to one space.  An order-0 jet holds its
+    value alone, so there fn contracts the values as Python floats in
+    object arrays (the same operations in the same order, hence the same
+    bits, without a table product per entry), and the floats it returns
+    come back as constant jets."""
+    tensors = _align(*tensors)
+    first = _entry(tensors[0])
+    if not (isinstance(first, Jet) and first.space.order == 0):
+        return fn(*tensors)
+    return _constants(fn(*(_nums(t) for t in tensors)), first.space)
 
 
-def _trace_scalars(A):
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = _add(acc, A[i][i])
-    return acc
+def _ee_family(ev: PointEvaluation, family):
+    """The power traces (``family`` = :func:`_power_traces`) or char-poly
+    coefficients (:func:`_charpoly`) of EE at ``ev``.  Each family is built
+    once per evaluation, and only when a field reads it; the two share one
+    EE."""
+    cache = vars(ev).setdefault("_ee_families", {})
+    if family not in cache:
+
+        def invariants(F, g_inv, E):
+            if "EE" not in cache:
+                cache["EE"] = build_EE(F, g_inv, E)
+            return family(cache["EE"])
+
+        cache[family] = _contract(invariants, ev.F, ev.g_inv, ev.E)
+    return cache[family]
 
 
-def _power_traces_scalars(ev: PointEvaluation):
-    cached = getattr(ev, "_f_cache", None)
-    if cached is not None:
-        return cached
-    EE = _ee_scalars(ev)
-    out = [_trace_scalars(EE)]
-    power = EE
-    for _ in range(ev.n - 2):
-        power = _mat_mul_scalars(power, EE)
-        out.append(_trace_scalars(power))
-    ev._f_cache = out
-    return out
-
-
-def _charpoly_scalars(ev: PointEvaluation):
-    cached = getattr(ev, "_c_cache", None)
-    if cached is not None:
-        return cached
-    EE = _ee_scalars(ev)
-    n = ev.n
-    M = EE
-    coeffs = [_trace_scalars(M)]
-    for k in range(2, n):
-        shifted = [
-            [_sub(coeffs[-1], M[i][j]) if i == j else -M[i][j] for j in range(n)] for i in range(n)
-        ]
-        M = _mat_mul_scalars(EE, shifted)
-        coeffs.append(_trace_scalars(M) * (1.0 / k))
-    ev._c_cache = coeffs
-    return coeffs
-
-
-def _s_cl_scalar(ev: PointEvaluation):
+def _s_cl(ev: PointEvaluation):
     # g^{ij} E_CL_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}), the mean Cartan and
     # mean Landsberg route; it equals f_1 / (2F), which reads E from B
-    n = ev.n
-    acc = None
-    for i in range(n):
-        term = _dot_scal(ev.g_inv[i], [ev.E_CL[i][j] for j in range(n)])
-        acc = term if acc is None else _add(acc, term)
-    return acc
+    return _contract(lambda g_inv, E_CL: (g_inv * E_CL).sum(axis=1).sum(), ev.g_inv, ev.E_CL)
 
 
 def _field_table(spec: MetricSpec) -> Mapping[str, _Field]:
@@ -315,18 +298,18 @@ def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
         "F": _Field("F", 1, "Finsler norm F (flow-constant by construction)", lambda ev: ev.F),
         "F2": _Field("F2", 1, "energy F^2", lambda ev: ev.F2),
         "s_cl": _Field(
-            "s_cl", 5, "1/2 g^{ij} (I_{j;i} + J_{i.j}), the Cartan-Landsberg route to f_1/(2F)", _s_cl_scalar
+            "s_cl", 5, "1/2 g^{ij} (I_{j;i} + J_{i.j}), the Cartan-Landsberg route to f_1/(2F)", _s_cl
         ),
     }
     for a in range(1, n):
         fields[f"f{a}"] = _Field(
-            f"f{a}", 5, f"power trace tr(EE^{a})", lambda ev, a=a: _power_traces_scalars(ev)[a - 1]
+            f"f{a}", 5, f"power trace tr(EE^{a})", lambda ev, a=a: _ee_family(ev, _power_traces)[a - 1]
         )
         fields[f"c{a}"] = _Field(
             f"c{a}",
             5,
             f"char-poly coefficient of Lambda^{n - a}",
-            lambda ev, a=a: _charpoly_scalars(ev)[a - 1],
+            lambda ev, a=a: _ee_family(ev, _charpoly)[a - 1],
         )
     if family == "funk_ball_berwald" and n == 3:
         fields["g1_paper"] = _Field(

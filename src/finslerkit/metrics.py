@@ -53,7 +53,6 @@ construction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -136,27 +135,12 @@ _ZERO = expr.Num(0.0)
 
 # -- scalar helpers (floats, jets and duals share one code path) ---------
 
-def _is_plain(v) -> bool:
-    return isinstance(v, numbers.Real)
-
-
 def _sqrt(v):
-    if _is_plain(v):
+    if expr._is_plain(v):
         if v <= 0.0:
             raise BranchError(f"sqrt of non-positive value {v!r}")
         return math.sqrt(v)
     return v.sqrt()
-
-
-def _total(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
-
-
-def _dot(a, b):
-    return _total([u * v for u, v in zip(a, b)])
 
 
 def _quadratic_form(pairs, ys):
@@ -165,11 +149,11 @@ def _quadratic_form(pairs, ys):
     for i, j, w in pairs:
         yy = ys[i] * ys[j]
         terms.append(yy if w == 1.0 else yy * w)
-    return _total(terms)
+    return expr._total(terms)
 
 
 def _num(v) -> float:
-    return float(v) if _is_plain(v) else v.num
+    return float(v) if expr._is_plain(v) else v.num
 
 
 # -- family evaluators ---------------------------------------------------
@@ -177,9 +161,9 @@ def _num(v) -> float:
 def _funk_pieces(xs, ys):
     """(A, w, 1 - |x|^2) with A = |y|^2 - (|x|^2 |y|^2 - <x,y>^2) and
     w = sqrt(A) + <x,y>."""
-    nx2 = _dot(xs, xs)
-    ny2 = _dot(ys, ys)
-    d = _dot(xs, ys)
+    nx2 = expr._sum_products(xs, xs)
+    ny2 = expr._sum_products(ys, ys)
+    d = expr._sum_products(xs, ys)
     a = ny2 - (nx2 * ny2 - d * d)
     w = _sqrt(a) + d
     return a, w, 1.0 - nx2
@@ -198,13 +182,13 @@ def eval_F2(spec: MetricSpec, xs, ys):
             f"and {len(ys)} fiber coordinates"
         )
     if spec.family == "euclidean":
-        out = _dot(ys, ys)
+        out = expr._sum_products(ys, ys)
     elif spec.family == "riemannian":
         terms = [
             expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
             for node, pairs in spec.riemannian_terms
         ]
-        out = _total(terms) if terms else 0.0  # all components zero: caught below
+        out = expr._total(terms) if terms else 0.0  # all components zero: caught below
     elif spec.family == "funk_ball_berwald":
         a, w, one_minus = _funk_pieces(xs, ys)
         w2 = w * w

@@ -42,6 +42,15 @@ The three mean-Berwald routes are exposed separately (``E`` from B,
 ``E_S = 1/2 d^2 S/dy^2``, ``E_CL = 1/2 (I_{j;i} + J_{i.j})``); they must
 agree for a correct implementation and are never collapsed into one.
 
+Every tensor is a numpy object array of jets whose entries share one
+space.  A stage aligns its operands once, to the meet of their spaces
+(the lowest order and cap among them), and then contracts them with
+``@``, elementwise operators, ``sum`` and ``np.trace``.  Truncation
+commutes with sums and products, coefficient for coefficient, and each
+contraction keeps the operand order and left-to-right summation of the
+index formulas above, so the results are bit for bit those of aligning
+at each product.
+
 Seeding one order above a quantity's depth leaves it a jet of order >= 1
 whose degree-1 coefficients are its phase-space gradient; the Poisson
 brackets of the derived first integrals read their gradients, ``N`` and
@@ -50,8 +59,10 @@ brackets of the derived first integrals read their gradients, ``N`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +70,7 @@ import numpy as np
 
 from . import expr, metrics
 from .errors import OrderError, SingularMetricError
-from .jets import seed_phase_point
+from .jets import JetSpace, seed_phase_point
 
 __all__ = [
     "PhasePoint",
@@ -130,42 +141,23 @@ class CurvaturePacket:
     flag: FlagData
 
 
-def _align(*scalars):
-    """The scalars in the meet of their spaces: the lowest order and cap."""
-    space = scalars[0].space
-    for s in scalars[1:]:
-        if s.space is not space:
-            space = space.meet(s.space)
-    return [s.to_space(space) for s in scalars]
+def _entry(t):
+    """One entry of a tensor; a scalar is its own entry."""
+    return t.flat[0] if isinstance(t, np.ndarray) else t
 
 
-def _mul(a, b):
-    if a.space is not b.space:
-        space = a.space.meet(b.space)
-        return a.to_space(space) * b.to_space(space)
-    return a * b
+_to_space = np.frompyfunc(lambda s, space: s.to_space(space), 2, 1)
+_nums = np.frompyfunc(lambda s: s.num, 1, 1)
+_d = np.frompyfunc(lambda s, var: s.d(var), 2, 1)
 
 
-def _dot_scal(vec_a, vec_b):
-    acc = None
-    for a, b in zip(vec_a, vec_b):
-        term = _mul(a, b)
-        acc = term if acc is None else _add(acc, term)
-    return acc
-
-
-def _add(a, b):
-    if a.space is not b.space:
-        space = a.space.meet(b.space)
-        return a.to_space(space) + b.to_space(space)
-    return a + b
-
-
-def _sub(a, b):
-    if a.space is not b.space:
-        space = a.space.meet(b.space)
-        return a.to_space(space) - b.to_space(space)
-    return a - b
+def _align(*tensors):
+    """The tensors (or scalars) with every entry in the meet of their
+    spaces: the lowest order and cap.  The entries of one tensor share a
+    space, so one entry stands for all of them."""
+    spaces = [_entry(t).space for t in tensors]
+    space = functools.reduce(JetSpace.meet, spaces)
+    return [t if s is space else _to_space(t, space) for t, s in zip(tensors, spaces)]
 
 
 def _condition_number(g: np.ndarray) -> float:
@@ -179,11 +171,9 @@ def _condition_number(g: np.ndarray) -> float:
     return float(eigs.max()) / smallest if smallest > 0.0 else math.inf
 
 
-def _values(obj) -> np.ndarray:
-    """Recursive .num extraction of nested scalar lists into an ndarray."""
-    if isinstance(obj, list):
-        return np.array([_values(o) for o in obj])
-    return obj.num
+def _values(t) -> np.ndarray:
+    """The value parts of a tensor's entries, as a float array."""
+    return _nums(t).astype(float)
 
 
 def mat_inv_det(mat):
@@ -198,7 +188,8 @@ def mat_inv_det(mat):
     its row is a pivot row.  That takes ``(k-1) k (k+1)`` products and ``k``
     reciprocals for a k x k matrix, with the full elimination's operands in
     its order, so every entry it forms equals the full elimination's (up to
-    the sign of a zero coefficient).  Raises :class:`SingularMetricError` on an exactly singular value part.
+    the sign of a zero coefficient).  Raises :class:`SingularMetricError`
+    on an exactly singular value part.
     """
     k = len(mat)
     flat = _align(*(entry for row in mat for entry in row))
@@ -230,21 +221,27 @@ def mat_inv_det(mat):
             for j, ce in right[col].items():
                 # a missing entry is a structural zero
                 entries[j] = entries[j] - factor * ce if j in entries else -(factor * ce)
-    inv = [[right[i][j] for j in range(k)] for i in range(k)]
+    inv = np.array([[right[i][j] for j in range(k)] for i in range(k)], dtype=object)
     return inv, (-det if sign < 0 else det)
+
+
+# the tensor-valued fields of a CurvaturePacket
+_PACKET_TENSORS = ("g", "g_inv", "h", "G", "N", "R_jac", "R_curv", "B", "E", "chi", "I", "J", "I_hcov", "J_vder")
 
 
 class PointEvaluation:
     """Lazy pipeline evaluation at one phase point, the one route to every
     pointwise tensor.
 
-    Properties are scalar-valued (jets by default), built on first use at a
-    seed ``order`` no lower than the module docstring's table asks for;
-    :meth:`packet` is the numpy snapshot of the whole tower (order >= 5).
-    The seeds carry at most ``x_cap`` position derivatives (module
-    docstring; ``None`` for none); the default 2 is all any quantity here
-    needs.  Pass ``seeds`` to run the same formulas over other coordinate
-    scalars with the jet interface.
+    Properties are numpy object arrays of scalars (jets by default) whose
+    entries share one space, or single scalars (``F2``, ``F``, ``det_g``,
+    ``sigma``, ``tau``, ``S``), built on first use at a seed ``order`` no
+    lower than the module docstring's table asks for; :meth:`packet` is the
+    numpy snapshot of the whole tower (order >= 5).  The seeds carry at
+    most ``x_cap`` position derivatives (module docstring; ``None`` for
+    none); the default 2 is all any quantity here needs.  Pass ``seeds`` to
+    run the same formulas over other coordinate scalars with the jet
+    interface.
     """
 
     def __init__(
@@ -260,34 +257,35 @@ class PointEvaluation:
             seeds = seed_phase_point(point, order, x_cap)
         self.seeds = seeds
         self.order = seeds[0].order
-        self.xs = list(seeds[: self.n])
-        self.ys = list(seeds[self.n :])
+        self.xs = np.array(seeds[: self.n], dtype=object)
+        self.ys = np.array(seeds[self.n :], dtype=object)
         if sigma is not None and isinstance(sigma, str):
             sigma = expr.parse_expression(sigma)
         self._sigma_node = sigma if sigma is not None else spec.sigma
 
     # -- derivative helpers -------------------------------------------
 
-    def dx(self, f, i: int):
-        return f.d(i)
-
     def dy(self, f, i: int):
         return f.d(self.n + i)
 
-    def spray_d(self, f):
-        """D(f) = y^k df/dx^k - 2 G^k df/dy^k."""
-        acc = None
-        for k in range(self.n):
-            term = _sub(_mul(self.ys[k], self.dx(f, k)), _mul(self.G[k], self.dy(f, k)) * 2.0)
-            acc = term if acc is None else _add(acc, term)
-        return acc
+    def _grad_x(self, t):
+        """The partials of t's entries by x^k, along a new last axis k."""
+        return _d(np.asarray(t)[..., None], range(self.n))
 
-    def hder(self, f, i: int):
-        """delta f / dx^i = df/dx^i - N^j_i df/dy^j."""
-        acc = self.dx(f, i)
-        for j in range(self.n):
-            acc = _sub(acc, _mul(self.N[j][i], self.dy(f, j)))
-        return acc
+    def _grad_y(self, t):
+        """The partials of t's entries by y^k, along a new last axis k."""
+        return _d(np.asarray(t)[..., None], range(self.n, 2 * self.n))
+
+    def spray_d(self, t):
+        """D(f) = y^k df/dx^k - 2 G^k df/dy^k for each entry f of t."""
+        ys, G, fx, fy = _align(self.ys, self.G, self._grad_x(t), self._grad_y(t))
+        return (ys * fx - G * fy * 2.0).sum(axis=-1)
+
+    def hder(self, t):
+        """delta f / dx^i = df/dx^i - N^j_i df/dy^j for each entry f of t,
+        along a new last axis i."""
+        N, fx, fy = _align(self.N, self._grad_x(t), self._grad_y(t))
+        return functools.reduce(operator.sub, (N[j] * fy[..., j, None] for j in range(self.n)), fx)
 
     # -- pipeline stages ------------------------------------------------
 
@@ -303,7 +301,7 @@ class PointEvaluation:
     def g(self):
         if self.order < 2:
             raise OrderError("the fundamental tensor needs seed order >= 2")
-        return [[self.dy(self.dy(self.F2, i), j) * 0.5 for j in range(self.n)] for i in range(self.n)]
+        return self._grad_y(self._grad_y(self.F2)) * 0.5
 
     @cached_property
     def _g_inv_det(self):
@@ -325,47 +323,33 @@ class PointEvaluation:
 
     @cached_property
     def h(self):
-        fy = [self.dy(self.F, i) for i in range(self.n)]
-        return [[_sub(self.g[i][j], _mul(fy[i], fy[j])) for j in range(self.n)] for i in range(self.n)]
+        g, fy = _align(self.g, self._grad_y(self.F))
+        return g - np.multiply.outer(fy, fy)
 
     @cached_property
     def G(self):
         """Spray coefficients G^i."""
-        b = []
-        for j in range(self.n):
-            acc = None
-            for k in range(self.n):
-                term = _mul(self.dx(self.dy(self.F2, j), k), self.ys[k])
-                acc = term if acc is None else _add(acc, term)
-            b.append(_sub(acc, self.dx(self.F2, j)))
-        return [_dot_scal(self.g_inv[i], b) * 0.25 for i in range(self.n)]
+        F2y = self._grad_y(self.F2)
+        g_inv, F2yx, ys, F2x = _align(self.g_inv, self._grad_x(F2y), self.ys, self._grad_x(self.F2))
+        return (g_inv @ (F2yx @ ys - F2x)) * 0.25
 
     @cached_property
     def N(self):
         if self.order < 3:
             raise OrderError("the nonlinear connection needs seed order >= 3")
-        return [[self.dy(self.G[i], j) for j in range(self.n)] for i in range(self.n)]
+        return self._grad_y(self.G)
 
     @cached_property
     def R_jac(self):
         """Jacobi endomorphism R^i_j."""
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                term = _sub(self.dx(self.G[i], j) * 2.0, self.spray_d(self.N[i][j]))
-                row.append(_sub(term, _dot_scal(self.N[i], [self.N[k][j] for k in range(self.n)])))
-            out.append(row)
-        return out
+        Gx, DN, N = _align(self._grad_x(self.G), self.spray_d(self.N), self.N)
+        return Gx * 2.0 - DN - N @ N
 
     @cached_property
     def R_curv(self):
         """Curvature tensor R^i_jk of the nonlinear connection."""
-        hN = [[[self.hder(self.N[i][j], k) for k in range(self.n)] for j in range(self.n)] for i in range(self.n)]
-        return [
-            [[_sub(hN[i][j][k], hN[i][k][j]) for k in range(self.n)] for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        hN = self.hder(self.N)
+        return hN - hN.transpose(0, 2, 1)
 
     @cached_property
     def B(self):
@@ -373,29 +357,17 @@ class PointEvaluation:
         if self.order < 5:
             raise OrderError("the Berwald tensor needs seed order >= 5")
         n = self.n
-        out = []
-        for i in range(n):
-            d1 = [self.dy(self.G[i], j) for j in range(n)]
-            d2 = {(j, k): self.dy(d1[j], k) for j in range(n) for k in range(j, n)}
-            # the row of (j, k) serves (k, j) as well: derivatives commute
-            rows = {jk: [self.dy(d2[jk], l) for l in range(n)] for jk in d2}
-            out.append([[rows[min(j, k), max(j, k)] for k in range(n)] for j in range(n)])
+        out = np.empty((n,) * 4, dtype=object)
+        for i, j in np.ndindex(n, n):
+            for k in range(j, n):
+                # the row of (j, k) serves (k, j) as well: derivatives commute
+                out[i, j, k] = out[i, k, j] = self._grad_y(self.dy(self.N[i, j], k))
         return out
 
     @cached_property
     def E(self):
         """Mean Berwald tensor from the trace of B."""
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = None
-                for k in range(self.n):
-                    term = self.B[k][i][j][k]
-                    acc = term if acc is None else _add(acc, term)
-                row.append(acc * 0.5)
-            out.append(row)
-        return out
+        return np.trace(self.B, axis1=0, axis2=3) * 0.5
 
     @cached_property
     def sigma(self):
@@ -417,76 +389,53 @@ class PointEvaluation:
     @cached_property
     def E_S(self):
         """Mean Berwald tensor from the fiber Hessian of S."""
-        return [[self.dy(self.dy(self.S, i), j) * 0.5 for j in range(self.n)] for i in range(self.n)]
+        return self._grad_y(self._grad_y(self.S)) * 0.5
 
     @cached_property
     def I(self):
         """Mean Cartan torsion I_k."""
-        return [self.dy(self.tau, k) for k in range(self.n)]
+        return self._grad_y(self.tau)
 
     @cached_property
     def J(self):
         """Mean Landsberg torsion J_i = nabla I_i."""
-        return [
-            _sub(self.spray_d(self.I[i]), _dot_scal(self.I, [self.N[k][i] for k in range(self.n)]))
-            for i in range(self.n)
-        ]
+        DI, I, N = _align(self.spray_d(self.I), self.I, self.N)
+        return DI - I @ N
 
     @cached_property
     def I_hcov(self):
         """Horizontal covariant derivative; element [i][j] is I_{j;i}."""
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = self.hder(self.I[j], i)
-                for l in range(self.n):
-                    acc = _sub(acc, _mul(self.I[l], self.dy(self.dy(self.G[l], i), j)))
-                row.append(acc)
-            out.append(row)
-        return out
+        hI, I, G_yy = _align(self.hder(self.I), self.I, self._grad_y(self.N))
+        return functools.reduce(operator.sub, (I[l] * G_yy[l] for l in range(self.n)), hI.T)
 
     @cached_property
     def J_vder(self):
         """Fiber derivative; element [i][j] is dJ_i/dy^j."""
-        return [[self.dy(self.J[i], j) for j in range(self.n)] for i in range(self.n)]
+        return self._grad_y(self.J)
 
     @cached_property
     def E_CL(self):
         """Mean Berwald tensor from mean Cartan/Landsberg data."""
-        return [
-            [_add(self.I_hcov[i][j], self.J_vder[i][j]) * 0.5 for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        I_hcov, J_vder = _align(self.I_hcov, self.J_vder)
+        return (I_hcov + J_vder) * 0.5
 
     @cached_property
     def chi(self):
         """chi_i = 1/2 (D(dS/dy^i) - dS/dx^i)."""
-        return [
-            _sub(self.spray_d(self.dy(self.S, i)), self.dx(self.S, i)) * 0.5 for i in range(self.n)
-        ]
+        DSy, Sx = _align(self.spray_d(self._grad_y(self.S)), self._grad_x(self.S))
+        return (DSy - Sx) * 0.5
 
     @cached_property
     def hamel(self):
         """H_ij = delta(dS/dy^j)/dx^i - delta(dS/dy^i)/dx^j."""
-        sy = [self.dy(self.S, i) for i in range(self.n)]
-        return [
-            [_sub(self.hder(sy[j], i), self.hder(sy[i], j)) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        # hSy[j][i] is delta(dS/dy^j)/dx^i
+        hSy = self.hder(self._grad_y(self.S))
+        return hSy.T - hSy
 
     def nabla2(self, T):
         """Covariant derivative of a (0,2) tensor of scalars along the spray."""
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = self.spray_d(T[i][j])
-                acc = _sub(acc, _dot_scal([T[k][j] for k in range(self.n)], [self.N[k][i] for k in range(self.n)]))
-                acc = _sub(acc, _dot_scal(T[i], [self.N[k][j] for k in range(self.n)]))
-                row.append(acc)
-            out.append(row)
-        return out
+        DT, T, N = _align(self.spray_d(T), T, self.N)
+        return DT - (T.T @ N).T - T @ N
 
     # -- numpy views ----------------------------------------------------
 
@@ -504,29 +453,11 @@ class PointEvaluation:
     def packet(self) -> CurvaturePacket:
         if self.order < 5:
             raise OrderError("a full curvature packet needs seed order >= 5")
+        F = self.F.num  # first: its sqrt is the first jet function that can fail
+        values = {name: _values(getattr(self, name)) for name in _PACKET_TENSORS}
         return CurvaturePacket(
-            metric=self.spec.name,
-            point=self.point,
-            order=self.order,
-            F=self.F.num,
-            g=_values(self.g),
-            g_inv=_values(self.g_inv),
-            h=_values(self.h),
-            G=_values(self.G),
-            N=_values(self.N),
-            R_jac=_values(self.R_jac),
-            R_curv=_values(self.R_curv),
-            B=_values(self.B),
-            E=_values(self.E),
-            tau=self.tau.num,
-            S=self.S.num,
-            chi=_values(self.chi),
-            I=_values(self.I),
-            J=_values(self.J),
-            I_hcov=_values(self.I_hcov),
-            J_vder=_values(self.J_vder),
-            alpha=(_values(self.J), -_values(self.I)),
-            flag=self.flag,
+            metric=self.spec.name, point=self.point, order=self.order, F=F, tau=self.tau.num,
+            S=self.S.num, alpha=(_values(self.J), -values["I"]), flag=self.flag, **values,
         )
 
 

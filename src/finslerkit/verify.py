@@ -165,6 +165,8 @@ def _ladder_values(spec, point: PhasePoint):
 
 def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     """Run every applicable invariant suite on one metric."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     rng = np.random.default_rng(seed)
     points = [metrics.sample_phase_point(spec, rng) for _ in range(n_points)]
     n = spec.dimension

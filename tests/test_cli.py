@@ -217,6 +217,14 @@ def test_setup_errors_exit_two(tmp_path, capsys):
         ["inspect", "--metric", FUNK, "--point", "0,0,0;1,zz,0"],
         ["flow", "--metric", FUNK, "--x0", "0,0,zz", "--y0", "1,0,0", "--tmax", "1"],
         ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,nan,0", "--tmax", "1"],
+        ["verify", "--metric", FUNK, "--npoints", "0"],
+        ["verify", "--metric", FUNK, "--npoints", "-3"],
+        ["bracket", "--metric", FUNK, "--fields", "f1,f2", "--assert-zero", "--npoints", "0"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "nan"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "inf"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--atol", "0"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--rtol", "inf"],
+        ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--tol", "nan"],
     ],
 )
 def test_malformed_numbers_exit_two(argv, capsys):

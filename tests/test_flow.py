@@ -109,10 +109,14 @@ def test_agrees_with_library_integrator(funk):
 
 
 def test_invalid_time_span_is_rejected(funk):
-    with pytest.raises(ValueError):
-        integrate(funk, AXIS_INIT, 0.0)
-    with pytest.raises(ValueError):
-        integrate(funk, AXIS_INIT, -2.0)
+    for t_max in (0.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_max"):
+            integrate(funk, AXIS_INIT, t_max)
+    for name, value in (("atol", 0.0), ("atol", float("nan")), ("rtol", float("inf")), ("rtol", -1e-9)):
+        with pytest.raises(ValueError, match=name):
+            integrate(funk, AXIS_INIT, 1.0, IntegrateSettings(**{name: value}))
+    # a pure absolute tolerance stays valid
+    assert integrate(funk, AXIS_INIT, 0.1, IntegrateSettings(rtol=0.0)).status == "completed"
 
 
 def test_step_budget_failure_carries_partial_trajectory(funk):

@@ -132,6 +132,13 @@ def test_evaluate_fields_consistency(funk):
     fis = _packet_integrals(pkt)
     assert vals["f1"] == pytest.approx(fis.f[0], rel=1e-12)
     assert vals["c2"] == pytest.approx(fis.c[1], rel=1e-12)
+    # the fields share traces_and_charpoly with fis; the independent routes
+    # to c_a hold them to verify's tolerances
+    c = np.array([vals["c1"], vals["c2"]])
+    scale = max(1.0, float(np.abs(c).max()))
+    assert float(np.abs(integrals.newton_from_traces(fis.f) - c).max()) / scale <= 1e-9
+    fit = integrals.charpoly_fit(fis.EE)
+    assert max(float(np.abs(fit[:2] - c).max()), abs(float(fit[2]))) / scale <= 1e-9
 
 
 def test_s_cl_reads_the_cartan_landsberg_route(funk, monkeypatch):
@@ -140,8 +147,7 @@ def test_s_cl_reads_the_cartan_landsberg_route(funk, monkeypatch):
     p = _sample(funk, 10)
     vals = integrals.evaluate_fields(funk, ["F", "f1", "s_cl"], p)
     assert vals["f1"] == pytest.approx(2.0 * vals["F"] * vals["s_cl"], rel=1e-11)
-    garbage = tensors.PointEvaluation(funk, p, order=5).E_CL
-    garbage = [[entry * 1e3 for entry in row] for row in garbage]
+    garbage = tensors.PointEvaluation(funk, p, order=5).E_CL * 1e3
     monkeypatch.setattr(tensors.PointEvaluation, "E", property(lambda ev: garbage))
     assert integrals.evaluate_fields(funk, ["s_cl"], p)["s_cl"] == vals["s_cl"]
     assert integrals.evaluate_fields(funk, ["f1"], p)["f1"] != vals["f1"]

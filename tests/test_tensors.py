@@ -11,6 +11,9 @@ Independent oracles used here:
   the spray the same way the definitions read.
 """
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,6 +438,82 @@ def test_non_finite_points_raise_domain_error(catalog3, name, case, entry):
 
 
 # -- the x-degree cap ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stages_are_object_arrays_of_jets_in_one_space(n):
+    spec = metrics.catalog(n)["funk_ball_berwald"]
+    ev = PointEvaluation(spec, _sample(spec, 5), order=6)
+    # each stage's documented shape
+    shapes = dict.fromkeys(("g", "g_inv", "h", "N", "R_jac", "E", "E_S", "I_hcov", "J_vder", "E_CL", "hamel"), (n, n))
+    shapes.update(dict.fromkeys(("G", "I", "J", "chi"), (n,)), R_curv=(n, n, n), B=(n, n, n, n))
+    stages = {name: getattr(ev, name) for name in shapes}
+    stages.update({"nabla2(g)": ev.nabla2(ev.g), "nabla2(E)": ev.nabla2(ev.E)})
+    shapes.update({"nabla2(g)": (n, n), "nabla2(E)": (n, n)})
+    for name, tensor in stages.items():
+        assert isinstance(tensor, np.ndarray) and tensor.dtype == object, name
+        assert tensor.shape == shapes[name], name
+        assert all(isinstance(entry, Jet) for entry in tensor.flat), name
+        assert len({entry.space for entry in tensor.flat}) == 1, name
+        values = _values(tensor)
+        assert values.dtype == np.float64 and values.shape == shapes[name], name
+        assert values.ravel().tolist() == [entry.num for entry in tensor.flat], name
+
+
+def _loop_stages(ev):
+    """The index formulas of the tensors docstring as loops over entries
+    that align the operands of every product and sum, reading the
+    evaluation's own G, N, I and S: the stages, which align once, must
+    reproduce these bit for bit."""
+    n, N, I, S = ev.n, ev.N, ev.I, ev.S
+
+    def aligned(op):
+        def apply(a, b):
+            space = a.space.meet(b.space)
+            return op(a.to_space(space), b.to_space(space))
+
+        return apply
+
+    mul, add, sub = aligned(operator.mul), aligned(operator.add), aligned(operator.sub)
+
+    def dot(a, b):
+        return functools.reduce(add, map(mul, a, b))
+
+    def D(f):
+        return functools.reduce(add, [sub(mul(ev.ys[k], f.d(k)), mul(ev.G[k], f.d(n + k)) * 2.0) for k in range(n)])
+
+    def hder(f, i):
+        return functools.reduce(sub, [mul(N[j][i], f.d(n + j)) for j in range(n)], f.d(i))
+
+    col = [[N[k][j] for k in range(n)] for j in range(n)]  # col[j] is N[:, j]
+    Sy = [S.d(n + i) for i in range(n)]
+    r = range(n)
+
+    def nabla(T):
+        return [[sub(sub(D(T[i][j]), dot([T[k][j] for k in r], col[i])), dot(T[i], col[j])) for j in r] for i in r]
+
+    return {
+        "R_jac": [[sub(sub(ev.G[i].d(j) * 2.0, D(N[i][j])), dot(N[i], col[j])) for j in r] for i in r],
+        "J": [sub(D(I[i]), dot(I, col[i])) for i in r],
+        "I_hcov": [
+            [functools.reduce(sub, [mul(I[l], N[l][i].d(n + j)) for l in r], hder(I[j], i)) for j in r] for i in r
+        ],
+        "chi": [sub(D(Sy[i]), S.d(i)) * 0.5 for i in r],
+        "hamel": [[sub(hder(Sy[j], i), hder(Sy[i], j)) for j in r] for i in r],
+        "nabla2(g)": nabla(ev.g),
+        "nabla2(E)": nabla(ev.E),
+    }
+
+
+@pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
+def test_stages_equal_per_product_alignment_bit_for_bit(catalog3, name):
+    ev = PointEvaluation(catalog3[name], _sample(catalog3[name], 9), order=6)
+    got = {"R_jac": ev.R_jac, "J": ev.J, "I_hcov": ev.I_hcov, "chi": ev.chi, "hamel": ev.hamel}
+    got.update({"nabla2(g)": ev.nabla2(ev.g), "nabla2(E)": ev.nabla2(ev.E)})
+    for stage, want in _loop_stages(ev).items():
+        want = np.array(want, dtype=object)
+        for g, w in zip(got[stage].flat, want.flat):
+            assert g.space is w.space and np.array_equal(g.coeffs, w.coeffs), stage
+
 
 CAP_METRICS = (
     "euclidean", "funk_ball_berwald", "riemannian_flat_skew", "riemannian_round_sphere", "ball4", "randers3",

@@ -153,6 +153,12 @@ def test_report_is_deterministic(funk):
     assert a.passed == b.passed
 
 
+def test_sample_count_below_one_is_rejected(funk):
+    for n_points in (0, -3):
+        with pytest.raises(ValueError, match="n_points must be at least 1"):
+            verify_metric(funk, n_points=n_points)
+
+
 def test_seed_changes_the_sample(funk):
     a = verify_metric(funk, n_points=8, seed=3)
     b = verify_metric(funk, n_points=8, seed=4)
