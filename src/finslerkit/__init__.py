@@ -30,7 +30,7 @@ from .integrals import (
     poisson_bracket,
     poisson_bracket_scaled,
 )
-from .jets import DualLayer, Jet, JetSpace
+from .jets import DualLayer, Jet, JetArray, JetSpace
 from .metrics import MetricSpec, catalog, load_metric_file, parse_metric, sample_phase_point
 from .tensors import CurvaturePacket, FlagData, PhasePoint, PointEvaluation
 from .verify import VerifyReport, verify_metric
@@ -51,6 +51,7 @@ __all__ = [
     "FlagData",
     "IntegrateSettings",
     "Jet",
+    "JetArray",
     "JetSpace",
     "MetricSpec",
     "OrderError",

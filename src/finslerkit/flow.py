@@ -324,6 +324,8 @@ def field_values(spec, traj: Trajectory, fields) -> list[dict[str, float]]:
 def drift(spec, traj: Trajectory, fields, tol: float = 1e-6, values=None) -> DriftReport:
     """Drift of fields over the samples; ``values`` (from :func:`field_values`)
     is evaluated here when not given."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     fields = list(fields)
     if values is None:
         values = field_values(spec, traj, fields)

@@ -58,9 +58,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
 from .expr import _sum_products
-from .jets import Jet
 from .metrics import MetricSpec, _sqrt
-from .tensors import PhasePoint, PointEvaluation, _align, _entry, _nums, _values, spray_values
+from .tensors import PhasePoint, PointEvaluation, _align, spray_values
 
 __all__ = [
     "FirstIntegralSet",
@@ -93,31 +92,31 @@ class FirstIntegralSet:
 
 
 def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or jets
-    in one space."""
+    """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or a jet
+    and tensors in one space."""
     return 2.0 * F * (g_inv @ E)
 
 
 def _power_traces(EE: np.ndarray) -> np.ndarray:
     """f_a = tr(EE^a), a = 1..n-1."""
     power = EE
-    f = [np.trace(power)]
+    f = [power.trace()]
     for _ in range(EE.shape[0] - 2):
         power = power @ EE
-        f.append(np.trace(power))
-    return np.array(f, dtype=EE.dtype)
+        f.append(power.trace())
+    return np.array(f)
 
 
 def _charpoly(EE: np.ndarray) -> np.ndarray:
     """c_1..c_{n-1} by Faddeev-LeVerrier (see :func:`traces_and_charpoly`)."""
     n = EE.shape[0]
     M = EE
-    c = [np.trace(M)]
+    c = [M.trace()]
     eye = np.eye(n)
     for k in range(1, n - 1):
         M = EE @ (c[k - 1] * eye - M)
-        c.append(np.trace(M) / (k + 1))
-    return np.array(c, dtype=EE.dtype)
+        c.append(M.trace() / (k + 1))
+    return np.array(c)
 
 
 def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +124,8 @@ def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The c_a are the Faddeev-LeVerrier coefficients of det(Lambda I + EE):
     M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}), c_k = tr(M_k)/k.
-    EE holds floats or, for the scalar fields, jets; the arrays returned
-    hold the same type.
+    EE holds floats or, for the scalar fields, is a tensor of jets; the
+    arrays returned hold floats or jets.
     """
     return _power_traces(EE), _charpoly(EE)
 
@@ -245,22 +244,6 @@ class _Field:
     build: Callable[[PointEvaluation], object]
 
 
-_constants = np.frompyfunc(lambda value, space: Jet.constant(space, value), 2, 1)
-
-
-def _contract(fn, *tensors):
-    """fn of the tensors aligned to one space.  An order-0 jet holds its
-    value alone, so there fn contracts the values as Python floats in
-    object arrays (the same operations in the same order, hence the same
-    bits, without a table product per entry), and the floats it returns
-    come back as constant jets."""
-    tensors = _align(*tensors)
-    first = _entry(tensors[0])
-    if not (isinstance(first, Jet) and first.space.order == 0):
-        return fn(*tensors)
-    return _constants(fn(*(_nums(t) for t in tensors)), first.space)
-
-
 def _ee_family(ev: PointEvaluation, family):
     """The power traces (``family`` = :func:`_power_traces`) or char-poly
     coefficients (:func:`_charpoly`) of EE at ``ev``.  Each family is built
@@ -268,20 +251,17 @@ def _ee_family(ev: PointEvaluation, family):
     EE."""
     cache = vars(ev).setdefault("_ee_families", {})
     if family not in cache:
-
-        def invariants(F, g_inv, E):
-            if "EE" not in cache:
-                cache["EE"] = build_EE(F, g_inv, E)
-            return family(cache["EE"])
-
-        cache[family] = _contract(invariants, ev.F, ev.g_inv, ev.E)
+        if "EE" not in cache:
+            cache["EE"] = build_EE(*_align(ev.F, ev.g_inv, ev.E))
+        cache[family] = family(cache["EE"])
     return cache[family]
 
 
 def _s_cl(ev: PointEvaluation):
     # g^{ij} E_CL_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}), the mean Cartan and
     # mean Landsberg route; it equals f_1 / (2F), which reads E from B
-    return _contract(lambda g_inv, E_CL: (g_inv * E_CL).sum(axis=1).sum(), ev.g_inv, ev.E_CL)
+    g_inv, E_CL = _align(ev.g_inv, ev.E_CL)
+    return (g_inv * E_CL).sum(axis=1).sum()
 
 
 def _field_table(spec: MetricSpec) -> Mapping[str, _Field]:
@@ -377,8 +357,8 @@ def _bracket_terms(spec: MetricSpec, fa: str, fb: str, p):
     ev = PointEvaluation(spec, p, order=max(field_order(spec, [fa, fb]) + 1, 3))
     grad_a = _lookup(spec, fa).build(ev).gradient()
     grad_b = _lookup(spec, fb).build(ev).gradient()
-    N = _values(ev.N)
-    g_inv = _values(ev.g_inv)
+    N = ev.N.num
+    g_inv = ev.g_inv.num
     # delta u / dx^i = du/dx^i - N^k_i du/dy^k
     delta_a = grad_a[:n] - N.T @ grad_a[n:]
     delta_b = grad_b[:n] - N.T @ grad_b[n:]

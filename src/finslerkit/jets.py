@@ -1,4 +1,5 @@
-"""Truncated multivariate Taylor arithmetic (jets) and a first-order dual layer.
+"""Truncated multivariate Taylor arithmetic (jets), tensors of jets and a
+first-order dual layer.
 
 A :class:`Jet` stores the Taylor coefficients of a smooth function around a
 base point, for all multi-indices of total degree <= ``order`` in ``dim``
@@ -78,13 +79,28 @@ functions keep the domain of the power series they replaced: a value part
 at which a coefficient ``f^(k)(b0) / k!`` of that series would leave the
 normal float range raises :class:`~finslerkit.errors.DomainError`.
 
+Tensors of jets
+---------------
+A :class:`JetArray` holds the jets of a tensor's entries in one space as
+one float array ``coeffs[*index, size]``.  Jets and tensors share their
+linear operations and products (:class:`_Coefficients`), which act on the
+last axis and broadcast over the others, so a tensor operation is one
+numpy call over all entries: a gather for ``d`` and
+:meth:`~JetArray.partials`, one ufunc for ``+``, ``-`` and scaling.  A
+product gathers the pairs of the space's product table for every entry
+at once up to order :data:`BATCH_ORDER`, and one entry at a time above
+it, where the gathered pairs outgrow the cache.  Each entry sums its
+pairs like a product of two jets, and sums over an index add left to
+right, so a tensor formula gives the bits of the same formula on single
+jets.
+
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
 extra directional derivative through any computation written against the
 shared scalar interface (operators plus ``sqrt/ln/exp/powc/d`` and the
-``space``/``to_space`` alignment pair).
-It nests: the components may themselves be duals.  The library no longer
-computes with it: gradients come from the degree-1 coefficients of a jet
-seeded one order higher (see :mod:`finslerkit.integrals`).  It and
+``space``/``to_space`` alignment pair); with tensor parts it is a dual
+tensor.  It nests: the components may themselves be duals.  The library
+no longer computes with it: gradients come from the degree-1 coefficients
+of a jet seeded one order higher (see :mod:`finslerkit.integrals`).  It and
 :func:`seed_dual_phase_point` remain only as the independent oracle from
 which the gradient tests rebuild the former dual-seeded route, for one more
 change.  Their removal waits for the benchmark tracer (``bench/tracer.py``),
@@ -93,8 +109,10 @@ which patches ``DualLayer.__mul__``, to stop doing so.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 import sys
 from functools import cached_property
 from itertools import combinations
@@ -110,7 +128,7 @@ from .errors import (
     SignatureError,
 )
 
-__all__ = ["Jet", "DualLayer", "JetSpace", "jet_space", "seed_phase_point", "seed_dual_phase_point"]
+__all__ = ["Jet", "JetArray", "DualLayer", "JetSpace", "jet_space", "stack", "seed_phase_point", "seed_dual_phase_point"]
 
 
 def _compositions(total: int, parts: int):
@@ -256,10 +274,16 @@ class JetSpace:
             out.append((d, lo, hi, ia[first:last], ib[first:last], starts[lo:hi] - first))
         return out
 
-    def _diff_table(self, var: int):
+    def _diff_table(self, var):
         """(lower, src, factor): the space of df/dx_var and the arrays
         mapping coefficients of f to its coefficients.  An x variable
-        lowers the cap by one."""
+        lowers the cap by one.  A range of variables that share the lower
+        space (all positions or all fibers) stacks their arrays."""
+        if isinstance(var, range):
+            if var not in self._diff:
+                tables = [self._diff_table(v) for v in var]
+                self._diff[var] = (tables[0][0], np.stack([t[1] for t in tables]), np.stack([t[2] for t in tables]))
+            return self._diff[var]
         if var not in self._diff:
             cap = self.x_cap - 1 if var < self.dim // 2 else self.x_cap
             if cap < 0:
@@ -383,14 +407,151 @@ def _ipow(base, n: int):
         square = square * square
 
 
-class Jet:
-    """Dense truncated Taylor expansion; see the module docstring."""
+# Products over a tensor's entries run as one gather up to this order; above
+# it the gathered pair arrays outgrow the cache and one entry at a time is
+# faster (3x3 @ at (6, 4, 2): 274 us batched, 179 us per entry).
+BATCH_ORDER = 3
+
+
+def _products(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the products of the jets ``a[..., :]`` and
+    ``b[..., :]`` of ``space``, broadcast against each other.  Each entry
+    sums its pairs exactly as a product of two single jets does, so every
+    coefficient has the same bits however the entries are batched."""
+    ia, ib, starts = space._mult_table()
+    if a.ndim == b.ndim == 1:
+        prod = a[ia]
+        prod *= b[ib]
+        return np.add.reduceat(prod, starts)
+    if space.order <= BATCH_ORDER:
+        return np.add.reduceat(a.take(ia, axis=-1) * b.take(ib, axis=-1), starts, axis=-1)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.broadcast_to(a, shape).reshape(-1, space.size)
+    b = np.broadcast_to(b, shape).reshape(-1, space.size)
+    out = np.empty(a.shape)
+    for k in range(len(a)):
+        prod = a[k][ia]
+        prod *= b[k][ib]
+        np.add.reduceat(prod, starts, out=out[k])
+    return out.reshape(shape)
+
+
+def _wrap(space: JetSpace, coeffs: np.ndarray):
+    """A jet for one coefficient vector, a tensor for more."""
+    return Jet(space, coeffs) if coeffs.ndim == 1 else JetArray(space, coeffs)
+
+
+def _index(index) -> tuple:
+    """A tensor index extended to the coefficient axis, which it never touches."""
+    index = index if isinstance(index, tuple) else (index,)
+    return index + (slice(None),) if any(i is Ellipsis for i in index) else index
+
+
+def _sequential_sum(parts):
+    """parts[0] + parts[1] + ..., left to right, whatever the axis length."""
+    return functools.reduce(operator.add, parts)
+
+
+class _Coefficients:
+    """What a jet and a tensor of jets share: a space and coefficients
+    ``coeffs[..., size]``, and the operations that act on every
+    coefficient vector alike.  Operands combine with broadcasting, so a
+    jet meets a tensor as a tensor of one entry."""
 
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.coeffs = coeffs
+
+    def _peer(self, other):
+        if other.space is not self.space:
+            raise SignatureError(
+                f"cannot combine jets of {self.space!r} and {other.space!r}; "
+                "use to_space() or truncated() to align them explicitly"
+            )
+        return other
+
+    def to_space(self, space: JetSpace):
+        """This in a space of lower (or equal) order and cap; a view of
+        the coefficients where the target layout is a prefix."""
+        if space is self.space:
+            return self
+        return type(self)(space, self.coeffs[..., self.space.truncation(space)])
+
+    def __neg__(self):
+        return type(self)(self.space, -self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, _Coefficients):
+            return _wrap(self.space, self.coeffs + self._peer(other).coeffs)
+        if isinstance(other, numbers.Real):
+            c = self.coeffs.copy()
+            c.T[0] += other  # the value parts
+            return type(self)(self.space, c)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Coefficients):
+            return _wrap(self.space, self.coeffs - self._peer(other).coeffs)
+        if isinstance(other, numbers.Real):
+            c = self.coeffs.copy()
+            c.T[0] -= other
+            return type(self)(self.space, c)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            c = -self.coeffs
+            c.T[0] += other
+            return type(self)(self.space, c)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _Coefficients):
+            return _wrap(self.space, _products(self.space, self.coeffs, self._peer(other).coeffs))
+        if isinstance(other, numbers.Real):
+            return type(self)(self.space, self.coeffs * float(other))
+        if isinstance(other, np.ndarray):
+            # numbers times each jet: a tensor
+            return _wrap(self.space, other[..., None] * self.coeffs)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def d(self, var: int):
+        """Partial derivative with respect to variable ``var``.
+
+        The result is a jet of order ``order - 1``: the top-degree
+        information is genuinely consumed by differentiation.  A position
+        variable also lowers the x-degree cap by one.
+        """
+        if self.space.order < 1:
+            raise OrderError("cannot differentiate a jet of order 0")
+        if not 0 <= var < self.space.dim:
+            raise DimensionError(f"variable index {var} out of range for dim {self.space.dim}")
+        lower, src, fac = self.space._diff_table(var)
+        out = self.coeffs.take(src, axis=-1)
+        out *= fac
+        return type(self)(lower, out)
+
+    def partials(self, variables: range) -> "JetArray":
+        """The partials by each of ``variables`` (all positions or all
+        fibers), along a new last index axis: one gather."""
+        if self.space.order < 1:
+            raise OrderError("cannot differentiate a jet of order 0")
+        lower, src, fac = self.space._diff_table(variables)
+        out = self.coeffs.take(src, axis=-1)
+        out *= fac
+        return JetArray(lower, out)
+
+
+class Jet(_Coefficients):
+    """Dense truncated Taylor expansion; see the module docstring."""
+
+    __slots__ = ()
 
     # -- construction -------------------------------------------------
 
@@ -485,21 +646,6 @@ class Jet:
 
     # -- signature handling -------------------------------------------
 
-    def _peer(self, other) -> "Jet":
-        if other.space is not self.space:
-            raise SignatureError(
-                f"cannot combine jets of {self.space!r} and {other.space!r}; "
-                "use to_space() or truncated() to align them explicitly"
-            )
-        return other
-
-    def to_space(self, space: JetSpace) -> "Jet":
-        """This jet in a space of lower (or equal) order and cap; a view of
-        the coefficients where the target layout is a prefix."""
-        if space is self.space:
-            return self
-        return Jet(space, self.coeffs[self.space.truncation(space)])
-
     def truncated(self, order: int) -> "Jet":
         """This jet truncated to a lower (or equal) order, at the same cap."""
         if order > self.space.order:
@@ -508,48 +654,9 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.space, self.coeffs + self._peer(other).coeffs)
-        if isinstance(other, numbers.Real):
-            c = self.coeffs.copy()
-            c[0] += other
-            return Jet(self.space, c)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.space, self.coeffs - self._peer(other).coeffs)
-        if isinstance(other, numbers.Real):
-            c = self.coeffs.copy()
-            c[0] -= other
-            return Jet(self.space, c)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, numbers.Real):
-            c = -self.coeffs
-            c[0] += other
-            return Jet(self.space, c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            ia, ib, starts = self.space._mult_table()
-            self._peer(other)
-            prod = self.coeffs[ia]
-            prod *= other.coeffs[ib]
-            return Jet(self.space, np.add.reduceat(prod, starts))
-        if isinstance(other, numbers.Real):
-            return Jet(self.space, self.coeffs * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # in Jet's own namespace, where bench/tracer.py patches them
+    __mul__ = __rmul__ = _Coefficients.__mul__
+    d = _Coefficients.d
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -630,23 +737,99 @@ class Jet:
         p *= b0**alpha
         return Jet(self.space, p)
 
-    # -- calculus -------------------------------------------------------
 
-    def d(self, var: int) -> "Jet":
-        """Partial derivative with respect to variable ``var``.
+class JetArray(_Coefficients):
+    """A tensor of jets in one space, stored as one float array
+    ``coeffs[*index, size]``: the last axis holds each entry's coefficients
+    in the space's layout.
 
-        The result is a jet of order ``order - 1``: the top-degree
-        information is genuinely consumed by differentiation.  A position
-        variable also lowers the x-degree cap by one.
-        """
-        if self.space.order < 1:
-            raise OrderError("cannot differentiate a jet of order 0")
-        if not 0 <= var < self.space.dim:
-            raise DimensionError(f"variable index {var} out of range for dim {self.space.dim}")
-        lower, src, fac = self.space._diff_table(var)
-        out = self.coeffs[src]
-        out *= fac
-        return Jet(lower, out)
+    Indexing down to one entry gives a :class:`Jet` (``t[i, j]`` or
+    ``t[i][j]``), and so do reductions to a scalar; a result with index
+    axes left is a tensor again.  Linear operations (``+``, ``-``, scaling
+    by a number, :meth:`d`, :meth:`partials`, :meth:`to_space`, ``num``)
+    are one numpy operation on all entries.  Products (elementwise ``*``
+    with broadcasting, ``@``) multiply entry by entry like :class:`Jet`
+    does, batched up to :data:`BATCH_ORDER`; sums over an index axis (``@``,
+    :meth:`sum`, :meth:`trace`) add left to right.  So every entry has the
+    bits of the same formula on single jets.  Operands are jets or tensors
+    of this space; other spaces raise :class:`SignatureError`.
+    """
+
+    __slots__ = ()
+    # numpy hands binary operators with a numpy operand to these methods
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.coeffs.shape[:-1]
+
+    @property
+    def num(self) -> np.ndarray:
+        """The value parts of the entries, as a float array."""
+        return self.coeffs[..., 0].copy()
+
+    @property
+    def flat(self):
+        """The entries in row-major order, as jets."""
+        return (Jet(self.space, c) for c in self.coeffs.reshape(-1, self.space.size))
+
+    def __repr__(self):
+        s = self.space
+        return f"JetArray(shape={self.shape}, dim={s.dim}, order={s.order}, x_cap={s.x_cap})"
+
+    def __getitem__(self, index):
+        return _wrap(self.space, self.coeffs[_index(index)])
+
+    def __setitem__(self, index, value):
+        self.coeffs[_index(index)] = self._peer(value).coeffs
+
+    def transpose(self, *axes) -> "JetArray":
+        axes = axes or tuple(reversed(range(len(self.shape))))
+        return JetArray(self.space, self.coeffs.transpose(*axes, len(self.shape)))
+
+    @property
+    def T(self) -> "JetArray":
+        return self.transpose()
+
+    def sum(self, axis=None):
+        """The sum over one index axis, or over all of them in row-major order."""
+        c = self.coeffs
+        if axis is None:
+            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size)))
+        return _wrap(self.space, _sequential_sum(np.moveaxis(c, axis % len(self.shape), 0)))
+
+    def trace(self, axis1: int = 0, axis2: int = 1):
+        """The sum of the diagonal of two index axes."""
+        ndim = len(self.shape)
+        diagonal = np.diagonal(self.coeffs, 0, axis1 % ndim, axis2 % ndim)  # the diagonal axis comes last
+        return _wrap(self.space, _sequential_sum(np.moveaxis(diagonal, -1, 0)))
+
+    def __matmul__(self, other):
+        """numpy's matmul for matrices and vectors; each entry sums its
+        products left to right over the shared index."""
+        if len(other.shape) == 1:
+            return (self * other).sum(axis=-1)
+        if len(self.shape) == 1:
+            return (self[:, None] * other).sum(axis=0)
+        return (self[..., None] * other[..., None, :, :]).sum(axis=-2)
+
+
+def stack(entries):
+    """One tensor from jets, tensors or duals of them, all of one space and
+    shape, along a new first axis."""
+    first = entries[0]
+    if isinstance(first, DualLayer):
+        return DualLayer(stack([e.value for e in entries]), stack([e.tangent for e in entries]))
+    return JetArray(first.space, np.stack([e.coeffs for e in entries]))
+
+
+def _on_both_parts(name: str):
+    """A dual's method applying the parts' own method ``name`` to both."""
+
+    def method(self, *args, **kwargs):
+        return DualLayer(getattr(self.value, name)(*args, **kwargs), getattr(self.tangent, name)(*args, **kwargs))
+
+    return method
 
 
 class DualLayer:
@@ -717,7 +900,7 @@ class DualLayer:
                 self.value * other.value,
                 self.tangent * other.value + self.value * other.tangent,
             )
-        if isinstance(other, numbers.Real):
+        if isinstance(other, (numbers.Real, np.ndarray)):
             return DualLayer(self.value * other, self.tangent * other)
         return NotImplemented
 
@@ -758,9 +941,19 @@ class DualLayer:
     def powc(self, alpha: float) -> "DualLayer":
         return DualLayer(self.value.powc(alpha), self.tangent * self.value.powc(alpha - 1.0) * alpha)
 
-    def d(self, var: int) -> "DualLayer":
-        # d/ds commutes with coordinate partials, so componentwise is exact.
-        return DualLayer(self.value.d(var), self.tangent.d(var))
+    # the linear maps act on each part alike; a dual of tensors has
+    # JetArray parts, and @ follows the product rule like *
+    d = _on_both_parts("d")  # d/ds commutes with coordinate partials
+    partials = _on_both_parts("partials")
+    __getitem__ = _on_both_parts("__getitem__")
+    transpose = _on_both_parts("transpose")
+    sum = _on_both_parts("sum")
+    trace = _on_both_parts("trace")
+    shape = property(lambda self: self.value.shape)
+    T = property(lambda self: self.transpose())
+
+    def __matmul__(self, other: "DualLayer") -> "DualLayer":
+        return DualLayer(self.value @ other.value, self.tangent @ other.value + self.value @ other.tangent)
 
 
 def _check_phase(x, y):

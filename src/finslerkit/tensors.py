@@ -42,14 +42,17 @@ The three mean-Berwald routes are exposed separately (``E`` from B,
 ``E_S = 1/2 d^2 S/dy^2``, ``E_CL = 1/2 (I_{j;i} + J_{i.j})``); they must
 agree for a correct implementation and are never collapsed into one.
 
-Every tensor is a numpy object array of jets whose entries share one
-space.  A stage aligns its operands once, to the meet of their spaces
-(the lowest order and cap among them), and then contracts them with
-``@``, elementwise operators, ``sum`` and ``np.trace``.  Truncation
-commutes with sums and products, coefficient for coefficient, and each
-contraction keeps the operand order and left-to-right summation of the
-index formulas above, so the results are bit for bit those of aligning
-at each product.
+Every tensor is a :class:`~finslerkit.jets.JetArray`: one float array
+``coeffs[*index, size]`` holding the jets of its entries in one space.
+A stage aligns its operands once, to the meet of their spaces (the
+lowest order and cap among them), and then contracts them with ``@``,
+elementwise operators, ``sum`` and ``trace``, each one numpy call over
+all entries at low order.  Truncation commutes with sums and products,
+coefficient for coefficient, and each contraction keeps the operand
+order and left-to-right summation of the index formulas above, so the
+results are bit for bit those of single jets aligned at each product.
+The scalars (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``) are
+single jets, and so is any one entry: ``ev.g[i, j]`` or ``ev.g[i][j]``.
 
 Seeding one order above a quantity's depth leaves it a jet of order >= 1
 whose degree-1 coefficients are its phase-space gradient; the Poisson
@@ -69,8 +72,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, metrics
-from .errors import OrderError, SingularMetricError
-from .jets import JetSpace, seed_phase_point
+from .errors import DimensionError, DomainError, OrderError, SingularMetricError
+from .jets import JetSpace, seed_phase_point, stack
 
 __all__ = [
     "PhasePoint",
@@ -89,14 +92,22 @@ SCALAR_FLAG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (x, y) of the slit tangent bundle, y != 0."""
+    """A point (x, y) of the slit tangent bundle, y != 0.
+
+    x and y of different lengths raise :class:`DimensionError`, and a NaN
+    or infinite coordinate :class:`DomainError`."""
 
     x: tuple[float, ...]
     y: tuple[float, ...]
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-        object.__setattr__(self, "y", tuple(float(v) for v in y))
+        x, y = tuple(map(float, x)), tuple(map(float, y))
+        if len(x) != len(y):
+            raise DimensionError(f"x has length {len(x)} but y has length {len(y)}")
+        if not all(map(math.isfinite, x + y)):
+            raise DomainError(f"non-finite coordinate in x = {list(x)}, y = {list(y)}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -141,23 +152,11 @@ class CurvaturePacket:
     flag: FlagData
 
 
-def _entry(t):
-    """One entry of a tensor; a scalar is its own entry."""
-    return t.flat[0] if isinstance(t, np.ndarray) else t
-
-
-_to_space = np.frompyfunc(lambda s, space: s.to_space(space), 2, 1)
-_nums = np.frompyfunc(lambda s: s.num, 1, 1)
-_d = np.frompyfunc(lambda s, var: s.d(var), 2, 1)
-
-
 def _align(*tensors):
-    """The tensors (or scalars) with every entry in the meet of their
-    spaces: the lowest order and cap.  The entries of one tensor share a
-    space, so one entry stands for all of them."""
-    spaces = [_entry(t).space for t in tensors]
-    space = functools.reduce(JetSpace.meet, spaces)
-    return [t if s is space else _to_space(t, space) for t, s in zip(tensors, spaces)]
+    """The tensors (or scalars) in the meet of their spaces: the lowest
+    order and cap."""
+    space = functools.reduce(JetSpace.meet, (t.space for t in tensors))
+    return [t.to_space(space) for t in tensors]
 
 
 def _condition_number(g: np.ndarray) -> float:
@@ -169,11 +168,6 @@ def _condition_number(g: np.ndarray) -> float:
     eigs = np.abs(np.linalg.eigvalsh(g))
     smallest = float(eigs.min())
     return float(eigs.max()) / smallest if smallest > 0.0 else math.inf
-
-
-def _values(t) -> np.ndarray:
-    """The value parts of a tensor's entries, as a float array."""
-    return _nums(t).astype(float)
 
 
 def mat_inv_det(mat):
@@ -188,7 +182,8 @@ def mat_inv_det(mat):
     its row is a pivot row.  That takes ``(k-1) k (k+1)`` products and ``k``
     reciprocals for a k x k matrix, with the full elimination's operands in
     its order, so every entry it forms equals the full elimination's (up to
-    the sign of a zero coefficient).  Raises :class:`SingularMetricError`
+    the sign of a zero coefficient).  The inverse comes back as a tensor
+    (:func:`~finslerkit.jets.stack`).  Raises :class:`SingularMetricError`
     on an exactly singular value part.
     """
     k = len(mat)
@@ -221,7 +216,7 @@ def mat_inv_det(mat):
             for j, ce in right[col].items():
                 # a missing entry is a structural zero
                 entries[j] = entries[j] - factor * ce if j in entries else -(factor * ce)
-    inv = np.array([[right[i][j] for j in range(k)] for i in range(k)], dtype=object)
+    inv = stack([stack([right[i][j] for j in range(k)]) for i in range(k)])
     return inv, (-det if sign < 0 else det)
 
 
@@ -233,15 +228,15 @@ class PointEvaluation:
     """Lazy pipeline evaluation at one phase point, the one route to every
     pointwise tensor.
 
-    Properties are numpy object arrays of scalars (jets by default) whose
-    entries share one space, or single scalars (``F2``, ``F``, ``det_g``,
-    ``sigma``, ``tau``, ``S``), built on first use at a seed ``order`` no
-    lower than the module docstring's table asks for; :meth:`packet` is the
-    numpy snapshot of the whole tower (order >= 5).  The seeds carry at
-    most ``x_cap`` position derivatives (module docstring; ``None`` for
-    none); the default 2 is all any quantity here needs.  Pass ``seeds`` to
-    run the same formulas over other coordinate scalars with the jet
-    interface.
+    Properties are tensors (:class:`~finslerkit.jets.JetArray`) or single
+    jets (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``), built on
+    first use at a seed ``order`` no lower than the module docstring's
+    table asks for; :meth:`packet` is the numpy snapshot of the whole
+    tower (order >= 5).  The seeds carry at most ``x_cap`` position
+    derivatives (module docstring; ``None`` for none); the default 2 is
+    all any quantity here needs.  Pass ``seeds`` to run the same formulas
+    over other coordinate scalars with the jet interface: duals of jets
+    (:class:`~finslerkit.jets.DualLayer`) give duals of tensors.
     """
 
     def __init__(
@@ -257,8 +252,8 @@ class PointEvaluation:
             seeds = seed_phase_point(point, order, x_cap)
         self.seeds = seeds
         self.order = seeds[0].order
-        self.xs = np.array(seeds[: self.n], dtype=object)
-        self.ys = np.array(seeds[self.n :], dtype=object)
+        self.xs = seeds[: self.n]
+        self.ys = seeds[self.n :]
         if sigma is not None and isinstance(sigma, str):
             sigma = expr.parse_expression(sigma)
         self._sigma_node = sigma if sigma is not None else spec.sigma
@@ -270,15 +265,20 @@ class PointEvaluation:
 
     def _grad_x(self, t):
         """The partials of t's entries by x^k, along a new last axis k."""
-        return _d(np.asarray(t)[..., None], range(self.n))
+        return t.partials(range(self.n))
 
     def _grad_y(self, t):
         """The partials of t's entries by y^k, along a new last axis k."""
-        return _d(np.asarray(t)[..., None], range(self.n, 2 * self.n))
+        return t.partials(range(self.n, 2 * self.n))
+
+    @cached_property
+    def _y(self):
+        """The fiber coordinates as a tensor."""
+        return stack(self.ys)
 
     def spray_d(self, t):
         """D(f) = y^k df/dx^k - 2 G^k df/dy^k for each entry f of t."""
-        ys, G, fx, fy = _align(self.ys, self.G, self._grad_x(t), self._grad_y(t))
+        ys, G, fx, fy = _align(self._y, self.G, self._grad_x(t), self._grad_y(t))
         return (ys * fx - G * fy * 2.0).sum(axis=-1)
 
     def hder(self, t):
@@ -305,13 +305,14 @@ class PointEvaluation:
 
     @cached_property
     def _g_inv_det(self):
-        cond = _condition_number(_values(self.g))
+        cond = _condition_number(self.g.num)
         if cond > COND_LIMIT:
             raise SingularMetricError(
                 f"fundamental tensor is numerically singular at {self.point} "
                 f"(condition number {cond:.3e} > {COND_LIMIT:.0e})"
             )
-        return mat_inv_det(self.g)
+        r = range(self.n)
+        return mat_inv_det([[self.g[i, j] for j in r] for i in r])
 
     @property
     def g_inv(self):
@@ -324,13 +325,13 @@ class PointEvaluation:
     @cached_property
     def h(self):
         g, fy = _align(self.g, self._grad_y(self.F))
-        return g - np.multiply.outer(fy, fy)
+        return g - fy[:, None] * fy
 
     @cached_property
     def G(self):
         """Spray coefficients G^i."""
         F2y = self._grad_y(self.F2)
-        g_inv, F2yx, ys, F2x = _align(self.g_inv, self._grad_x(F2y), self.ys, self._grad_x(self.F2))
+        g_inv, F2yx, ys, F2x = _align(self.g_inv, self._grad_x(F2y), self._y, self._grad_x(self.F2))
         return (g_inv @ (F2yx @ ys - F2x)) * 0.25
 
     @cached_property
@@ -357,17 +358,20 @@ class PointEvaluation:
         if self.order < 5:
             raise OrderError("the Berwald tensor needs seed order >= 5")
         n = self.n
-        out = np.empty((n,) * 4, dtype=object)
-        for i, j in np.ndindex(n, n):
-            for k in range(j, n):
-                # the row of (j, k) serves (k, j) as well: derivatives commute
-                out[i, j, k] = out[i, k, j] = self._grad_y(self.dy(self.N[i, j], k))
-        return out
+        # the fiber planes d/dy^k d/dy^j G^i for j <= k, each differentiated
+        # once: (j, k) serves (k, j) as well, since derivatives commute
+        pairs = [(j, k) for k in range(n) for j in range(k + 1)]
+        planes = [self.dy(self.N[:, : k + 1], k) for k in range(n)]
+        lines = self._grad_y(stack([planes[k][:, j] for j, k in pairs]))
+        plane_of = np.empty((n, n), dtype=np.intp)
+        for index, (j, k) in enumerate(pairs):
+            plane_of[j, k] = plane_of[k, j] = index
+        return lines.transpose(1, 0, 2)[:, plane_of]
 
     @cached_property
     def E(self):
         """Mean Berwald tensor from the trace of B."""
-        return np.trace(self.B, axis1=0, axis2=3) * 0.5
+        return self.B.trace(axis1=0, axis2=3) * 0.5
 
     @cached_property
     def sigma(self):
@@ -433,7 +437,7 @@ class PointEvaluation:
         return hSy.T - hSy
 
     def nabla2(self, T):
-        """Covariant derivative of a (0,2) tensor of scalars along the spray."""
+        """Covariant derivative of a (0,2) tensor along the spray."""
         DT, T, N = _align(self.spray_d(T), T, self.N)
         return DT - (T.T @ N).T - T @ N
 
@@ -441,8 +445,8 @@ class PointEvaluation:
 
     @cached_property
     def flag(self) -> FlagData:
-        r = _values(self.R_jac)
-        g = _values(self.g)
+        r = self.R_jac.num
+        g = self.g.num
         y = np.array(self.point.y)
         f2 = self.F2.num
         kappa = float(np.trace(r)) / ((self.n - 1) * f2) if self.n > 1 else 0.0
@@ -454,10 +458,10 @@ class PointEvaluation:
         if self.order < 5:
             raise OrderError("a full curvature packet needs seed order >= 5")
         F = self.F.num  # first: its sqrt is the first jet function that can fail
-        values = {name: _values(getattr(self, name)) for name in _PACKET_TENSORS}
+        values = {name: getattr(self, name).num for name in _PACKET_TENSORS}
         return CurvaturePacket(
             metric=self.spec.name, point=self.point, order=self.order, F=F, tau=self.tau.num,
-            S=self.S.num, alpha=(_values(self.J), -values["I"]), flag=self.flag, **values,
+            S=self.S.num, alpha=(self.J.num, -values["I"]), flag=self.flag, **values,
         )
 
 

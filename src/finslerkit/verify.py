@@ -63,7 +63,7 @@ import numpy as np
 
 from . import fdcheck, integrals, metrics
 from .jets import seed_phase_point
-from .tensors import PhasePoint, PointEvaluation, _values
+from .tensors import PhasePoint, PointEvaluation
 
 __all__ = ["SuiteResult", "VerifyReport", "verify_metric", "SIGMA_TEST_EXPRESSION"]
 
@@ -158,9 +158,9 @@ def _ladder_values(spec, point: PhasePoint):
     ladder, from a lazy order-5 evaluation that is freed on return; none
     of them needs a second x-derivative of F^2, so it is seeded at cap 1."""
     ev = PointEvaluation(spec, point, order=5, x_cap=1)
-    F, g, E = ev.F.num, _values(ev.g), _values(ev.E)
-    fis = integrals.first_integral_set(F, g, _values(ev.g_inv), E, np.array(point.y))
-    return F, g, _values(ev.G), _values(ev.N), E, fis
+    F, g, E = ev.F.num, ev.g.num, ev.E.num
+    fis = integrals.first_integral_set(F, g, ev.g_inv.num, E, np.array(point.y))
+    return F, g, ev.G.num, ev.N.num, E, fis
 
 
 def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
@@ -191,23 +191,23 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         ev = PointEvaluation(spec, PhasePoint(x, y), order=6)
         y = np.array(ev.point.y)
         F2 = ev.F2.num
-        g = _values(ev.g)
+        g = ev.g.num
         gs = max(1.0, _norm(g))
-        E = _values(ev.E)
+        E = ev.E.num
         Es = max(1.0, _norm(E))
-        N = _values(ev.N)
-        I = _values(ev.I)
-        J = _values(ev.J)
+        N = ev.N.num
+        I = ev.I.num
+        J = ev.J.num
         S_y = np.array([ev.dy(ev.S, i).num for i in range(n)])
-        chi_v = _values(ev.chi)
-        hamel = _values(ev.hamel)
-        R_jac = _values(ev.R_jac)
-        B = _values(ev.B)
+        chi_v = ev.chi.num
+        hamel = ev.hamel.num
+        R_jac = ev.R_jac.num
+        B = ev.B.num
 
         # structural identities of the fundamental tensor
         collect("g_symmetric", 1e-12).add(_norm(g - g.T) / gs)
         collect("g_yy_equals_F2", 1e-10).add(abs(y @ g @ y - F2) / max(1.0, F2))
-        h = _values(ev.h)
+        h = ev.h.num
         collect("h_annihilates_y", 1e-9).add(_norm(h @ y) / gs)
         eigs = np.sort(np.abs(np.linalg.eigvalsh(h)))
         collect("h_rank_n_minus_1", 1e-9).add(eigs[0] / max(1.0, eigs[-1]))
@@ -225,16 +225,16 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         collect("B_totally_symmetric", 1e-12).add(perm_worst / max(1.0, float(np.abs(B).max())))
 
         # three routes to E
-        E_S = _values(ev.E_S)
-        E_CL = _values(ev.E_CL)
+        E_S = ev.E_S.num
+        E_CL = ev.E_CL.num
         route = collect("three_route_E_agreement", 1e-7)
         route.add(_norm(E - E_S) / Es)
         route.add(_norm(E - E_CL) / Es)
         route.add(_norm(E_S - E_CL) / Es)
 
         # dynamical covariant derivative
-        collect("nabla_g_vanishes", 1e-9).add(_norm(_values(ev.nabla2(ev.g))) / gs)
-        nabla_E = _values(ev.nabla2(ev.E))
+        collect("nabla_g_vanishes", 1e-9).add(_norm(ev.nabla2(ev.g).num) / gs)
+        nabla_E = ev.nabla2(ev.E).num
         scale_ne = 1.0 + _norm(E) * _norm(N)
         collect("nabla_E_vanishes", 1e-7).add(_norm(nabla_E) / scale_ne)
 
@@ -246,7 +246,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
 
         # first integrals
         F = ev.F.num
-        fis = integrals.first_integral_set(F, g, _values(ev.g_inv), E, y)
+        fis = integrals.first_integral_set(F, g, ev.g_inv.num, E, y)
         EEs = max(1.0, _norm(fis.EE))
         collect("EE_annihilates_y", 1e-9).add(_norm(fis.EE @ y) / EEs)
         collect("EE_determinant_vanishes", 1e-8).add(abs(np.linalg.det(fis.EE)) / EEs**n)
@@ -260,7 +260,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         ) / max(1.0, float(np.abs(fis.c).max()))
         collect("charpoly_fit_agrees", 1e-9).add(fit_res)
         if len(shared) < 40:  # the largest subset read below
-            shared.append(_PointRecord(ev.point, F, g, _values(ev.G), N, E, chi_v, ev.tau.num, fis, hamel))
+            shared.append(_PointRecord(ev.point, F, g, ev.G.num, N, E, chi_v, ev.tau.num, fis, hamel))
 
         if is_riem:
             degeneration = collect("riemannian_degeneration", 1e-10)
@@ -308,7 +308,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     sigma_shift = 0.0
     for rec in shared[:25]:
         ev_b = PointEvaluation(spec, rec.point, order=5, sigma=SIGMA_TEST_EXPRESSION)
-        E_b, chi_b = _values(ev_b.E), _values(ev_b.chi)
+        E_b, chi_b = ev_b.E.num, ev_b.chi.num
         sigma_check.add(_norm(rec.E - E_b) / max(1.0, _norm(rec.E)))
         sigma_check.add(_norm(rec.chi - chi_b) / max(1.0, _norm(rec.chi)))
         sigma_shift = max(sigma_shift, abs(rec.tau - ev_b.tau.num))
@@ -370,7 +370,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     for rec in shared[:10]:
         y2 = rng2.standard_normal(n)
         y2 /= np.linalg.norm(y2)
-        h2 = _values(PointEvaluation(spec, PhasePoint(rec.point.x, y2), order=5).hamel)
+        h2 = PointEvaluation(spec, PhasePoint(rec.point.x, y2), order=5).hamel.num
         basic.add(_norm(rec.hamel - h2))
 
     # report-only: printed closed forms against the char-poly coefficients

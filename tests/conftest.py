@@ -1,10 +1,11 @@
+import math
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from finslerkit import metrics, tensors
-from finslerkit.jets import Jet
+from finslerkit import jets, metrics, tensors
 
 
 @pytest.fixture(scope="session")
@@ -62,16 +63,17 @@ def origin_point():
 def jet_products(monkeypatch):
     """Counts jet-by-jet products while the test runs: in total in
     ``.count`` and per signature ``(dim, order, x_cap)`` in ``.by_space``.
-    Scaling a jet by a number is not a table product and is not counted."""
+    A product of two tensors counts one product per entry of the result,
+    so batching entries changes no count.  Scaling a jet by a number is
+    not a table product and is not counted."""
     counter = SimpleNamespace(count=0, by_space=Counter())
-    mul = Jet.__mul__
+    products = jets._products
 
-    def counted(a, b):
-        if isinstance(b, Jet):
-            counter.count += 1
-            counter.by_space[a.space.dim, a.space.order, a.space.x_cap] += 1
-        return mul(a, b)
+    def counted(space, a, b):
+        entries = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        counter.count += entries
+        counter.by_space[space.dim, space.order, space.x_cap] += entries
+        return products(space, a, b)
 
-    monkeypatch.setattr(Jet, "__mul__", counted)
-    monkeypatch.setattr(Jet, "__rmul__", counted)
+    monkeypatch.setattr(jets, "_products", counted)
     return counter

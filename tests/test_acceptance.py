@@ -18,7 +18,7 @@ import pytest
 
 from finslerkit import cli, flow, fdcheck, integrals, metrics
 from finslerkit.jets import seed_phase_point
-from finslerkit.tensors import PhasePoint, PointEvaluation, _values
+from finslerkit.tensors import PhasePoint, PointEvaluation
 from finslerkit.verify import SIGMA_TEST_EXPRESSION, _fd_index_sample
 
 N_POINTS = 200
@@ -65,7 +65,7 @@ def test_c1_three_route_mean_berwald_agreement(funk, funk_points):
     worst = 0.0
     for x, y in funk_points:
         ev = PointEvaluation(funk, PhasePoint(x, y), order=5)
-        routes = [_values(ev.E), _values(ev.E_S), _values(ev.E_CL)]
+        routes = [ev.E.num, ev.E_S.num, ev.E_CL.num]
         for i in range(3):
             for j in range(i + 1, 3):
                 denom = max(_norm(routes[i]), _norm(routes[j]), 1e-12)
@@ -85,13 +85,13 @@ def test_c2_chi_nabla_E_hamel_vanish(funk, funk_points):
     w_chi = w_ne = w_hamel = 0.0
     for x, y in funk_points:
         ev = PointEvaluation(funk, PhasePoint(x, y), order=6)
-        N = _values(ev.N)
-        E = _values(ev.E)
+        N = ev.N.num
+        E = ev.E.num
         S_y = np.array([ev.dy(ev.S, i).num for i in range(n)])
         scale_chi = 1.0 + _norm(N) * _norm(S_y)
-        w_chi = max(w_chi, _norm(_values(ev.chi)) / scale_chi)
-        w_hamel = max(w_hamel, _norm(_values(ev.hamel)) / scale_chi)
-        w_ne = max(w_ne, _norm(_values(ev.nabla2(ev.E))) / (1.0 + _norm(E) * _norm(N)))
+        w_chi = max(w_chi, _norm(ev.chi.num) / scale_chi)
+        w_hamel = max(w_hamel, _norm(ev.hamel.num) / scale_chi)
+        w_ne = max(w_ne, _norm(ev.nabla2(ev.E).num) / (1.0 + _norm(E) * _norm(N)))
     ok = w_chi <= tol_chi and w_ne <= tol_ne and w_hamel <= tol_hamel
     _line("C2", ok,
           f"chi {w_chi:.3e} (tol {tol_chi:.0e}), nabla_E {w_ne:.3e} (tol {tol_ne:.0e}), "
@@ -230,7 +230,7 @@ def test_c6_riemannian_degeneration_and_flat_curvature(catalog3, funk):
             w_zero = max(
                 w_zero,
                 float(np.abs(pkt.B).max()), float(np.abs(pkt.E).max()),
-                float(np.abs(_values(ev.I)).max()), float(np.abs(_values(ev.J)).max()),
+                float(np.abs(ev.I.num).max()), float(np.abs(ev.J.num).max()),
                 float(np.abs(fis.f).max()), float(np.abs(fis.c).max()),
             )
             if name == "euclidean":
@@ -240,7 +240,7 @@ def test_c6_riemannian_degeneration_and_flat_curvature(catalog3, funk):
     for x, y in _sample(funk):
         ev = PointEvaluation(funk, PhasePoint(x, y), order=4)
         w_jac = max(
-            w_jac, _norm(_values(ev.R_jac)) / max(1.0, _norm(_values(ev.N)) ** 2)
+            w_jac, _norm(ev.R_jac.num) / max(1.0, _norm(ev.N.num) ** 2)
         )
     ok = w_zero <= tol_zero and w_flag <= tol_flag and w_jac <= tol_jac
     _line("C6", ok,
@@ -260,8 +260,8 @@ def test_c7_sigma_independence(catalog3):
             p = PhasePoint(x, y)
             ev_a = PointEvaluation(spec, p, order=5)
             ev_b = PointEvaluation(spec, p, order=5, sigma=SIGMA_TEST_EXPRESSION)
-            E_a, E_b = _values(ev_a.E), _values(ev_b.E)
-            chi_a, chi_b = _values(ev_a.chi), _values(ev_b.chi)
+            E_a, E_b = ev_a.E.num, ev_b.E.num
+            chi_a, chi_b = ev_a.chi.num, ev_b.chi.num
             worst = max(
                 worst,
                 _norm(E_a - E_b) / max(1.0, _norm(E_a)),

@@ -358,6 +358,41 @@ def test_any_config_text_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, 
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
 
 
+# components valid seven times in eight, then an x and a y of three
+# components three times in four
+_COMPONENTS = (
+    ("0", "0.1", "-0.25", "0.5", "1", "2e-3", "-1"),
+    ("nan", "inf", "-inf", "1e400", "-1e-400", "x", "", "1.2.3", "0x10", " "),
+)
+
+
+@st.composite
+def _point_texts(draw):
+    if not draw(st.integers(0, 7)):
+        return draw(st.text(max_size=20))
+
+    def part():
+        size = 3 if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+        return ",".join(
+            draw(st.sampled_from(_COMPONENTS[0] if draw(st.integers(0, 7)) else _COMPONENTS[1])) for _ in range(size)
+        )
+
+    return draw(st.sampled_from((";", ";", ";", "", ";;", ","))).join([part(), part()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_point_texts(), metric=st.sampled_from((FUNK, "riemannian_round_sphere")))
+def test_any_point_text_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, text, metric):
+    out = tmp_path_factory.mktemp("point") / "inspect.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["inspect", "--metric", metric, f"--point={text}", "--out", str(out)])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from finslerkit import flow, integrals, metrics
-from finslerkit.errors import StepFailure
+from finslerkit.errors import DomainError, StepFailure
 from finslerkit.flow import IntegrateSettings, Trajectory, integrate
 from finslerkit.tensors import PhasePoint
 
@@ -119,6 +119,16 @@ def test_invalid_time_span_is_rejected(funk):
     assert integrate(funk, AXIS_INIT, 0.1, IntegrateSettings(rtol=0.0)).status == "completed"
 
 
+def test_invalid_drift_tolerance_is_rejected(funk):
+    traj = integrate(funk, AXIS_INIT, 0.5, IntegrateSettings(max_samples=5))
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            flow.drift(funk, traj, ["F"], tol=tol)
+    # a zero tolerance stays valid: it passes exactly the drift-free fields
+    report = flow.drift(funk, traj, ["F"], tol=0.0)
+    assert report.tol == 0.0 and report.passed == (report.fields["F"].max_abs_dev == 0.0)
+
+
 def test_step_budget_failure_carries_partial_trajectory(funk):
     with pytest.raises(StepFailure) as err:
         integrate(funk, AXIS_INIT, 10.0, IntegrateSettings(max_steps=3))
@@ -199,10 +209,25 @@ def test_non_finite_stage_is_a_rejected_step(funk, monkeypatch):
         G = spray(spec, p)
         return G * np.nan if len(calls) == 5 else G  # the third stage of the first step
 
+    rhs = flow.geodesic_rhs
+    states, refused = [], []
+
+    def recorded_rhs(spec, state):
+        states.append(np.concatenate(state))
+        try:
+            return rhs(spec, state)
+        except DomainError:
+            refused.append(len(states) - 1)
+            raise
+
     monkeypatch.setattr(flow, "spray_values", spray_with_one_nan)
+    monkeypatch.setattr(flow, "geodesic_rhs", recorded_rhs)
     traj = integrate(funk, AXIS_INIT, 1.0)
     assert traj.status == "completed"
     assert traj.stats.rejections == 1
     assert abs(traj.xs[-1][0] - _axis_x1(traj.ts[-1])) < 1e-8
-    # the next stage's point carried the NaN, and the domain guard refused it
-    assert np.isnan(calls[5].x + calls[5].y).any()
+    # the next stage's point carried the NaN, and the phase point's domain
+    # contract refused it before any spray was computed there
+    assert np.isnan(states[5]).any()
+    assert refused == [5]
+    assert not any(np.isnan(p.x + p.y).any() for p in calls)

@@ -260,8 +260,8 @@ def _dual_bracket_terms(spec, grad_a, grad_b, p):
     can cancel to near zero)."""
     n = spec.dimension
     base = tensors.PointEvaluation(spec, p, order=3)
-    N = tensors._values(base.N)
-    g_inv = tensors._values(base.g_inv)
+    N = base.N.num
+    g_inv = base.g_inv.num
     delta_a = grad_a[:n] - N.T @ grad_a[n:]
     delta_b = grad_b[:n] - N.T @ grad_b[n:]
     a, b, g, nn = np.abs(grad_a), np.abs(grad_b), np.abs(g_inv), np.abs(N)

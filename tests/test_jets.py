@@ -23,7 +23,7 @@ from finslerkit.errors import (
     PoleError,
     SignatureError,
 )
-from finslerkit.jets import DualLayer, Jet, JetSpace, jet_space, seed_dual_phase_point, seed_phase_point
+from finslerkit.jets import DualLayer, Jet, JetArray, JetSpace, jet_space, seed_dual_phase_point, seed_phase_point
 
 # d^(a+b) f / du^a dv^b for f = exp(u)*sqrt(v)/(1+u*v) at (u,v) = (0.3, 1.7),
 # from sympy.diff evaluated at rational coordinates.
@@ -537,3 +537,50 @@ def test_functions_keep_the_value_part_of_the_float_functions():
     assert u.powc(-1.5).value == 2.7**-1.5
     assert u.ln().value == math.log(2.7)
     assert u.exp().value == math.exp(2.7)
+
+
+# -- tensors of jets ---------------------------------------------------------------
+
+def _entrywise(op, *tensors):
+    """op applied entry by entry to single jets, as a nested list."""
+    if isinstance(tensors[0], list):
+        return [_entrywise(op, *entries) for entries in zip(*tensors)]
+    return op(*tensors)
+
+
+def _coeffs(entries):
+    """The coefficients of a nested list of jets, as one array."""
+    return np.array(_entrywise(lambda jet: jet.coeffs, entries))
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("order", range(7))
+def test_jet_arrays_equal_entrywise_jet_operations_bit_for_bit(dim, order):
+    # every cap the pipeline's spaces carry, on both sides of BATCH_ORDER
+    spaces = {jet_space(dim, order, cap) for cap in (0, 1, 2, None)}
+    rng = np.random.default_rng(100 * dim + order)
+    for space in sorted(spaces, key=lambda s: s.x_cap):
+        a, b = (rng.standard_normal((3, 3, space.size)) for _ in range(2))
+        A, B = JetArray(space, a), JetArray(space, b)
+        ja, jb = ([[Jet(space, c) for c in row] for row in t] for t in (a, b))
+        cases = {
+            "+": (A + B, _entrywise(lambda u, v: u + v, ja, jb)),
+            "-": (A - B, _entrywise(lambda u, v: u - v, ja, jb)),
+            "* 0.3": (A * 0.3, _entrywise(lambda u: u * 0.3, ja)),
+            "*": (A * B, _entrywise(lambda u, v: u * v, ja, jb)),
+            "jet *": (ja[1][2] * B, _entrywise(lambda v: ja[1][2] * v, jb)),
+            "@": (A @ B, [[sum((ja[i][k] * jb[k][j] for k in range(1, 3)), ja[i][0] * jb[0][j]) for j in range(3)]
+                          for i in range(3)]),
+            "@ vector": (A @ B[:, 0], [sum((ja[i][k] * jb[k][0] for k in range(1, 3)), ja[i][0] * jb[0][0])
+                                       for i in range(3)]),
+        }
+        for var in range(dim):
+            if order >= 1 and (var >= dim // 2 or space.x_cap >= 1):
+                cases[f"d{var}"] = (A.d(var), _entrywise(lambda u: u.d(var), ja))
+        for target in {jet_space(dim, o, c) for o in range(order + 1) for c in (0, 1, 2, None)}:
+            if target.x_cap <= space.x_cap:
+                cases[f"to {target}"] = (A.to_space(target), _entrywise(lambda u: u.to_space(target), ja))
+        for name, (got, want) in cases.items():
+            want_space = _entrywise(lambda jet: jet.space, want)
+            assert all(s is got.space for s in np.ravel(want_space)), (space, name)
+            assert np.array_equal(got.coeffs, _coeffs(want)), (space, name)

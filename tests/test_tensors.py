@@ -12,6 +12,7 @@ Independent oracles used here:
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -20,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerkit import fdcheck, integrals, metrics, tensors
-from finslerkit.errors import DomainError, OrderError, SingularMetricError
-from finslerkit.jets import Jet, jet_space
-from finslerkit.tensors import PhasePoint, PointEvaluation, _values, mat_inv_det
+from finslerkit.errors import DimensionError, DomainError, OrderError, SingularMetricError
+from finslerkit.jets import Jet, JetArray, jet_space
+from finslerkit.tensors import PhasePoint, PointEvaluation, mat_inv_det
 
 
 def _sample(spec, seed=0):
@@ -136,7 +137,7 @@ def test_spray_against_finite_differences(funk):
             mixed[j, k] = fd(orders)
     G_fd = 0.25 * np.linalg.solve(g_fd, mixed @ np.array(p.y) - grad_x)
 
-    g = _values(PointEvaluation(funk, p, order=2).g)
+    g = PointEvaluation(funk, p, order=2).g.num
     G = tensors.spray_values(funk, p)
     np.testing.assert_allclose(np.asarray(g), g_fd, rtol=1e-7, atol=1e-9)
     np.testing.assert_allclose(np.asarray(G), G_fd, rtol=1e-6, atol=1e-8)
@@ -147,8 +148,8 @@ def test_spray_against_finite_differences(funk):
 def test_jacobi_annihilates_y_and_traces_curvature(sphere):
     p = _sample(sphere, 11)
     ev = PointEvaluation(sphere, p, order=4)
-    R_jac = _values(ev.R_jac)
-    R_curv = _values(ev.R_curv)
+    R_jac = ev.R_jac.num
+    R_curv = ev.R_curv.num
     y = np.array(p.y)
     np.testing.assert_allclose(R_jac @ y, np.zeros(3), atol=1e-12)
     # R^i_{jk} is antisymmetric in (j,k) and contracts back to the Jacobi
@@ -159,7 +160,7 @@ def test_jacobi_annihilates_y_and_traces_curvature(sphere):
 
 def test_berwald_tensor_is_totally_symmetric(funk):
     p = _sample(funk, 13)
-    B = _values(PointEvaluation(funk, p, order=5).B)
+    B = PointEvaluation(funk, p, order=5).B.num
     for perm in ((0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)):
         np.testing.assert_allclose(B, B.transpose(*perm), atol=1e-12)
 
@@ -167,25 +168,25 @@ def test_berwald_tensor_is_totally_symmetric(funk):
 def test_three_berwald_trace_routes_agree(funk):
     p = _sample(funk, 17)
     ev = PointEvaluation(funk, p, order=5)
-    a = _values(ev.E)
-    np.testing.assert_allclose(a, _values(ev.E_S), atol=1e-11 * max(1.0, np.abs(a).max()))
-    np.testing.assert_allclose(a, _values(ev.E_CL), atol=1e-11 * max(1.0, np.abs(a).max()))
+    a = ev.E.num
+    np.testing.assert_allclose(a, ev.E_S.num, atol=1e-11 * max(1.0, np.abs(a).max()))
+    np.testing.assert_allclose(a, ev.E_CL.num, atol=1e-11 * max(1.0, np.abs(a).max()))
 
 
 def test_covariant_derivative_of_metric_vanishes(catalog3):
     for name, spec in catalog3.items():
         p = _sample(spec, 19)
         ev = PointEvaluation(spec, p, order=6)
-        nabla_g = _values(ev.nabla2(ev.g))
+        nabla_g = ev.nabla2(ev.g).num
         assert np.abs(nabla_g).max() < 1e-10, name
 
 
 def test_ball_metric_weak_berwald_invariants_vanish(funk):
     p = _sample(funk, 23)
     ev, ev6 = PointEvaluation(funk, p, order=5), PointEvaluation(funk, p, order=6)
-    chi = _values(ev.chi)
-    nabla_E = _values(ev6.nabla2(ev6.E))
-    hamel = _values(ev.hamel)
+    chi = ev.chi.num
+    nabla_E = ev6.nabla2(ev6.E).num
+    hamel = ev.hamel.num
     assert np.abs(chi).max() < 1e-9
     assert np.abs(nabla_E).max() < 1e-8
     assert np.abs(hamel).max() < 1e-8
@@ -253,7 +254,7 @@ def test_mat_inv_det_matches_numpy():
         m = rng.standard_normal((4, 4))
         m = m @ m.T + 4.0 * np.eye(4)  # well conditioned
         inv, det = mat_inv_det(_const_matrix(m.tolist()))
-        np.testing.assert_allclose(_values(inv), np.linalg.inv(m), rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(inv.num, np.linalg.inv(m), rtol=1e-11, atol=1e-12)
         assert det.num == pytest.approx(np.linalg.det(m), rel=1e-11)
 
 
@@ -261,7 +262,7 @@ def test_mat_inv_det_pivots_on_zero_diagonal():
     m = [[0.0, 1.0], [1.0, 0.0]]  # needs the row swap; det = -1
     inv, det = mat_inv_det(_const_matrix(m))
     assert det.num == pytest.approx(-1.0)
-    np.testing.assert_allclose(_values(inv), np.array(m), atol=1e-15)
+    np.testing.assert_allclose(inv.num, np.array(m), atol=1e-15)
 
 
 def test_mat_inv_det_rejects_singular():
@@ -387,6 +388,21 @@ def test_phase_point_is_immutable_and_coercing():
         p.x = (1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_phase_point_rejects_non_finite_coordinates(bad):
+    with pytest.raises(DomainError):
+        PhasePoint((0.0, bad, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(DomainError):
+        PhasePoint((0.0, 0.0, 0.0), (1.0, 0.0, bad))
+
+
+def test_phase_point_rejects_unequal_lengths():
+    with pytest.raises(DimensionError):
+        PhasePoint((0.0, 0.1), (1.0, 0.0, 0.0))
+    with pytest.raises(DimensionError):
+        PhasePoint((), (1.0,))
+
+
 # -- the order-2 spray route ----------------------------------------------------
 
 SPRAY_METRICS = (
@@ -401,7 +417,7 @@ def test_spray_values_match_the_jet_route(catalog3, randers, written, name):
     spec = {**catalog3, **others}[name]
     for seed in range(6):
         p = _sample(spec, seed)
-        want = _values(PointEvaluation(spec, p, order=2).G)
+        want = PointEvaluation(spec, p, order=2).G.num
         got = tensors.spray_values(spec, p)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), (name, seed)
 
@@ -440,7 +456,7 @@ def test_non_finite_points_raise_domain_error(catalog3, name, case, entry):
 # -- the x-degree cap ----------------------------------------------------------
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_stages_are_object_arrays_of_jets_in_one_space(n):
+def test_stages_are_jet_arrays_in_one_space(n):
     spec = metrics.catalog(n)["funk_ball_berwald"]
     ev = PointEvaluation(spec, _sample(spec, 5), order=6)
     # each stage's documented shape
@@ -450,13 +466,18 @@ def test_stages_are_object_arrays_of_jets_in_one_space(n):
     stages.update({"nabla2(g)": ev.nabla2(ev.g), "nabla2(E)": ev.nabla2(ev.E)})
     shapes.update({"nabla2(g)": (n, n), "nabla2(E)": (n, n)})
     for name, tensor in stages.items():
-        assert isinstance(tensor, np.ndarray) and tensor.dtype == object, name
+        assert isinstance(tensor, JetArray), name
         assert tensor.shape == shapes[name], name
-        assert all(isinstance(entry, Jet) for entry in tensor.flat), name
-        assert len({entry.space for entry in tensor.flat}) == 1, name
-        values = _values(tensor)
+        assert tensor.coeffs.shape == shapes[name] + (tensor.space.size,), name
+        entries = list(tensor.flat)
+        assert all(isinstance(entry, Jet) and entry.space is tensor.space for entry in entries), name
+        values = tensor.num
         assert values.dtype == np.float64 and values.shape == shapes[name], name
-        assert values.ravel().tolist() == [entry.num for entry in tensor.flat], name
+        assert values.ravel().tolist() == [entry.num for entry in entries], name
+        # one entry, indexed either way, is the jet at that index
+        index = (0,) * len(shapes[name])
+        assert np.array_equal(tensor[index].coeffs, entries[0].coeffs), name
+        assert np.array_equal(functools.reduce(operator.getitem, index, tensor).coeffs, entries[0].coeffs), name
 
 
 def _loop_stages(ev):
@@ -540,10 +561,10 @@ def test_capped_evaluations_equal_uncapped_bit_for_bit(catalog3, randers, jet_pr
     for field in got.__dataclass_fields__:
         assert _same(getattr(got, field), getattr(want, field)), field
     for stage in ("chi", "hamel", "E_S", "E_CL"):
-        assert np.array_equal(_values(getattr(capped, stage)), _values(getattr(full, stage))), stage
+        assert np.array_equal(getattr(capped, stage).num, getattr(full, stage).num), stage
     for tensor in ("E", "g"):
-        got_n = _values(capped.nabla2(getattr(capped, tensor)))
-        assert np.array_equal(got_n, _values(full.nabla2(getattr(full, tensor)))), tensor
+        got_n = capped.nabla2(getattr(capped, tensor)).num
+        assert np.array_equal(got_n, full.nabla2(getattr(full, tensor)).num), tensor
 
     # field values at cap 1
     names = integrals.field_ids(spec)
@@ -560,14 +581,27 @@ def test_berwald_differentiates_each_fiber_plane_once(catalog3, monkeypatch, n, 
     ev = PointEvaluation(spec, _sample(spec, 2), order=5)
     G = ev.G  # built before counting
     count = 0
-    d = Jet.d
+    d, array_d, partials = Jet.d, JetArray.d, JetArray.partials
 
+    # one count per entry derivative formed, whether of a jet or of a tensor's entries
     def counted(jet, var):
         nonlocal count
         count += 1
         return d(jet, var)
 
+    def counted_array(t, var):
+        nonlocal count
+        count += math.prod(t.shape)
+        return array_d(t, var)
+
+    def counted_partials(t, variables):
+        nonlocal count
+        count += math.prod(t.shape) * len(variables)
+        return partials(t, variables)
+
     monkeypatch.setattr(Jet, "d", counted)
+    monkeypatch.setattr(JetArray, "d", counted_array)
+    monkeypatch.setattr(JetArray, "partials", counted_partials)
     B = ev.B
     assert count == calls
     monkeypatch.undo()
