@@ -31,8 +31,8 @@ from .integrals import (
     poisson_bracket_scaled,
 )
 from .jets import DualLayer, Jet, JetArray, JetSpace
-from .metrics import MetricSpec, catalog, load_metric_file, parse_metric, sample_phase_point
-from .tensors import CurvaturePacket, FlagData, PhasePoint, PointEvaluation
+from .metrics import MetricSpec, PhasePoint, catalog, load_metric_file, parse_metric, sample_phase_point
+from .tensors import CurvaturePacket, FlagData, PointEvaluation
 from .verify import VerifyReport, verify_metric
 
 __version__ = "0.1.0"

@@ -83,7 +83,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return vals
 
 
-def _parse_point(text: str, n: int) -> tensors.PhasePoint:
+def _parse_point(text: str, n: int) -> metrics.PhasePoint:
     parts = text.split(";")
     if len(parts) != 2:
         raise FinslerError(f"point {text!r} must look like 'x1,..,xn;y1,..,yn'")
@@ -91,7 +91,7 @@ def _parse_point(text: str, n: int) -> tensors.PhasePoint:
     y = _parse_floats(parts[1], f"point {text!r}")
     if len(x) != n or len(y) != n:
         raise FinslerError(f"point {text!r} does not match dimension {n}")
-    return tensors.PhasePoint(x, y)
+    return metrics.PhasePoint(x, y)
 
 
 def _parse_vector(text: str, n: int, flag: str) -> tuple[float, ...]:
@@ -115,13 +115,13 @@ def _bounded(option: str, kind, bound, strict: bool = True):
     return parse
 
 
-def _gather_points(spec, args) -> list[tensors.PhasePoint]:
+def _gather_points(spec, args) -> list[metrics.PhasePoint]:
     pts = [_parse_point(t, spec.dimension) for t in args.point or []]
     if not pts:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.npoints):
             x, y = metrics.sample_phase_point(spec, rng)
-            pts.append(tensors.PhasePoint(x, y))
+            pts.append(metrics.PhasePoint(x, y))
     return pts
 
 
@@ -241,7 +241,7 @@ def cmd_bracket(args) -> int:
     max_scaled = 0.0
     for _ in range(args.npoints):
         x, y = metrics.sample_phase_point(spec, rng)
-        p = tensors.PhasePoint(x, y)
+        p = metrics.PhasePoint(x, y)
         value, scale = integrals.poisson_bracket_scaled(spec, fa, fb, p)
         scaled = abs(value) / scale
         max_scaled = max(max_scaled, scaled)

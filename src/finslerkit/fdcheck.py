@@ -11,9 +11,10 @@ derivative and by the h^6 extrapolation remainder.  No single step suits
 every partial: a first derivative wants the smallest step, a fourth
 derivative of a function with moderate higher derivatives loses ~1e-4
 relative to roundoff at h = 0.01.  So :func:`fd_partial` extrapolates
-every window of ``levels`` adjacent steps of a ladder from 0.16 down to
-0.01 and keeps the window whose value moves least against its neighbour
-(the plateau between the truncation and the roundoff regimes).  Values
+every window of :data:`LEVELS` adjacent steps of a ladder from
+:data:`BASE_H` = 0.16 down to 0.01 and keeps the window whose value moves
+least against its neighbour (the plateau between the truncation and the
+roundoff regimes).  Values
 below :func:`noise_floor` are invisible to the oracle entirely, so
 comparisons should gate on it rather than trust a raw relative error.
 """
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 
-__all__ = ["fd_partial", "noise_floor", "DEFAULT_BASE_H", "DEFAULT_LEVELS", "LADDER_STEPS"]
+__all__ = ["fd_partial", "noise_floor", "LADDER_STEPS"]
 
-DEFAULT_BASE_H = 0.16
-DEFAULT_LEVELS = 3
+BASE_H = 0.16
+LEVELS = 3
 LADDER_STEPS = 5
 
 # (offset, weight) pairs; weight already includes the stencil's rational
@@ -38,14 +39,14 @@ _STENCILS = {
 }
 
 
-def fd_partial(fn, coords, orders, base_h: float = DEFAULT_BASE_H, levels: int = DEFAULT_LEVELS) -> float:
+def fd_partial(fn, coords, orders) -> float:
     """Mixed partial of ``fn`` at ``coords`` by finite differences.
 
     ``fn`` maps a list of floats to a float; ``orders`` gives the
     derivative order per variable (each <= 4, total unrestricted but
     accuracy beyond total order 4 is poor).  Steps scale with the
-    magnitude of each coordinate.  The ladder is ``base_h / 2**j`` for
-    ``j < LADDER_STEPS``; each window of ``levels`` adjacent steps gives
+    magnitude of each coordinate.  The ladder is ``BASE_H / 2**j`` for
+    ``j < LADDER_STEPS``; each window of ``LEVELS`` adjacent steps gives
     one Richardson value, and of the adjacent pair of windows whose values
     differ least the one with the smaller steps is returned.
     """
@@ -54,8 +55,6 @@ def fd_partial(fn, coords, orders, base_h: float = DEFAULT_BASE_H, levels: int =
     for _, k in active:
         if k not in _STENCILS:
             raise ValueError(f"no stencil for single-variable order {k}")
-    if not 1 <= levels <= LADDER_STEPS:
-        raise ValueError(f"levels must be in 1..{LADDER_STEPS}")
     if not active:
         return float(fn(coords))
 
@@ -73,26 +72,20 @@ def fd_partial(fn, coords, orders, base_h: float = DEFAULT_BASE_H, levels: int =
         return acc
 
     def extrapolated(values):
-        for stage in range(1, levels):
+        for stage in range(1, LEVELS):
             factor = 4.0**stage
             values = [(factor * values[j + 1] - values[j]) / (factor - 1.0) for j in range(len(values) - 1)]
         return values[0]
 
-    ladder = [resolved(base_h / 2.0**j) for j in range(LADDER_STEPS)]
-    windows = [extrapolated(ladder[w : w + levels]) for w in range(LADDER_STEPS - levels + 1)]
+    ladder = [resolved(BASE_H / 2.0**j) for j in range(LADDER_STEPS)]
+    windows = [extrapolated(ladder[w : w + LEVELS]) for w in range(LADDER_STEPS - LEVELS + 1)]
     best = 0
     if len(windows) > 1:
         best = 1 + min(range(len(windows) - 1), key=lambda w: abs(windows[w + 1] - windows[w]))
     return windows[best]
 
 
-def noise_floor(
-    f_scale: float,
-    coords,
-    orders,
-    base_h: float = DEFAULT_BASE_H,
-    levels: int = DEFAULT_LEVELS,
-) -> float:
+def noise_floor(f_scale: float, coords, orders) -> float:
     """Roundoff bound for the matching :func:`fd_partial` call.
 
     Each function evaluation carries absolute error ~eps * f_scale; the
@@ -106,12 +99,12 @@ def noise_floor(
     active = [(i, k) for i, k in enumerate(orders) if k > 0]
     if not active:
         return 2.3e-16 * abs(f_scale)
-    h_min = base_h / 2.0 ** (LADDER_STEPS - 1)
+    h_min = BASE_H / 2.0 ** (LADDER_STEPS - 1)
     amp = 1.0
     for i, k in active:
         hi = h_min * max(1.0, abs(coords[i]))
         amp *= sum(abs(w) for _, w in _STENCILS[k]) / hi**k
-    for stage in range(1, levels):
+    for stage in range(1, LEVELS):
         factor = 4.0**stage
         amp *= (factor + 1.0) / (factor - 1.0)
     return 2.3e-16 * abs(f_scale) * amp

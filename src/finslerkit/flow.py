@@ -9,7 +9,7 @@ control and the FSAL optimization.  The integrator is hand-rolled rather
 than delegated so the domain-guard contract is exact: a step whose stages
 leave the metric's domain (non-finite coordinates included) is rejected
 and retried smaller, and when the trajectory approaches the guard boundary
-within ``exit_margin`` the final step is refined by bisection so every
+within :data:`EXIT_MARGIN` the final step is refined by bisection so every
 emitted sample stays strictly inside the smooth region (near the boundary
 the fundamental tensor's condition number blows up and field evaluations
 turn to noise).
@@ -28,7 +28,8 @@ import numpy as np
 
 from . import integrals, metrics
 from .errors import FinslerError, StepFailure
-from .tensors import PhasePoint, spray_values
+from .metrics import PhasePoint
+from .tensors import spray_values
 
 __all__ = [
     "IntegrateSettings",
@@ -70,6 +71,11 @@ _A_NP = tuple(np.array(row) for row in _A)
 _B5_NP = np.array(_B5)
 _ERR_NP = np.array(_ERR)
 
+# stop this far (in guard distance) before the domain boundary
+EXIT_MARGIN = 2e-4
+# step-size controller safety factor
+SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class IntegrateSettings:
@@ -77,9 +83,6 @@ class IntegrateSettings:
     atol: float = 1e-12
     max_steps: int = 200_000
     max_samples: int = 400
-    # stop this far (in guard distance) before the domain boundary
-    exit_margin: float = 2e-4
-    safety: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,8 @@ def _build_trajectory(ts, states, n, status, steps, rejections, nfev, min_step, 
 
 
 def integrate(spec, init, t_max: float, settings: IntegrateSettings | None = None) -> Trajectory:
-    """Integrate the geodesic flow from ``init = (x0, y0)`` for t in [0, t_max]."""
+    """Integrate the geodesic flow for t in [0, t_max] from ``init``, a
+    :class:`~finslerkit.metrics.PhasePoint` or a pair ``(x0, y0)``."""
     settings = settings or IntegrateSettings()
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
@@ -182,13 +186,9 @@ def integrate(spec, init, t_max: float, settings: IntegrateSettings | None = Non
     return _integrate_signed(spec, init, t_max, settings)
 
 
-def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings | None = None) -> Trajectory:
+def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings) -> Trajectory:
     """Signed-span core; t_max < 0 integrates the flow backwards in time."""
-    if settings is None:
-        settings = IntegrateSettings()
-    x0, y0 = init
-    p0 = PhasePoint(x0, y0)
-    metrics.check_domain(spec, p0.x, p0.y)
+    p0 = metrics.check_domain(spec, init)
     n = len(p0.x)
     direction = 1.0 if t_max > 0 else -1.0
     span = abs(t_max)
@@ -238,15 +238,15 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings | No
 
         if err <= 1.0:
             # PI controller (orders 5/4): exponents 0.7/5 and 0.4/5
-            grow = settings.safety * max(err, 1e-10) ** -0.14 * err_prev**0.08
+            grow = SAFETY * max(err, 1e-10) ** -0.14 * err_prev**0.08
             err_prev = max(err, 1e-10)
             factor = min(5.0, max(0.2, grow))
             steps += 1
             min_step = min(min_step, h)
 
-            if guard(new_state) <= settings.exit_margin:
+            if guard(new_state) <= EXIT_MARGIN:
                 advance, state_exit, extra_nfev = _refine_exit(
-                    spec, state, f_cur, elapsed, h, direction, settings.exit_margin, guard
+                    spec, state, f_cur, elapsed, h, direction, EXIT_MARGIN, guard
                 )
                 nfev += extra_nfev
                 if advance > 0.0:
@@ -263,7 +263,7 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings | No
         else:
             rejections += 1
             err_prev = 1.0
-            h *= min(1.0, max(0.2, settings.safety * err**-0.2))
+            h *= min(1.0, max(0.2, SAFETY * err**-0.2))
     return done("completed")
 
 

@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
 from .expr import _sum_products
-from .metrics import MetricSpec, _sqrt
-from .tensors import PhasePoint, PointEvaluation, _align, spray_values
+from .metrics import MetricSpec, PhasePoint, _radius, _sqrt, check_domain
+from .tensors import PointEvaluation, _align, spray_values
 
 __all__ = [
     "FirstIntegralSet",
@@ -225,12 +225,8 @@ def paper_closed_forms(p) -> tuple[float, float]:
         p = PhasePoint(*p)
     if len(p.x) != 3:
         raise DimensionError("the closed-form first integrals are specific to n = 3")
-    x = np.array(p.x)
-    y = np.array(p.y)
-    if x @ x >= 1.0:
+    if _radius(p.x) >= 1.0:
         raise DomainError("closed forms are defined on the open unit ball |x| < 1")
-    if not (y @ y > 0.0):
-        raise DomainError("y must be nonzero")
     return float(_g1_closed(p.x, p.y)), float(_g2_closed(p.x, p.y))
 
 
@@ -343,8 +339,7 @@ def field_gradient(spec: MetricSpec, name: str, p) -> tuple[float, np.ndarray, n
 
 def spray_derivative_of_field(spec: MetricSpec, name: str, p) -> float:
     """G(u) = y^k du/dx^k - 2 G^k du/dy^k; ~0 iff u is a pointwise first integral."""
-    if not isinstance(p, PhasePoint):
-        p = PhasePoint(*p)
+    p = check_domain(spec, p)
     _, grad_x, grad_y = field_gradient(spec, name, p)
     G = spray_values(spec, p)
     return float(np.dot(p.y, grad_x) - 2.0 * np.dot(G, grad_y))

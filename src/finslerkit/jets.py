@@ -53,6 +53,10 @@ source (a lower order at the same cap, say), the aligned jet is a view of
 the source's coefficients, not a copy; no jet operation writes into its
 operands' coefficients, so views are safe.
 
+:func:`seed_phase_point` seeds the coordinates of a
+:class:`~finslerkit.metrics.PhasePoint`, which converted and checked them
+when it was built: positions are variables ``0..n-1``, fibers ``n..2n-1``.
+
 Analytic functions
 ------------------
 :meth:`Jet.recip`, :meth:`Jet.sqrt`, :meth:`Jet.powc`, :meth:`Jet.ln` and
@@ -956,39 +960,22 @@ class DualLayer:
         return DualLayer(self.value @ other.value, self.tangent @ other.value + self.value @ other.tangent)
 
 
-def _check_phase(x, y):
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    if len(x) != len(y):
-        raise DimensionError(f"x has length {len(x)} but y has length {len(y)}")
-    if not x:
-        raise DimensionError("empty phase point")
-    if all(v == 0.0 for v in y):
-        raise DomainError("y must be a nonzero vector")
-    return x, y
-
-
 def seed_phase_point(point, order: int, x_cap: int | None = None):
-    """Coordinate jets for a phase point.
+    """Coordinate jets for a :class:`~finslerkit.metrics.PhasePoint`.
 
-    ``point`` is anything with ``x`` and ``y`` sequences of equal length n
-    (or a pair of sequences).  Returns ``2n`` jets over the shared space
-    ``(2n, order, x_cap)``: variables ``0..n-1`` are positions, ``n..2n-1``
-    are fiber coordinates, and ``x_cap`` (default: none) bounds the number
-    of position derivatives carried.  The zero vector ``y`` is rejected:
-    every metric here is fiberwise singular at the origin.
+    Returns ``2n`` jets over the shared space ``(2n, order, x_cap)``:
+    variables ``0..n-1`` are the positions ``point.x``, ``n..2n-1`` the
+    fiber coordinates ``point.y``, and ``x_cap`` (default: none) bounds the
+    number of position derivatives carried.  The point was checked when it
+    was built (y != 0 among the rest: every metric here is fiberwise
+    singular at the origin).
     """
-    if hasattr(point, "x"):
-        x, y = point.x, point.y
-    else:
-        x, y = point
-    x, y = _check_phase(x, y)
     if order < 1:
         raise OrderError("seeding a phase point requires order >= 1")
-    n = len(x)
+    n = len(point.x)
     space = jet_space(2 * n, order, x_cap)
-    seeds = [Jet.variable(space, k, v) for k, v in enumerate(x)]
-    seeds += [Jet.variable(space, n + k, v) for k, v in enumerate(y)]
+    seeds = [Jet.variable(space, k, v) for k, v in enumerate(point.x)]
+    seeds += [Jet.variable(space, n + k, v) for k, v in enumerate(point.y)]
     return seeds
 
 

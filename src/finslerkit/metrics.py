@@ -1,4 +1,15 @@
-"""Metric descriptions: families, config parsing, domain guards, sampling.
+"""Phase points and metric descriptions: families, config parsing, domain
+guards, sampling.
+
+A :class:`PhasePoint` is a point (x, y) of the slit tangent bundle, the
+tangent bundle without its zero section, where every tensor and first
+integral of the package lives.  It is the one place where coordinates are
+converted to floats and checked on their own: equal lengths, at least one
+coordinate, all finite, y != 0.  :func:`check_domain` is the one place
+where a point is checked against a metric: its dimension and the ball
+guard.  Every entry point that takes a point calls :func:`check_domain`,
+which takes a :class:`PhasePoint` as it is and builds one from an
+``(x, y)`` pair, so each point is converted once.
 
 A :class:`MetricSpec` declares the data defining one Finsler metric through
 its energy function F^2(x, y):
@@ -70,6 +81,7 @@ from .errors import (
 )
 
 __all__ = [
+    "PhasePoint",
     "MetricSpec",
     "FAMILIES",
     "FUNK_GUARD_INSET",
@@ -98,6 +110,30 @@ MAX_DIMENSION = 4
 
 # Load-time randomized checks use a fixed seed: loading is deterministic.
 _LOAD_CHECK_SEED = 20260814
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """A point (x, y) of the slit tangent bundle, y != 0, as tuples of floats.
+
+    x and y of different lengths, or of none, raise :class:`DimensionError`;
+    a NaN or infinite coordinate, or y = 0, raises :class:`DomainError`."""
+
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+
+    def __init__(self, x, y):
+        x, y = tuple(map(float, x)), tuple(map(float, y))
+        if len(x) != len(y):
+            raise DimensionError(f"x has length {len(x)} but y has length {len(y)}")
+        if not x:
+            raise DimensionError("empty phase point")
+        if not all(map(math.isfinite, x + y)):
+            raise DomainError(f"non-finite coordinate in x = {list(x)}, y = {list(y)}")
+        if not any(y):
+            raise DomainError("y must be a nonzero vector")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -217,9 +253,9 @@ def eval_projective_factor(spec: MetricSpec, xs, ys):
 def f2_value(spec: MetricSpec, x, y) -> float:
     """Float fast path for F^2 (guards checked); a float overflow in the
     expression puts the point outside the domain."""
-    check_domain(spec, x, y)
+    p = check_domain(spec, (x, y))
     try:
-        return float(eval_F2(spec, [float(v) for v in x], [float(v) for v in y]))
+        return float(eval_F2(spec, p.x, p.y))
     except ArithmeticError as err:
         raise DomainError(f"F^2 cannot be evaluated in floats at this point: {err}") from None
 
@@ -235,35 +271,40 @@ def _float_expression(node: expr.Node, xs) -> float:
 
 # -- domain guards --------------------------------------------------------
 
-def check_domain(spec: MetricSpec, x, y) -> None:
-    """Raise :class:`DomainError` if (x, y) violates the metric's guard;
-    a NaN or infinite coordinate violates every guard."""
-    if len(x) != spec.dimension or len(y) != spec.dimension:
-        raise DimensionError(
-            f"point has lengths ({len(x)}, {len(y)}), metric dimension is {spec.dimension}"
-        )
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    if not all(map(math.isfinite, x + y)):
-        raise DomainError(f"non-finite coordinate in x = {x}, y = {y}")
-    if all(v == 0.0 for v in y):
-        raise DomainError("y must be a nonzero vector")
+def check_domain(spec: MetricSpec, point) -> PhasePoint:
+    """``point`` (a :class:`PhasePoint` or an ``(x, y)`` pair) as a
+    :class:`PhasePoint` checked against the metric: a dimension other
+    than the metric's raises :class:`DimensionError`, and a position
+    outside the ball guard :class:`DomainError`."""
+    p = point if isinstance(point, PhasePoint) else PhasePoint(*point)
+    if len(p.x) != spec.dimension:
+        raise DimensionError(f"point has dimension {len(p.x)}, metric dimension is {spec.dimension}")
     if spec.family == "funk_ball_berwald":
-        r = math.sqrt(sum(v**2 for v in x))
+        r = _radius(p.x)
         if r > 1.0 - FUNK_GUARD_INSET:
             raise DomainError(
                 f"|x| = {r!r} outside the ball guard |x| <= 1 - {FUNK_GUARD_INSET}"
             )
+    return p
+
+
+def _radius(xs) -> float:
+    """|x| over floats ``xs``, as the ball guard measures it; inf when a
+    square leaves the float range."""
+    try:
+        return math.sqrt(sum(v**2 for v in xs))
+    except OverflowError:
+        return math.inf
 
 
 def guard_distance(spec: MetricSpec, x) -> float:
-    """Distance from x to the guard boundary (positive inside).
+    """Distance from x to the guard boundary (positive inside; -inf when
+    |x| leaves the float range).
 
     Metrics without a position guard return +inf.
     """
     if spec.family == "funk_ball_berwald":
-        r = math.sqrt(sum(float(v) ** 2 for v in x))
-        return (1.0 - FUNK_GUARD_INSET) - r
+        return (1.0 - FUNK_GUARD_INSET) - _radius(map(float, x))
     return math.inf
 
 

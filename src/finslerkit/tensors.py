@@ -72,11 +72,11 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, metrics
-from .errors import DimensionError, DomainError, OrderError, SingularMetricError
+from .errors import OrderError, SingularMetricError
 from .jets import JetSpace, seed_phase_point, stack
+from .metrics import PhasePoint
 
 __all__ = [
-    "PhasePoint",
     "FlagData",
     "CurvaturePacket",
     "PointEvaluation",
@@ -88,26 +88,6 @@ COND_LIMIT = 1e10
 
 # Scalar-flag classification threshold on the model residual.
 SCALAR_FLAG_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (x, y) of the slit tangent bundle, y != 0.
-
-    x and y of different lengths raise :class:`DimensionError`, and a NaN
-    or infinite coordinate :class:`DomainError`."""
-
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-
-    def __init__(self, x, y):
-        x, y = tuple(map(float, x)), tuple(map(float, y))
-        if len(x) != len(y):
-            raise DimensionError(f"x has length {len(x)} but y has length {len(y)}")
-        if not all(map(math.isfinite, x + y)):
-            raise DomainError(f"non-finite coordinate in x = {list(x)}, y = {list(y)}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -242,9 +222,7 @@ class PointEvaluation:
     def __init__(
         self, spec: metrics.MetricSpec, point, order: int = 5, sigma=None, seeds=None, x_cap: int | None = 2
     ):
-        if not isinstance(point, PhasePoint):
-            point = PhasePoint(*point)
-        metrics.check_domain(spec, point.x, point.y)
+        point = metrics.check_domain(spec, point)
         self.spec = spec
         self.point = point
         self.n = spec.dimension
@@ -475,9 +453,7 @@ def spray_values(spec, p) -> np.ndarray:
     part of the gradient; then one ``np.linalg.solve``.  This is the fast
     path for geodesic right-hand sides.
     """
-    if not isinstance(p, PhasePoint):
-        p = PhasePoint(*p)
-    metrics.check_domain(spec, p.x, p.y)
+    p = metrics.check_domain(spec, p)
     n = spec.dimension
     seeds = seed_phase_point(p, 2)
     f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])

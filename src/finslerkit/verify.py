@@ -62,8 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdcheck, integrals, metrics
-from .jets import seed_phase_point
-from .tensors import PhasePoint, PointEvaluation
+from .metrics import PhasePoint
+from .tensors import PointEvaluation
 
 __all__ = ["SuiteResult", "VerifyReport", "verify_metric", "SIGMA_TEST_EXPRESSION"]
 
@@ -324,9 +324,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     idxs = _fd_index_sample(n)
     for x, y in points[:2]:
         x = 0.5 * np.asarray(x)  # keep FD stencils well inside the domain
-        # the sampled indices take at most two x-derivatives
-        seeds = seed_phase_point(PhasePoint(x, y), 4, x_cap=2)
-        jet = metrics.eval_F2(spec, seeds[:n], seeds[n:])
+        # the sampled indices take at most two x-derivatives: cap 2
+        jet = PointEvaluation(spec, PhasePoint(x, y), order=4).F2
 
         def f2_flat(c):
             return metrics.f2_value(spec, c[:n], c[n:])

@@ -234,6 +234,18 @@ def test_malformed_numbers_exit_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "--metric", FUNK, "--point", "1e200,0,0;1,0,0"],
+        ["flow", "--metric", FUNK, "--x0", "0,-1e200,0", "--y0", "1,0,0", "--tmax", "1"],
+    ],
+)
+def test_a_position_past_the_float_range_is_outside_the_ball_guard(argv, capsys):
+    assert run(argv) == 2
+    assert "outside the ball guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "exc",
     [
         np.linalg.LinAlgError("Singular matrix"),

@@ -63,9 +63,9 @@ def test_domain_exit_stops_inside_the_guard(funk):
     assert traj.status == "domain_exit"
     assert traj.ts[-1] < 1e6
     final_guard = metrics.guard_distance(funk, traj.xs[-1])
-    assert settings.exit_margin < final_guard < 4.0 * settings.exit_margin
+    assert flow.EXIT_MARGIN < final_guard < 4.0 * flow.EXIT_MARGIN
     for _, x, y in traj.samples:
-        metrics.check_domain(funk, x, y)
+        metrics.check_domain(funk, (x, y))
 
 
 def test_flow_is_reversible_in_time(funk):

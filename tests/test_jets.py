@@ -24,6 +24,7 @@ from finslerkit.errors import (
     SignatureError,
 )
 from finslerkit.jets import DualLayer, Jet, JetArray, JetSpace, jet_space, seed_dual_phase_point, seed_phase_point
+from finslerkit.metrics import PhasePoint
 
 # d^(a+b) f / du^a dv^b for f = exp(u)*sqrt(v)/(1+u*v) at (u,v) = (0.3, 1.7),
 # from sympy.diff evaluated at rational coordinates.
@@ -206,7 +207,7 @@ def test_nested_duals_give_second_directionals():
 
 
 def test_seed_dual_phase_point_matches_jet_partials(funk):
-    point = ((0.1, -0.2, 0.3), (0.9, 0.4, -0.5))
+    point = PhasePoint((0.1, -0.2, 0.3), (0.9, 0.4, -0.5))
     jets = seed_phase_point(point, 4)
     f2_jet = metrics.eval_F2(funk, jets[:3], jets[3:])
     for direction in range(6):
@@ -218,7 +219,7 @@ def test_seed_dual_phase_point_matches_jet_partials(funk):
 
 
 def test_seed_phase_point_layout():
-    jets = seed_phase_point(((1.0, 2.0), (3.0, 4.0)), 2)
+    jets = seed_phase_point(PhasePoint((1.0, 2.0), (3.0, 4.0)), 2)
     assert [j.value for j in jets] == [1.0, 2.0, 3.0, 4.0]
     assert jets[0].extract((1, 0, 0, 0)) == 1.0
     assert jets[3].extract((0, 0, 0, 1)) == 1.0
@@ -291,13 +292,13 @@ def test_series_out_of_float_range_is_a_domain_error(name, value):
 
 def test_phase_seed_rejects_degenerate_input():
     with pytest.raises(DomainError):
-        seed_phase_point(((0.0,), (0.0,)), 3)
+        PhasePoint((0.0,), (0.0,))
     with pytest.raises(DimensionError):
-        seed_phase_point(((0.0, 1.0), (1.0,)), 3)
+        PhasePoint((0.0, 1.0), (1.0,))
     with pytest.raises(OrderError):
-        seed_phase_point(((0.0,), (1.0,)), 0)
+        seed_phase_point(PhasePoint((0.0,), (1.0,)), 0)
     with pytest.raises(DimensionError):
-        seed_dual_phase_point(((0.0,), (1.0,)), 2, direction=7)
+        seed_dual_phase_point(PhasePoint((0.0,), (1.0,)), 2, direction=7)
 
 
 @settings(max_examples=25)

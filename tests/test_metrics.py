@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finslerkit import expr, metrics
+import finslerkit
+from finslerkit import expr, flow, integrals, metrics, tensors
 from finslerkit.jets import seed_phase_point
+from finslerkit.metrics import PhasePoint
 from finslerkit.tensors import PointEvaluation
 from finslerkit.errors import (
     ConfigError,
@@ -268,13 +270,13 @@ def test_quartic_custom_loads_and_is_positive():
 # -- guards and sampling ------------------------------------------------------
 
 def test_domain_guard_on_the_ball(funk):
-    metrics.check_domain(funk, [0.5, 0.5, 0.5], [1.0, 0.0, 0.0])
+    metrics.check_domain(funk, ([0.5, 0.5, 0.5], [1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        metrics.check_domain(funk, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        metrics.check_domain(funk, ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        metrics.check_domain(funk, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        metrics.check_domain(funk, ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
     with pytest.raises(DimensionError):
-        metrics.check_domain(funk, [0.0, 0.0], [1.0, 0.0])
+        metrics.check_domain(funk, ([0.0, 0.0], [1.0, 0.0]))
     inside = 1.0 - 2 * metrics.FUNK_GUARD_INSET
     assert metrics.guard_distance(funk, [inside, 0.0, 0.0]) == pytest.approx(
         metrics.FUNK_GUARD_INSET, rel=1e-6
@@ -285,12 +287,94 @@ def test_guard_distance_unbounded_without_guard(euclid):
     assert metrics.guard_distance(euclid, [100.0, 0.0, 0.0]) == math.inf
 
 
+def test_guard_distance_of_a_position_past_the_float_range_is_minus_inf(funk):
+    # |x|^2 overflows: the guard measures it as infinitely far outside
+    assert metrics.guard_distance(funk, [1e200, 0.0, 0.0]) == -math.inf
+    assert metrics.guard_distance(funk, np.array([0.0, -1e160, 0.0])) == -math.inf
+
+
+# -- the phase-point boundary -------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+# (x, y, the documented error) on the n = 3 ball metric
+BAD_POINTS = {
+    "nan": ((NAN, 0.0, 0.0), (1.0, 0.0, 0.0), DomainError),
+    "inf": ((0.0, INF, 0.0), (1.0, 0.0, 0.0), DomainError),
+    "-inf": ((0.0, 0.0, 0.0), (1.0, -INF, 0.0), DomainError),
+    "zero y": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), DomainError),
+    "unequal lengths": ((0.0, 0.0), (1.0, 0.0, 0.0), DimensionError),
+    "empty": ((), (), DimensionError),
+    "wrong dimension": ((0.0, 0.0), (1.0, 0.0), DimensionError),
+    "outside the guard": ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), DomainError),
+    "huge": ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0), DomainError),
+}
+# defects only a metric can see: a PhasePoint holds these points
+METRIC_DEFECTS = ("wrong dimension", "outside the guard", "huge")
+
+# every public entry that takes a point, called with ``point``: a
+# PhasePoint or an (x, y) pair
+POINT_ENTRIES = {
+    "PhasePoint": lambda spec, point: PhasePoint(*point),
+    "check_domain": lambda spec, point: metrics.check_domain(spec, point),
+    "f2_value": lambda spec, point: metrics.f2_value(spec, *point),
+    "PointEvaluation": lambda spec, point: PointEvaluation(spec, point),
+    "spray_values": lambda spec, point: tensors.spray_values(spec, point),
+    "evaluate_fields": lambda spec, point: integrals.evaluate_fields(spec, ["F", "f1"], point),
+    "field_gradient": lambda spec, point: integrals.field_gradient(spec, "F", point),
+    "spray_derivative_of_field": lambda spec, point: integrals.spray_derivative_of_field(spec, "F", point),
+    "poisson_bracket_scaled": lambda spec, point: integrals.poisson_bracket_scaled(spec, "F", "F2", point),
+    "integrate": lambda spec, point: flow.integrate(spec, point, 0.1),
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_POINTS))
+@pytest.mark.parametrize("entry", list(POINT_ENTRIES))
+def test_every_point_entry_raises_the_documented_error(funk, entry, defect):
+    x, y, error = BAD_POINTS[defect]
+    if entry == "PhasePoint" and defect in METRIC_DEFECTS:
+        PhasePoint(x, y)
+        return
+    with pytest.raises(Exception) as info:
+        POINT_ENTRIES[entry](funk, (x, y))
+    assert type(info.value) is error, info.value
+
+
+# integrate builds one more PhasePoint per right-hand side, from the states
+# it computes, so only the pointwise entries convert exactly once
+@pytest.mark.parametrize("entry", [e for e in POINT_ENTRIES if e not in ("PhasePoint", "integrate")])
+def test_each_point_entry_converts_a_point_once(funk, entry, monkeypatch):
+    x, y = (0.1, -0.2, 0.3), (0.9, 0.4, -0.5)
+    point = PhasePoint(x, y)
+    built = []
+    init = PhasePoint.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PhasePoint, "__init__", counted)
+    POINT_ENTRIES[entry](funk, (x, y))
+    assert len(built) == 1
+    if entry != "f2_value":  # it takes x and y, not a point
+        built.clear()
+        POINT_ENTRIES[entry](funk, point)
+        assert built == []
+
+
+def test_phase_point_lives_in_metrics_and_is_reexported():
+    assert tensors.PhasePoint is finslerkit.PhasePoint is metrics.PhasePoint
+    assert metrics.check_domain(metrics.catalog(3)["euclidean"], ((0.0, 0.0, 0.0), (1, 0, 0))) == PhasePoint(
+        (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    )
+
+
 def test_sampling_stays_in_domain(catalog3):
     rng = np.random.default_rng(11)
     for spec in catalog3.values():
         for _ in range(50):
             x, y = metrics.sample_phase_point(spec, rng)
-            metrics.check_domain(spec, x, y)
+            metrics.check_domain(spec, (x, y))
             speed = float(np.linalg.norm(y))
             assert 0.5 - 1e-12 <= speed <= 2.0 + 1e-12
             assert metrics.f2_value(spec, x, y) > 0.0
@@ -353,7 +437,7 @@ def test_riemannian_terms_group_equal_components(catalog3, written):
 def test_grouped_energy_matches_the_sum_over_all_components(catalog3, written, name):
     spec = written if name == "written" else catalog3[name]
     x, y = metrics.sample_phase_point(spec, np.random.default_rng(7))
-    seeds = seed_phase_point((x, y), 5)
+    seeds = seed_phase_point(PhasePoint(x, y), 5)
     xs, ys = seeds[:3], seeds[3:]
     naive = None
     for i in range(3):
@@ -377,7 +461,7 @@ def test_grouped_energy_matches_the_sum_over_all_components(catalog3, written, n
 def test_check_domain_rejects_non_finite_coordinates(catalog3, x, y):
     for spec in catalog3.values():
         with pytest.raises(DomainError, match="non-finite"):
-            metrics.check_domain(spec, x, y)
+            metrics.check_domain(spec, (x, y))
 
 
 def test_nan_energy_is_outside_the_domain(euclid):
