@@ -183,21 +183,14 @@ def integrate(spec, init, t_max: float, settings: IntegrateSettings | None = Non
         raise ValueError(f"atol must be finite and positive, got {settings.atol!r}")
     if not (math.isfinite(settings.rtol) and settings.rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {settings.rtol!r}")
-    return _integrate_signed(spec, init, t_max, settings)
-
-
-def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings) -> Trajectory:
-    """Signed-span core; t_max < 0 integrates the flow backwards in time."""
     p0 = metrics.check_domain(spec, init)
     n = len(p0.x)
-    direction = 1.0 if t_max > 0 else -1.0
-    span = abs(t_max)
 
     state = np.concatenate([np.array(p0.x), np.array(p0.y)])
     elapsed = 0.0
     f_cur = _rhs_flat(spec, state)
     nfev = 1
-    h = _initial_step(spec, state, direction * f_cur, span, settings.rtol, settings.atol)
+    h = _initial_step(spec, state, f_cur, t_max, settings.rtol, settings.atol)
     steps = rejections = 0
     min_step = math.inf
     err_prev = 1.0
@@ -217,22 +210,21 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings) -> 
         raise StepFailure(message, trajectory=done("step_failure"))
 
     ks = np.empty((7, 2 * n))
-    while span - elapsed > 1e-12 * span:
+    while t_max - elapsed > 1e-12 * t_max:
         if steps + rejections > settings.max_steps:
             fail(f"exceeded {settings.max_steps} steps at t = {elapsed:.6g}")
-        h = min(h, span - elapsed)
+        h = min(h, t_max - elapsed)
         if h <= 1e-14 * max(1.0, elapsed):
             fail(f"step size underflow at t = {elapsed:.6g}")
-        h_signed = direction * h
 
-        new_state, used = _dp_stages(spec, state, f_cur, h_signed, ks)
+        new_state, used = _dp_stages(spec, state, f_cur, h, ks)
         nfev += used
         if new_state is None:
             # a stage left the metric's domain: retry with a smaller step
             rejections += 1
             h *= 0.25
             continue
-        err_vec = h_signed * (ks.T @ _ERR_NP)
+        err_vec = h * (ks.T @ _ERR_NP)
         sc = settings.atol + settings.rtol * np.maximum(np.abs(state), np.abs(new_state))
         err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
 
@@ -246,7 +238,7 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings) -> 
 
             if guard(new_state) <= EXIT_MARGIN:
                 advance, state_exit, extra_nfev = _refine_exit(
-                    spec, state, f_cur, elapsed, h, direction, EXIT_MARGIN, guard
+                    spec, state, f_cur, elapsed, h, EXIT_MARGIN, guard
                 )
                 nfev += extra_nfev
                 if advance > 0.0:
@@ -267,7 +259,7 @@ def _integrate_signed(spec, init, t_max: float, settings: IntegrateSettings) -> 
     return done("completed")
 
 
-def _dp_stages(spec, state, f0, h_signed, ks):
+def _dp_stages(spec, state, f0, h, ks):
     """One raw DP5 step from ``state`` with ``f0`` its derivative (FSAL).
 
     Fills ``ks`` with the seven stage derivatives and returns the
@@ -279,13 +271,13 @@ def _dp_stages(spec, state, f0, h_signed, ks):
     ks[0] = f0
     for i in range(1, 7):
         try:
-            ks[i] = _rhs_flat(spec, state + h_signed * (ks[:i].T @ _A_NP[i]))
+            ks[i] = _rhs_flat(spec, state + h * (ks[:i].T @ _A_NP[i]))
         except FinslerError:
             return None, i - 1
-    return state + h_signed * (ks.T @ _B5_NP), 6
+    return state + h * (ks.T @ _B5_NP), 6
 
 
-def _refine_exit(spec, state, f0, elapsed, h, direction, margin, guard):
+def _refine_exit(spec, state, f0, elapsed, h, margin, guard):
     """Bisect the final step so the last sample sits just inside the margin.
 
     Repeatedly halves the step, advancing whenever the half-step endpoint
@@ -299,7 +291,7 @@ def _refine_exit(spec, state, f0, elapsed, h, direction, margin, guard):
     for _ in range(80):
         if h < 1e-13 * max(1.0, elapsed + advance):
             break
-        cand, used = _dp_stages(spec, state, f0, direction * h, ks)
+        cand, used = _dp_stages(spec, state, f0, h, ks)
         nfev += used
         if cand is None:
             h *= 0.5

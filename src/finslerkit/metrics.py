@@ -205,34 +205,47 @@ def _funk_pieces(xs, ys):
     return a, w, 1.0 - nx2
 
 
+def _family_F2(spec: MetricSpec, xs, ys):
+    """The family's F^2 at ``xs``, ``ys``, unchecked."""
+    if spec.family == "euclidean":
+        return expr._sum_products(ys, ys)
+    if spec.family == "riemannian":
+        terms = [
+            expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
+            for node, pairs in spec.riemannian_terms
+        ]
+        return expr._total(terms) if terms else 0.0  # all components zero: caught by eval_F2
+    if spec.family == "funk_ball_berwald":
+        a, w, one_minus = _funk_pieces(xs, ys)
+        w2 = w * w
+        return (w2 * w2) / (one_minus * one_minus * one_minus * one_minus * a)
+    if spec.family == "custom":
+        return expr.evaluate(spec.expression, xs, ys)
+    raise FamilyError(f"unknown family {spec.family!r}")
+
+
 def eval_F2(spec: MetricSpec, xs, ys):
     """F^2 at scalar coordinates ``xs``, ``ys`` (one scalar per variable).
 
     The value part of the result must be finite and strictly positive;
     otherwise the point is outside the metric's domain and
-    :class:`DomainError` is raised.
+    :class:`DomainError` is raised.  Over jets, a float overflow or an
+    invalid operation in any coefficient raises it too, instead of
+    printing numpy's warning and carrying inf or NaN on.
     """
     if len(xs) != spec.dimension or len(ys) != spec.dimension:
         raise DimensionError(
             f"metric has dimension {spec.dimension}, got {len(xs)} position "
             f"and {len(ys)} fiber coordinates"
         )
-    if spec.family == "euclidean":
-        out = expr._sum_products(ys, ys)
-    elif spec.family == "riemannian":
-        terms = [
-            expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
-            for node, pairs in spec.riemannian_terms
-        ]
-        out = expr._total(terms) if terms else 0.0  # all components zero: caught below
-    elif spec.family == "funk_ball_berwald":
-        a, w, one_minus = _funk_pieces(xs, ys)
-        w2 = w * w
-        out = (w2 * w2) / (one_minus * one_minus * one_minus * one_minus * a)
-    elif spec.family == "custom":
-        out = expr.evaluate(spec.expression, xs, ys)
+    if isinstance(xs[0], float):  # entering an errstate costs a quarter of an f2_value call
+        out = _family_F2(spec, xs, ys)
     else:
-        raise FamilyError(f"unknown family {spec.family!r}")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out = _family_F2(spec, xs, ys)
+        except FloatingPointError as err:
+            raise DomainError(f"F^2 cannot be evaluated at this point: {err}") from None
     if not 0.0 < _num(out) < math.inf:  # NaN fails too
         raise DomainError(
             f"F^2 is not finite and positive at this point (value {_num(out)!r}); outside the domain"

@@ -2,19 +2,21 @@
 checked at seeded random phase points with explicit tolerances.
 
 Each check produces a :class:`SuiteResult` with the worst residual seen
-and the tolerance it was held to.  Checks marked ``asserted=False`` are
-report-only: they record quantities the governing claims do not pin down
-numerically (chi for curved Riemannian metrics, y-independence of the
-Hamel residual, the closed-form-vs-charpoly comparison) and never affect
-the overall verdict.
+and the tolerance it was held to.  One table, ``_SUITES``, declares every
+suite once: its name, its tolerance and its note.  Its order is the
+report order, and a name missing from it raises instead of dropping out
+of the report.  A row with a note is report-only (``asserted=False``): it
+records a quantity the governing claims do not pin down numerically (chi
+for curved Riemannian metrics, y-independence of the Hamel residual, the
+closed-form-vs-charpoly comparison) and never affects the overall verdict.
 
 Families gate what is asserted:
 
 * chi = 0 is asserted for flat metrics (euclidean, or riemannian whose
   sampled Jacobi endomorphism vanishes) and for the constant-curvature
   ball family; elsewhere chi is reported.
-* nabla E = 0 is asserted only where chi is small (they are equivalent),
-  so a custom metric with genuine chi-curvature fails neither.
+* nabla E = 0 and the Hamel residual are equivalent to chi = 0 and share
+  its gate, so a custom metric with genuine chi-curvature fails neither.
 * the Hamel-residual/chi biconditional is asserted for every metric.
 
 All tolerances are relative to natural scales with an absolute floor, so
@@ -109,30 +111,51 @@ def _norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
-class _Collect:
-    """Worst-residual accumulator for one named check."""
+# chi, the Hamel residual and nabla E are reported only unless a vanishing
+# claim covers the metric's family; the family gate in verify_metric lifts it
+_NO_CLAIM = "reported only: no vanishing claim covers this family"
 
-    def __init__(self, name, tol, asserted=True, note=""):
-        self.name = name
-        self.tol = tol
-        self.asserted = asserted
-        self.note = note
-        self.worst = 0.0
-
-    def add(self, residual: float):
-        residual = float(residual)
-        if residual > self.worst:
-            self.worst = residual
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(
-            name=self.name,
-            passed=True if not self.asserted else bool(self.worst <= self.tol),
-            worst=self.worst,
-            tol=self.tol,
-            asserted=self.asserted,
-            note=self.note,
-        )
+# name: (tolerance, note), one row per suite, in report order.  A non-empty
+# note marks a report-only row, which never affects the verdict.
+_SUITES: dict[str, tuple[float, str]] = {
+    # structural identities of the fundamental tensor
+    "g_symmetric": (1e-12, ""),
+    "g_yy_equals_F2": (1e-10, ""),
+    "h_annihilates_y": (1e-9, ""),
+    "h_rank_n_minus_1": (1e-9, ""),
+    # mean Berwald structure
+    "E_symmetric": (1e-10, ""),
+    "E_annihilates_y": (1e-9, ""),
+    "I_contracts_to_zero": (1e-10, ""),
+    "J_contracts_to_zero": (1e-10, ""),
+    "B_totally_symmetric": (1e-12, ""),
+    "three_route_E_agreement": (1e-7, ""),
+    # dynamical covariant derivative, chi and the Hamel residual
+    "nabla_g_vanishes": (1e-9, ""),
+    "nabla_E_vanishes": (1e-7, _NO_CLAIM),
+    "chi_vanishes": (1e-7, _NO_CLAIM),
+    "hamel_residual": (1e-6, _NO_CLAIM),
+    "hamel_chi_biconditional": (0.0, ""),
+    # family-specific
+    "jacobi_vanishes": (1e-8, ""),
+    "euclidean_flag_zero": (1e-10, ""),
+    "riemannian_degeneration": (1e-10, ""),
+    # first integrals
+    "EE_annihilates_y": (1e-9, ""),
+    "EE_determinant_vanishes": (1e-8, ""),
+    "newton_identities": (1e-9, ""),
+    "bordered_equals_c_last": (1e-8, ""),
+    "charpoly_fit_agrees": (1e-9, ""),
+    # suites on a leading subset of the sample
+    "homogeneity_ladder": (1e-9, ""),
+    "sigma_independence": (1e-8, ""),
+    "sigma_shifts_tau": (0.0, "tau must move when sigma does; reported as evidence the override is live"),
+    # the tolerance is the finite-difference oracle's error budget for
+    # quartic-type energies at the step it settles on, not the jets' accuracy
+    "jets_match_finite_differences": (1e-4, ""),
+    "hamel_y_independence": (0.0, "reported only: no tolerance-bearing claim"),
+    "closed_forms_vs_charpoly": (0.0, "reported only: normalizations differ; recorded, not reconciled"),
+}
 
 
 def _fd_index_sample(n: int) -> list[tuple[int, ...]]:
@@ -173,17 +196,17 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     is_funk = spec.family == "funk_ball_berwald"
     is_riem = spec.family in ("euclidean", "riemannian")
 
-    checks: dict[str, _Collect] = {}
+    worst: dict[str, float] = {}
 
-    def collect(name, tol, asserted=True, note=""):
-        if name not in checks:
-            checks[name] = _Collect(name, tol, asserted, note)
-        return checks[name]
+    def add(name, residual):
+        """Record one residual of the suite ``name``, a row of the table."""
+        if name not in _SUITES:
+            raise KeyError(f"suite {name!r} has no row in the suite table")
+        residual = float(residual)
+        if residual > worst.setdefault(name, 0.0):
+            worst[name] = residual
 
-    chi_scaled_values = []
-    hamel_scaled_values = []
-    jacobi_norms = []
-    chi_note = ""
+    max_jacobi = 0.0
     # records of the leading points, for the subset suites after the loop
     shared: list[_PointRecord] = []
 
@@ -205,122 +228,87 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         B = ev.B.num
 
         # structural identities of the fundamental tensor
-        collect("g_symmetric", 1e-12).add(_norm(g - g.T) / gs)
-        collect("g_yy_equals_F2", 1e-10).add(abs(y @ g @ y - F2) / max(1.0, F2))
+        add("g_symmetric", _norm(g - g.T) / gs)
+        add("g_yy_equals_F2", abs(y @ g @ y - F2) / max(1.0, F2))
         h = ev.h.num
-        collect("h_annihilates_y", 1e-9).add(_norm(h @ y) / gs)
+        add("h_annihilates_y", _norm(h @ y) / gs)
         eigs = np.sort(np.abs(np.linalg.eigvalsh(h)))
-        collect("h_rank_n_minus_1", 1e-9).add(eigs[0] / max(1.0, eigs[-1]))
+        add("h_rank_n_minus_1", eigs[0] / max(1.0, eigs[-1]))
 
         # mean Berwald structure; contractions scale with the tensors involved
         ys = max(1.0, _norm(y))
-        collect("E_symmetric", 1e-10).add(_norm(E - E.T) / Es)
-        collect("E_annihilates_y", 1e-9).add(_norm(E @ y) / (Es * ys))
-        collect("I_contracts_to_zero", 1e-10).add(abs(y @ I) / max(1.0, _norm(I) * ys))
-        collect("J_contracts_to_zero", 1e-10).add(abs(y @ J) / max(1.0, _norm(J) * ys))
+        add("E_symmetric", _norm(E - E.T) / Es)
+        add("E_annihilates_y", _norm(E @ y) / (Es * ys))
+        add("I_contracts_to_zero", abs(y @ I) / max(1.0, _norm(I) * ys))
+        add("J_contracts_to_zero", abs(y @ J) / max(1.0, _norm(J) * ys))
         perm_worst = 0.0
         for a, b, c in itertools.permutations(range(3)):
             perm = B.transpose(0, 1 + a, 1 + b, 1 + c)
             perm_worst = max(perm_worst, float(np.abs(B - perm).max()))
-        collect("B_totally_symmetric", 1e-12).add(perm_worst / max(1.0, float(np.abs(B).max())))
+        add("B_totally_symmetric", perm_worst / max(1.0, float(np.abs(B).max())))
 
         # three routes to E
         E_S = ev.E_S.num
         E_CL = ev.E_CL.num
-        route = collect("three_route_E_agreement", 1e-7)
-        route.add(_norm(E - E_S) / Es)
-        route.add(_norm(E - E_CL) / Es)
-        route.add(_norm(E_S - E_CL) / Es)
+        add("three_route_E_agreement", _norm(E - E_S) / Es)
+        add("three_route_E_agreement", _norm(E - E_CL) / Es)
+        add("three_route_E_agreement", _norm(E_S - E_CL) / Es)
 
         # dynamical covariant derivative
-        collect("nabla_g_vanishes", 1e-9).add(_norm(ev.nabla2(ev.g).num) / gs)
+        add("nabla_g_vanishes", _norm(ev.nabla2(ev.g).num) / gs)
         nabla_E = ev.nabla2(ev.E).num
-        scale_ne = 1.0 + _norm(E) * _norm(N)
-        collect("nabla_E_vanishes", 1e-7).add(_norm(nabla_E) / scale_ne)
+        add("nabla_E_vanishes", _norm(nabla_E) / (1.0 + _norm(E) * _norm(N)))
 
         # chi and the Hamel residual (scaled by the same natural magnitude)
         scale_chi = 1.0 + _norm(N) * _norm(S_y)
-        chi_scaled_values.append(_norm(chi_v) / scale_chi)
-        hamel_scaled_values.append(_norm(hamel) / scale_chi)
-        jacobi_norms.append(_norm(R_jac) / max(1.0, _norm(N) ** 2))
+        add("chi_vanishes", _norm(chi_v) / scale_chi)
+        add("hamel_residual", _norm(hamel) / scale_chi)
+        max_jacobi = max(max_jacobi, _norm(R_jac) / max(1.0, _norm(N) ** 2))
 
         # first integrals
         F = ev.F.num
         fis = integrals.first_integral_set(F, g, ev.g_inv.num, E, y)
         EEs = max(1.0, _norm(fis.EE))
-        collect("EE_annihilates_y", 1e-9).add(_norm(fis.EE @ y) / EEs)
-        collect("EE_determinant_vanishes", 1e-8).add(abs(np.linalg.det(fis.EE)) / EEs**n)
-        collect("newton_identities", 1e-9).add(fis.newton_residual)
-        collect("bordered_equals_c_last", 1e-8).add(
-            abs(fis.bordered_value - fis.c[-1]) / max(1.0, abs(fis.c[-1]))
-        )
+        add("EE_annihilates_y", _norm(fis.EE @ y) / EEs)
+        add("EE_determinant_vanishes", abs(np.linalg.det(fis.EE)) / EEs**n)
+        add("newton_identities", fis.newton_residual)
+        add("bordered_equals_c_last", abs(fis.bordered_value - fis.c[-1]) / max(1.0, abs(fis.c[-1])))
         fit = integrals.charpoly_fit(fis.EE)
         fit_res = max(
             float(np.abs(fit[: n - 1] - fis.c).max()), abs(float(fit[-1]))
         ) / max(1.0, float(np.abs(fis.c).max()))
-        collect("charpoly_fit_agrees", 1e-9).add(fit_res)
+        add("charpoly_fit_agrees", fit_res)
         if len(shared) < 40:  # the largest subset read below
             shared.append(_PointRecord(ev.point, F, g, ev.G.num, N, E, chi_v, ev.tau.num, fis, hamel))
 
         if is_riem:
-            degeneration = collect("riemannian_degeneration", 1e-10)
-            degeneration.add(float(np.abs(B).max()))
-            degeneration.add(float(np.abs(E).max()))
-            degeneration.add(float(np.abs(I).max()))
-            degeneration.add(float(np.abs(J).max()))
-            degeneration.add(float(np.abs(fis.f).max()))
-            degeneration.add(float(np.abs(fis.c).max()))
+            for t in (B, E, I, J, fis.f, fis.c):
+                add("riemannian_degeneration", float(np.abs(t).max()))
 
         if spec.family == "euclidean":
             flag = ev.flag
-            flat_flag = collect("euclidean_flag_zero", 1e-10)
-            flat_flag.add(abs(flag.kappa))
-            flat_flag.add(flag.residual)
+            add("euclidean_flag_zero", abs(flag.kappa))
+            add("euclidean_flag_zero", flag.residual)
 
-    # family-dependent gating for chi assertions
-    max_jacobi = max(jacobi_norms)
-    max_chi = max(chi_scaled_values)
-    max_hamel = max(hamel_scaled_values)
-    flat_riemannian = is_riem and max_jacobi <= 1e-10
-    if is_funk or spec.family == "euclidean" or flat_riemannian:
-        chi_assert, chi_note = True, ""
-    else:
-        chi_assert = False
-        chi_note = "reported only: no vanishing claim covers this family"
-    chi_check = collect("chi_vanishes", 1e-7, asserted=chi_assert, note=chi_note)
-    chi_check.add(max_chi)
-    hamel_check = collect(
-        "hamel_residual", 1e-6, asserted=chi_assert, note=chi_note
-    )
-    hamel_check.add(max_hamel)
-    # nabla E = 0 is equivalent to chi = 0, so it inherits the same gating
-    checks["nabla_E_vanishes"].asserted = chi_assert
-    checks["nabla_E_vanishes"].note = chi_note
     # Lemma-grade biconditional: S is a Hamel function iff chi vanishes
-    bicond = collect("hamel_chi_biconditional", 0.0)
-    bicond.add(0.0 if (max_chi <= 1e-7) == (max_hamel <= 1e-6) else 1.0)
+    chi_small = worst["chi_vanishes"] <= _SUITES["chi_vanishes"][0]
+    hamel_small = worst["hamel_residual"] <= _SUITES["hamel_residual"][0]
+    add("hamel_chi_biconditional", 0.0 if chi_small == hamel_small else 1.0)
 
     if is_funk:
-        collect("jacobi_vanishes", 1e-8).add(max_jacobi)
+        add("jacobi_vanishes", max_jacobi)
 
     # sigma independence: E and chi must not see the reference volume
-    sigma_check = collect("sigma_independence", 1e-8)
-    sigma_shift = 0.0
     for rec in shared[:25]:
         ev_b = PointEvaluation(spec, rec.point, order=5, sigma=SIGMA_TEST_EXPRESSION)
         E_b, chi_b = ev_b.E.num, ev_b.chi.num
-        sigma_check.add(_norm(rec.E - E_b) / max(1.0, _norm(rec.E)))
-        sigma_check.add(_norm(rec.chi - chi_b) / max(1.0, _norm(rec.chi)))
-        sigma_shift = max(sigma_shift, abs(rec.tau - ev_b.tau.num))
-    collect(
-        "sigma_shifts_tau", 0.0, asserted=False,
-        note="tau must move when sigma does; reported as evidence the override is live",
-    ).add(sigma_shift)
+        add("sigma_independence", _norm(rec.E - E_b) / max(1.0, _norm(rec.E)))
+        add("sigma_independence", _norm(rec.chi - chi_b) / max(1.0, _norm(rec.chi)))
+        add("sigma_shifts_tau", abs(rec.tau - ev_b.tau.num))
 
-    # jets against the finite-difference oracle (sampled subset); the
-    # tolerance is the oracle's error budget for quartic-type energies at
-    # the step it settles on, not the jets' accuracy
-    fd_check = collect("jets_match_finite_differences", 1e-4)
+    # jets against the finite-difference oracle (sampled subset); the row
+    # is reported even when every partial is below the oracle's noise floor
+    add("jets_match_finite_differences", 0.0)
     idxs = _fd_index_sample(n)
     for x, y in points[:2]:
         x = 0.5 * np.asarray(x)  # keep FD stencils well inside the domain
@@ -342,59 +330,50 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             if max(abs(jet_vals[m]), abs(fd)) <= 50.0 * noise:
                 continue
             denom = max(abs(jet_vals[m]), abs(fd), 1e-8)
-            fd_check.add(abs(fd - jet_vals[m]) / denom)
+            add("jets_match_finite_differences", abs(fd - jet_vals[m]) / denom)
 
     # homogeneity: exact 0-homogeneous invariance and the degree ladder
-    homog = collect("homogeneity_ladder", 1e-9)
     for rec in shared[:40]:
         x, y = rec.point.x, np.array(rec.point.y)
         fis1 = rec.fis
         for lam in (2.0, 0.5):
             F_l, g_l, G_l, N_l, E_l, fis_l = _ladder_values(spec, PhasePoint(x, lam * y))
-            homog.add(_norm(fis1.EE - fis_l.EE) / max(1.0, _norm(fis1.EE)))
-            homog.add(float(np.abs(fis1.f - fis_l.f).max()) / max(1.0, float(np.abs(fis1.f).max())))
-            homog.add(float(np.abs(fis1.c - fis_l.c).max()) / max(1.0, float(np.abs(fis1.c).max())))
-            homog.add(abs(F_l - lam * rec.F) / max(1.0, rec.F))
-            homog.add(_norm(g_l - rec.g) / max(1.0, _norm(rec.g)))
-            homog.add(_norm(G_l - lam**2 * rec.G) / max(1.0, _norm(rec.G)))
-            homog.add(_norm(N_l - lam * rec.N) / max(1.0, _norm(rec.N)))
-            homog.add(_norm(E_l - rec.E / lam) / max(1.0, _norm(rec.E)))
+            add("homogeneity_ladder", _norm(fis1.EE - fis_l.EE) / max(1.0, _norm(fis1.EE)))
+            add("homogeneity_ladder", float(np.abs(fis1.f - fis_l.f).max()) / max(1.0, float(np.abs(fis1.f).max())))
+            add("homogeneity_ladder", float(np.abs(fis1.c - fis_l.c).max()) / max(1.0, float(np.abs(fis1.c).max())))
+            add("homogeneity_ladder", abs(F_l - lam * rec.F) / max(1.0, rec.F))
+            add("homogeneity_ladder", _norm(g_l - rec.g) / max(1.0, _norm(rec.g)))
+            add("homogeneity_ladder", _norm(G_l - lam**2 * rec.G) / max(1.0, _norm(rec.G)))
+            add("homogeneity_ladder", _norm(N_l - lam * rec.N) / max(1.0, _norm(rec.N)))
+            add("homogeneity_ladder", _norm(E_l - rec.E / lam) / max(1.0, _norm(rec.E)))
 
-    # report-only: y-independence of the Hamel residual (basic 2-form)
-    basic = collect(
-        "hamel_y_independence", 0.0, asserted=False,
-        note="reported only: no tolerance-bearing claim",
-    )
+    # y-independence of the Hamel residual (basic 2-form)
     rng2 = np.random.default_rng(seed + 1)
     for rec in shared[:10]:
         y2 = rng2.standard_normal(n)
         y2 /= np.linalg.norm(y2)
         h2 = PointEvaluation(spec, PhasePoint(rec.point.x, y2), order=5).hamel.num
-        basic.add(_norm(rec.hamel - h2))
+        add("hamel_y_independence", _norm(rec.hamel - h2))
 
-    # report-only: printed closed forms against the char-poly coefficients
+    # printed closed forms against the char-poly coefficients
     if is_funk and n == 3:
-        gap = collect(
-            "closed_forms_vs_charpoly", 0.0, asserted=False,
-            note="reported only: normalizations differ; recorded, not reconciled",
-        )
-        worst_gap = 0.0
         for rec in shared[:10]:
             g1p, g2p = integrals.paper_closed_forms(rec.point)
-            worst_gap = max(worst_gap, abs(g1p - rec.fis.c[0]), abs(g2p - rec.fis.c[1]))
-        gap.add(worst_gap)
+            add("closed_forms_vs_charpoly", abs(g1p - rec.fis.c[0]))
+            add("closed_forms_vs_charpoly", abs(g2p - rec.fis.c[1]))
 
-    order = [
-        "g_symmetric", "g_yy_equals_F2", "h_annihilates_y", "h_rank_n_minus_1",
-        "E_symmetric", "E_annihilates_y", "I_contracts_to_zero", "J_contracts_to_zero",
-        "B_totally_symmetric", "three_route_E_agreement", "nabla_g_vanishes",
-        "nabla_E_vanishes", "chi_vanishes", "hamel_residual", "hamel_chi_biconditional",
-        "jacobi_vanishes", "euclidean_flag_zero", "riemannian_degeneration",
-        "EE_annihilates_y", "EE_determinant_vanishes", "newton_identities",
-        "bordered_equals_c_last", "charpoly_fit_agrees", "homogeneity_ladder",
-        "sigma_independence", "sigma_shifts_tau", "jets_match_finite_differences",
-        "hamel_y_independence", "closed_forms_vs_charpoly",
-    ]
-    suites = tuple(checks[name].result() for name in order if name in checks)
+    # family-dependent gating for chi assertions: flat metrics (euclidean,
+    # or riemannian with a vanishing sampled Jacobi endomorphism) and the
+    # constant-curvature ball family
+    chi_claim = is_funk or spec.family == "euclidean" or (is_riem and max_jacobi <= 1e-10)
+    suites = []
+    for name, (tol, note) in _SUITES.items():
+        if name not in worst:
+            continue
+        if note == _NO_CLAIM and chi_claim:
+            note = ""
+        asserted = not note
+        w = worst[name]
+        suites.append(SuiteResult(name, not asserted or bool(w <= tol), w, tol, asserted, note))
     passed = all(s.passed for s in suites if s.asserted)
-    return VerifyReport(metric=spec.name, n_points=n_points, seed=seed, suites=suites, passed=passed)
+    return VerifyReport(metric=spec.name, n_points=n_points, seed=seed, suites=tuple(suites), passed=passed)

@@ -246,6 +246,25 @@ def test_a_position_past_the_float_range_is_outside_the_ball_guard(argv, capsys)
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "--metric", "riemannian_round_sphere", "--point", "1e200,0,0;1,0,0"],
+        ["flow", "--metric", "euclidean", "--x0", "1e300,0,0", "--y0", "1e300,0,0", "--tmax", "1"],
+        ["flow", "--metric", "riemannian_round_sphere", "--x0", "1e200,0,0", "--y0", "1,0,0", "--tmax", "1"],
+    ],
+    ids=["inspect-sphere", "flow-euclidean", "flow-sphere"],
+)
+def test_a_huge_position_exits_two_without_warnings(argv, capsys):
+    # these metrics have no position guard: F^2 over jets overflows, which
+    # is a DomainError, not a numpy warning followed by an error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: F^2 cannot be evaluated at this point: overflow encountered in multiply\n"
+
+
+@pytest.mark.parametrize(
     "exc",
     [
         np.linalg.LinAlgError("Singular matrix"),

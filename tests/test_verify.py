@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from finslerkit import expr, integrals, metrics, tensors
+from finslerkit import expr, integrals, metrics, tensors, verify
 from finslerkit.jets import seed_phase_point
 from finslerkit.tensors import PhasePoint, PointEvaluation
 from finslerkit.verify import SIGMA_TEST_EXPRESSION, SuiteResult, _norm, verify_metric
@@ -89,6 +89,40 @@ def test_suites_follow_documented_order(reports):
         assert names.index("three_route_E_agreement") < names.index("chi_vanishes")
         assert names.index("jets_match_finite_differences") > names.index("sigma_independence")
         assert names[-1] in ("hamel_y_independence", "closed_forms_vs_charpoly")
+
+
+# the two configs the benchmark's tower workload verifies beside catalog(3)
+BALL4_CONFIG = "[metric]\nname = ball4\ndimension = 4\nfamily = funk_ball_berwald\n"
+RANDERS3_CONFIG = (
+    "[metric]\nname = randers3\ndimension = 3\nfamily = custom\n"
+    "expression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2\n"
+)
+
+
+def test_reports_follow_the_suite_table_and_use_every_row(reports):
+    table = list(verify._SUITES)
+    tower = list(reports.values()) + [
+        verify_metric(metrics.parse_metric(text), n_points=4, seed=SEED)
+        for text in (BALL4_CONFIG, RANDERS3_CONFIG)
+    ]
+    seen = set()
+    for rep in tower:
+        names = [s.name for s in rep.suites]
+        assert names == [name for name in table if name in names], rep.metric
+        for s in rep.suites:
+            tol, note = verify._SUITES[s.name]
+            assert s.tol == tol
+            assert s.note in (note, "")
+            assert s.asserted == (s.note == "")
+        seen.update(names)
+    assert seen == set(table), f"rows no tower metric reports: {sorted(set(table) - seen)}"
+
+
+@pytest.mark.parametrize("name", ["g_symmetric", "chi_vanishes", "jets_match_finite_differences"])
+def test_a_suite_without_a_table_row_raises(funk, monkeypatch, name):
+    monkeypatch.delitem(verify._SUITES, name)
+    with pytest.raises(KeyError, match=name):
+        verify_metric(funk, n_points=1, seed=SEED)
 
 
 def test_chi_reported_not_asserted_on_curved_riemannian(reports):
