@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -284,7 +285,10 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` looks up each
+    subcommand's ``cmd_*`` function when it runs, so a patched one is used."""
     parser = argparse.ArgumentParser(
         prog="finslerkit",
         description="Finsler curvature pipeline: packets, invariant suites, "
@@ -304,11 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument(
         "--point", action="append", help="phase point 'x1,..,xn;y1,..,yn' (repeatable)"
     )
-    p_inspect.set_defaults(fn=cmd_inspect)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     common(p_verify, 200)
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_flow = sub.add_parser("flow", help="integrate a geodesic and measure field drift")
     # flow samples no points: it takes no --seed or --npoints
@@ -323,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument(
         "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="relative drift tolerance"
     )
-    p_flow.set_defaults(fn=cmd_flow)
 
     p_bracket = sub.add_parser("bracket", help="Poisson bracket of two fields at sampled points")
     common(p_bracket, 50)
@@ -335,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="scaled bracket tolerance"
     )
     p_bracket.add_argument("--format", choices=("json", "csv"), default="json")
-    p_bracket.set_defaults(fn=cmd_bracket)
     return parser
 
 
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     try:
         # an option value out of range is a setup error, raised while parsing
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -53,6 +53,29 @@ source (a lower order at the same cap, say), the aligned jet is a view of
 the source's coefficients, not a copy; no jet operation writes into its
 operands' coefficients, so views are safe.
 
+Polynomial degree
+-----------------
+Every jet and tensor also records ``deg``, an upper bound on the total
+degree of its nonzero coefficients: every coefficient past
+``degree_end[deg]`` is zero.  Seeds have ``deg`` 1 and constants 0; a sum
+takes the larger bound of its operands and a product their sum; ``d`` and
+:meth:`~Jet.partials` lower it by one; alignment, indexing,
+:func:`stack`, sums and traces keep it; the analytic functions set it to
+the order.  A bound is never above the order, and a jet built from bare
+coefficients gets the order.
+
+A product whose bound ``p + q`` is below the order runs in
+``jet_space(dim, p + q, x_cap)``, whose layout is a prefix of this one's,
+and the rest of the result is zero-filled.  For an output of degree at
+most ``p + q`` every pair of the full table lies in that prefix, so the
+lower table sums exactly the same pairs in the same order: those
+coefficients keep their bits, signed zeros included.  Past ``p + q``
+every pair of the full table has a zero factor; for finite operands that
+sum is a zero as well, and the fill has its value, though the full table
+can give ``-0.0`` where the fill gives ``0.0``.  Low-degree products are
+common (the seeds' quadratic forms and their products inside F^2), and at
+orders 5 and 6 this skips nearly half of a tower round's pair-multiplies.
+
 :func:`seed_phase_point` seeds the coordinates of a
 :class:`~finslerkit.metrics.PhasePoint`, which converted and checked them
 when it was built: positions are variables ``0..n-1``, fibers ``n..2n-1``.
@@ -433,16 +456,16 @@ def _products(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.broadcast_to(a, shape).reshape(-1, space.size)
     b = np.broadcast_to(b, shape).reshape(-1, space.size)
     out = np.empty(a.shape)
-    for k in range(len(a)):
-        prod = a[k][ia]
-        prod *= b[k][ib]
-        np.add.reduceat(prod, starts, out=out[k])
+    for x, y, entry in zip(a, b, out):
+        prod = x.take(ia)  # at these orders take gathers faster than indexing
+        prod *= y.take(ib)
+        np.add.reduceat(prod, starts, out=entry)
     return out.reshape(shape)
 
 
-def _wrap(space: JetSpace, coeffs: np.ndarray):
+def _wrap(space: JetSpace, coeffs: np.ndarray, deg: int):
     """A jet for one coefficient vector, a tensor for more."""
-    return Jet(space, coeffs) if coeffs.ndim == 1 else JetArray(space, coeffs)
+    return Jet(space, coeffs, deg) if coeffs.ndim == 1 else JetArray(space, coeffs, deg)
 
 
 def _index(index) -> tuple:
@@ -457,16 +480,18 @@ def _sequential_sum(parts):
 
 
 class _Coefficients:
-    """What a jet and a tensor of jets share: a space and coefficients
-    ``coeffs[..., size]``, and the operations that act on every
-    coefficient vector alike.  Operands combine with broadcasting, so a
-    jet meets a tensor as a tensor of one entry."""
+    """What a jet and a tensor of jets share: a space, coefficients
+    ``coeffs[..., size]`` and their polynomial degree bound ``deg`` (module
+    docstring; the order when not given), and the operations that act on
+    every coefficient vector alike.  Operands combine with broadcasting, so
+    a jet meets a tensor as a tensor of one entry."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "deg")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, deg: int | None = None):
         self.space = space
         self.coeffs = coeffs
+        self.deg = space.order if deg is None else deg  # callers keep it <= the order
 
     def _peer(self, other):
         if other.space is not self.space:
@@ -481,46 +506,58 @@ class _Coefficients:
         the coefficients where the target layout is a prefix."""
         if space is self.space:
             return self
-        return type(self)(space, self.coeffs[..., self.space.truncation(space)])
+        return type(self)(space, self.coeffs[..., self.space.truncation(space)], min(self.deg, space.order))
 
     def __neg__(self):
-        return type(self)(self.space, -self.coeffs)
+        return type(self)(self.space, -self.coeffs, self.deg)
 
     def __add__(self, other):
         if isinstance(other, _Coefficients):
-            return _wrap(self.space, self.coeffs + self._peer(other).coeffs)
+            deg = self._peer(other).deg
+            return _wrap(self.space, self.coeffs + other.coeffs, self.deg if self.deg > deg else deg)
         if isinstance(other, numbers.Real):
             c = self.coeffs.copy()
             c.T[0] += other  # the value parts
-            return type(self)(self.space, c)
+            return type(self)(self.space, c, self.deg)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, _Coefficients):
-            return _wrap(self.space, self.coeffs - self._peer(other).coeffs)
+            deg = self._peer(other).deg
+            return _wrap(self.space, self.coeffs - other.coeffs, self.deg if self.deg > deg else deg)
         if isinstance(other, numbers.Real):
             c = self.coeffs.copy()
             c.T[0] -= other
-            return type(self)(self.space, c)
+            return type(self)(self.space, c, self.deg)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, numbers.Real):
             c = -self.coeffs
             c.T[0] += other
-            return type(self)(self.space, c)
+            return type(self)(self.space, c, self.deg)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _Coefficients):
-            return _wrap(self.space, _products(self.space, self.coeffs, self._peer(other).coeffs))
+            space = self.space
+            deg = self.deg + self._peer(other).deg
+            if deg >= space.order:
+                return _wrap(space, _products(space, self.coeffs, other.coeffs), space.order)
+            # the product's nonzero coefficients all sit in the lower
+            # order's layout, a prefix, and its table sums their pairs
+            low = jet_space(space.dim, deg, space.x_cap)
+            part = _products(low, self.coeffs[..., : low.size], other.coeffs[..., : low.size])
+            c = np.zeros(part.shape[:-1] + (space.size,))
+            c[..., : low.size] = part
+            return _wrap(space, c, deg)
         if isinstance(other, numbers.Real):
-            return type(self)(self.space, self.coeffs * float(other))
+            return type(self)(self.space, self.coeffs * float(other), self.deg)
         if isinstance(other, np.ndarray):
             # numbers times each jet: a tensor
-            return _wrap(self.space, other[..., None] * self.coeffs)
+            return _wrap(self.space, other[..., None] * self.coeffs, self.deg)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -539,7 +576,7 @@ class _Coefficients:
         lower, src, fac = self.space._diff_table(var)
         out = self.coeffs.take(src, axis=-1)
         out *= fac
-        return type(self)(lower, out)
+        return type(self)(lower, out, self.deg - 1 if self.deg else 0)
 
     def partials(self, variables: range) -> "JetArray":
         """The partials by each of ``variables`` (all positions or all
@@ -549,7 +586,7 @@ class _Coefficients:
         lower, src, fac = self.space._diff_table(variables)
         out = self.coeffs.take(src, axis=-1)
         out *= fac
-        return JetArray(lower, out)
+        return JetArray(lower, out, self.deg - 1 if self.deg else 0)
 
 
 class Jet(_Coefficients):
@@ -563,7 +600,7 @@ class Jet(_Coefficients):
     def constant(cls, space: JetSpace, value: float) -> "Jet":
         c = np.zeros(space.size)
         c[0] = value
-        return cls(space, c)
+        return cls(space, c, 0)
 
     @classmethod
     def variable(cls, space: JetSpace, var: int, value: float) -> "Jet":
@@ -577,7 +614,7 @@ class Jet(_Coefficients):
         c = np.zeros(space.size)
         c[0] = value
         c[space.dim - var] = 1.0  # degree-1 block in reverse variable order
-        return cls(space, c)
+        return cls(space, c, 1)
 
     def const(self, value: float) -> "Jet":
         """Constant jet with this jet's signature."""
@@ -666,7 +703,7 @@ class Jet(_Coefficients):
         if isinstance(other, Jet):
             return self * self._peer(other).recip()
         if isinstance(other, numbers.Real):
-            return Jet(self.space, self.coeffs / float(other))
+            return Jet(self.space, self.coeffs / float(other), self.deg)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -775,21 +812,29 @@ class JetArray(_Coefficients):
     @property
     def flat(self):
         """The entries in row-major order, as jets."""
-        return (Jet(self.space, c) for c in self.coeffs.reshape(-1, self.space.size))
+        return (Jet(self.space, c, self.deg) for c in self.coeffs.reshape(-1, self.space.size))
 
     def __repr__(self):
         s = self.space
         return f"JetArray(shape={self.shape}, dim={s.dim}, order={s.order}, x_cap={s.x_cap})"
 
     def __getitem__(self, index):
-        return _wrap(self.space, self.coeffs[_index(index)])
+        return _wrap(self.space, self.coeffs[_index(index)], self.deg)
 
     def __setitem__(self, index, value):
-        self.coeffs[_index(index)] = self._peer(value).coeffs
+        """Writes entries of this space whose degree bound is at most this
+        tensor's; the bound stays, so the tensor and every jet or tensor
+        read out of it keep a true one."""
+        if self._peer(value).deg > self.deg:
+            raise OrderError(
+                f"cannot write an entry of degree bound {value.deg} into a tensor of bound {self.deg}; "
+                "build the tensor from its coefficients (bound: the order) to write any entry"
+            )
+        self.coeffs[_index(index)] = value.coeffs
 
     def transpose(self, *axes) -> "JetArray":
         axes = axes or tuple(reversed(range(len(self.shape))))
-        return JetArray(self.space, self.coeffs.transpose(*axes, len(self.shape)))
+        return JetArray(self.space, self.coeffs.transpose(*axes, len(self.shape)), self.deg)
 
     @property
     def T(self) -> "JetArray":
@@ -799,14 +844,14 @@ class JetArray(_Coefficients):
         """The sum over one index axis, or over all of them in row-major order."""
         c = self.coeffs
         if axis is None:
-            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size)))
-        return _wrap(self.space, _sequential_sum(np.moveaxis(c, axis % len(self.shape), 0)))
+            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size)), self.deg)
+        return _wrap(self.space, _sequential_sum(np.moveaxis(c, axis % len(self.shape), 0)), self.deg)
 
     def trace(self, axis1: int = 0, axis2: int = 1):
         """The sum of the diagonal of two index axes."""
         ndim = len(self.shape)
         diagonal = np.diagonal(self.coeffs, 0, axis1 % ndim, axis2 % ndim)  # the diagonal axis comes last
-        return _wrap(self.space, _sequential_sum(np.moveaxis(diagonal, -1, 0)))
+        return _wrap(self.space, _sequential_sum(np.moveaxis(diagonal, -1, 0)), self.deg)
 
     def __matmul__(self, other):
         """numpy's matmul for matrices and vectors; each entry sums its
@@ -824,7 +869,7 @@ def stack(entries):
     first = entries[0]
     if isinstance(first, DualLayer):
         return DualLayer(stack([e.value for e in entries]), stack([e.tangent for e in entries]))
-    return JetArray(first.space, np.stack([e.coeffs for e in entries]))
+    return JetArray(first.space, np.stack([e.coeffs for e in entries]), max(e.deg for e in entries))
 
 
 def _on_both_parts(name: str):

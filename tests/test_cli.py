@@ -284,6 +284,16 @@ def test_escaped_library_errors_exit_two(monkeypatch, capsys, exc):
     assert "Traceback" not in err
 
 
+def test_one_parser_serves_every_call(monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_inspect", lambda args: seen.append(args.point) or 0)
+    for argv in (["--point", "0,0,0;1,0,0", "--point", "0,0,0;0,1,0"], [], ["--point", "0,0,0;0,0,1"]):
+        assert run(["inspect", "--metric", FUNK, *argv]) == 0
+    # an appended option starts afresh on each call
+    assert seen == [["0,0,0;1,0,0", "0,0,0;0,1,0"], None, ["0,0,0;0,0,1"]]
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import metrics
+from finslerkit import jets, metrics
 from finslerkit.errors import (
     BranchError,
     DimensionError,
@@ -23,7 +23,16 @@ from finslerkit.errors import (
     PoleError,
     SignatureError,
 )
-from finslerkit.jets import DualLayer, Jet, JetArray, JetSpace, jet_space, seed_dual_phase_point, seed_phase_point
+from finslerkit.jets import (
+    DualLayer,
+    Jet,
+    JetArray,
+    JetSpace,
+    jet_space,
+    seed_dual_phase_point,
+    seed_phase_point,
+    stack,
+)
 from finslerkit.metrics import PhasePoint
 
 # d^(a+b) f / du^a dv^b for f = exp(u)*sqrt(v)/(1+u*v) at (u,v) = (0.3, 1.7),
@@ -585,3 +594,101 @@ def test_jet_arrays_equal_entrywise_jet_operations_bit_for_bit(dim, order):
             want_space = _entrywise(lambda jet: jet.space, want)
             assert all(s is got.space for s in np.ravel(want_space)), (space, name)
             assert np.array_equal(got.coeffs, _coeffs(want)), (space, name)
+
+
+# -- polynomial degree ----------------------------------------------------------------
+
+def test_degree_bounds_follow_the_operations():
+    space = jet_space(6, 5, 2)
+    x, y = Jet.variable(space, 0, 0.3), Jet.variable(space, 4, -1.2)
+    c = Jet.constant(space, 2.0)
+    assert (x.deg, c.deg, Jet(space, np.zeros(space.size)).deg) == (1, 0, 5)
+    assert ((x + c).deg, (x - 1.0).deg, (2.0 - x).deg, (-x).deg, (x * 3.0).deg) == (1, 1, 1, 1, 1)
+    assert ((x * y).deg, (x * y * y).deg, (x**3).deg, (x**9).deg, (x * c).deg) == (2, 3, 3, 5, 1)
+    assert ((x * y).d(0).deg, c.d(4).deg, (x * y).partials(range(3, 6)).deg) == (1, 0, 1)
+    t = stack([x, x * y])
+    assert (t.deg, t[0].deg, t.sum().deg, (t * x).deg, t.to_space(jet_space(6, 2, 1)).deg) == (2, 2, 2, 3, 2)
+    for fn in (Jet.recip, Jet.sqrt, Jet.ln, Jet.exp, lambda u: u.powc(1.5)):
+        assert fn(x * x + 1.0).deg == 5
+
+
+def test_a_tensor_refuses_an_entry_above_its_bound():
+    space = jet_space(6, 4)
+    x = Jet.variable(space, 1, 0.5)
+    t = stack([x, x])
+    t[1] = x * 2.0  # within the bound
+    with pytest.raises(OrderError):
+        t[0] = x * x
+    assert t.deg == 1 and np.all(t.coeffs[:, space.degree_end[1] :] == 0.0)
+    full = JetArray(space, np.zeros((2, space.size)))
+    full[0] = x * x  # a tensor from coefficients takes any entry
+    assert full[0].deg == 4
+
+
+def _bits(coeffs):
+    return np.ascontiguousarray(coeffs).view(np.int64)
+
+
+_finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(6, 3, 1), (6, 5, 2), (6, 6, 2), (8, 6, 2)]), st.data())
+def test_products_below_the_order_keep_the_full_tables_bits(signature, data):
+    """Random programs over seeds and constants: every coefficient past a
+    result's bound is zero, and each product equals the full table's."""
+    space = jet_space(*signature)
+    dim, nx = space.dim, space.dim // 2
+    pool = [Jet.variable(space, v, data.draw(_finite)) for v in range(dim)]
+    pool += [Jet.constant(space, data.draw(_finite)) for _ in range(2)]
+
+    def pick():
+        return pool[data.draw(st.integers(0, len(pool) - 1))]
+
+    def aligned_pair():
+        a, b = pick(), pick()
+        meet = a.space.meet(b.space)
+        a, b = a.to_space(meet), b.to_space(meet)
+        if isinstance(a, JetArray) and isinstance(b, JetArray) and a.shape != b.shape:
+            b = b.sum()
+        return a, b
+
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["+", "-", "*", "*", "scale", "d", "partials", "to_space", "stack"]))
+        if op in ("+", "-", "*"):
+            a, b = aligned_pair()
+            if op == "*":
+                got = a * b
+                want = jets._products(a.space, a.coeffs, b.coeffs)
+                # the lower table's outputs carry the full table's bits,
+                # signed zeros included; past them both are zero, though
+                # the full table may sum a zero to -0.0 (say (-0.0)**2)
+                end = a.space.degree_end[min(a.deg + b.deg, a.space.order)]
+                assert np.array_equal(_bits(got.coeffs[..., :end]), _bits(want[..., :end]))
+                assert np.all(want[..., end:] == 0.0)
+            else:
+                got = a + b if op == "+" else a - b
+        elif op == "scale":
+            a, s = pick(), data.draw(_finite)
+            got = data.draw(st.sampled_from([lambda: a * s, lambda: s - a, lambda: -a, lambda: a + s]))()
+        elif op in ("d", "partials"):
+            a = pick()
+            if a.space.order < 1:
+                continue
+            if op == "d":
+                got = a.d(data.draw(st.integers(0 if a.space.x_cap >= 1 else nx, dim - 1)))
+            else:
+                fibers = a.space.x_cap < 1 or data.draw(st.booleans())
+                got = a.partials(range(nx, dim) if fibers else range(nx))
+                if len(got.shape) > 1:
+                    got = got.sum()
+        elif op == "to_space":
+            a = pick()
+            order, cap = data.draw(st.integers(0, a.space.order)), data.draw(st.integers(0, a.space.x_cap))
+            got = a.to_space(jet_space(dim, order, cap))
+        else:
+            a, b = aligned_pair()
+            got = stack([t.sum() if isinstance(t, JetArray) else t for t in (a, b)])
+        assert got.deg <= got.space.order
+        assert np.all(got.coeffs[..., got.space.degree_end[got.deg] :] == 0.0), op
+        pool.append(got)

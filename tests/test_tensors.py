@@ -432,6 +432,17 @@ def test_spray_values_product_count(catalog3, jet_products, name, most):
     assert jet_products.count <= most
 
 
+@pytest.mark.parametrize("n, products, pairs", [(3, 339, 124_929), (4, 797, 576_975)])
+def test_low_degree_products_run_in_lower_tables(catalog3, jet_products, n, products, pairs):
+    # the ball's order-6 packet: the quadratic forms and their products
+    # inside F^2 multiply in lower-order tables (217 476 and 1 031 619
+    # pairs when every product ran in its operands' space)
+    spec = catalog3["funk_ball_berwald"] if n == 3 else metrics.catalog(4)["funk_ball_berwald"]
+    PointEvaluation(spec, _sample(spec, 7), order=6).packet()
+    measured = sum(count * len(jet_space(*sig)._mult_table()[0]) for sig, count in jet_products.by_space.items())
+    assert (jet_products.count, measured) == (products, pairs)
+
+
 NON_FINITE = {
     "nan x": ((float("nan"), 0.0, 0.0), (1.0, 0.0, 0.0)),
     "inf y": ((0.0, 0.0, 0.0), (float("inf"), 0.0, 0.0)),
