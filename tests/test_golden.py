@@ -1,5 +1,6 @@
 """Golden reports: `verify` and `inspect` on the six tower metrics at two
-fixed seeds must reproduce the committed reports, `generated_at` aside.
+fixed seeds, and the `flow` and `bracket` runs of :data:`RUNS` with their
+CSVs, must reproduce the committed reports, `generated_at` aside.
 
 Strings, booleans and integers must be equal and floats must agree to
 1e-12 relative.  After a change that moves an output on purpose, rewrite
@@ -28,24 +29,64 @@ CONFIGS = {
 }
 METRICS = ("euclidean", "funk_ball_berwald", "riemannian_flat_skew", "riemannian_round_sphere") + tuple(CONFIGS)
 REL_TOL = 1e-12
+# key: the arguments after the subcommand's --metric and before --out; a
+# flow report is its stdout beside the CSV it writes
+RUNS = {
+    "flow/funk_ball_berwald": (
+        "flow", "funk_ball_berwald", "--x0", "0.1,-0.2,0.05", "--y0", "0.3,1,-0.4", "--tmax", "0.5",
+        "--watch", "F,f1,f2,c1,c2",
+    ),
+    "flow/riemannian_round_sphere": (
+        "flow", "riemannian_round_sphere", "--x0", "0.3,0,-0.2", "--y0", "0,1,0.5", "--tmax", "0.5", "--watch", "F",
+    ),
+    "bracket/funk_ball_berwald/11": ("bracket", "funk_ball_berwald", "--fields", "f1,f2", "--npoints", "3", "--seed", "11"),
+    "bracket-csv/randers3/12": (
+        "bracket", "randers3.cfg", "--fields", "f1,F", "--npoints", "3", "--seed", "12", "--format", "csv",
+    ),
+}
+
+
+def _run(argv) -> str:
+    """``cli.main(argv)`` in-process; returns its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+
+def _report(text: str) -> dict:
+    doc = json.loads(text)
+    del doc["generated_at"]
+    return doc
+
+
+def _csv(text: str) -> dict:
+    header, *rows = text.splitlines()
+    return {"header": header.split(","), "rows": [[float(v) for v in row.split(",")] for row in rows]}
 
 
 def reports(workdir: Path) -> dict[str, dict]:
-    """Every golden report by ``command/metric/seed``, without ``generated_at``."""
+    """Every golden report by ``command/metric[/seed]``, without ``generated_at``."""
     for name, text in CONFIGS.items():
         (workdir / name).write_text(text)
+
+    def metric_arg(metric):
+        return str(workdir / metric) if metric in CONFIGS else metric
+
+    path = workdir / "report.out"
     out = {}
     for seed in SEEDS:
         for metric in METRICS:
-            arg = str(workdir / metric) if metric in CONFIGS else metric
             for command, npoints in (("verify", "4"), ("inspect", "3")):
-                path = workdir / "report.json"
-                argv = [command, "--metric", arg, "--npoints", npoints, "--seed", str(seed), "--out", str(path)]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    cli.main(argv)
-                doc = json.loads(path.read_text())
-                del doc["generated_at"]
-                out[f"{command}/{metric.removesuffix('.cfg')}/{seed}"] = doc
+                argv = [command, "--metric", metric_arg(metric), "--npoints", npoints, "--seed", str(seed)]
+                _run(argv + ["--out", str(path)])
+                out[f"{command}/{metric.removesuffix('.cfg')}/{seed}"] = _report(path.read_text())
+    for key, (command, metric, *rest) in RUNS.items():
+        stdout = _run([command, "--metric", metric_arg(metric), *rest, "--out", str(path)])
+        if command == "flow":
+            out[key] = {"report": _report(stdout), "csv": _csv(path.read_text())}
+        else:
+            out[key] = _csv(path.read_text()) if "csv" in rest else _report(path.read_text())
     return out
 
 
