@@ -30,26 +30,22 @@ __all__ = ["main", "cmd_inspect", "cmd_verify", "cmd_flow", "cmd_bracket"]
 SCHEMA_VERSION = 1
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What ``json`` cannot encode itself: ndarrays, numpy bools and ints,
+    and dataclasses (numpy floats are floats to it)."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, default=_json_default, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -74,32 +70,19 @@ def _load_spec(name_or_path: str) -> metrics.MetricSpec:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
-    """Comma-separated finite numbers; anything else is a setup error naming ``what``."""
+    """Comma-separated numbers; a component that is not one is a setup error
+    naming ``what``.  :class:`~finslerkit.metrics.PhasePoint` checks the rest."""
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise FinslerError(f"{what} has a component that is not a number") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise FinslerError(f"{what} has a non-finite component")
-    return vals
 
 
-def _parse_point(text: str, n: int) -> metrics.PhasePoint:
+def _parse_point(text: str) -> metrics.PhasePoint:
     parts = text.split(";")
     if len(parts) != 2:
         raise FinslerError(f"point {text!r} must look like 'x1,..,xn;y1,..,yn'")
-    x = _parse_floats(parts[0], f"point {text!r}")
-    y = _parse_floats(parts[1], f"point {text!r}")
-    if len(x) != n or len(y) != n:
-        raise FinslerError(f"point {text!r} does not match dimension {n}")
-    return metrics.PhasePoint(x, y)
-
-
-def _parse_vector(text: str, n: int, flag: str) -> tuple[float, ...]:
-    vals = _parse_floats(text, f"{flag} {text!r}")
-    if len(vals) != n:
-        raise FinslerError(f"{flag} must have {n} comma-separated components")
-    return tuple(vals)
+    return metrics.PhasePoint(*(_parse_floats(part, f"point {text!r}") for part in parts))
 
 
 def _bounded(option: str, kind, bound, strict: bool = True):
@@ -116,19 +99,9 @@ def _bounded(option: str, kind, bound, strict: bool = True):
     return parse
 
 
-def _gather_points(spec, args) -> list[metrics.PhasePoint]:
-    pts = [_parse_point(t, spec.dimension) for t in args.point or []]
-    if not pts:
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.npoints):
-            x, y = metrics.sample_phase_point(spec, rng)
-            pts.append(metrics.PhasePoint(x, y))
-    return pts
-
-
 def cmd_inspect(args) -> int:
     spec = _load_spec(args.metric)
-    points = _gather_points(spec, args)
+    points = [_parse_point(t) for t in args.point or []] or metrics.sample_points(spec, args.npoints, args.seed)
     docs = []
     for p in points:
         pkt = tensors.PointEvaluation(spec, p).packet()
@@ -196,8 +169,8 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     spec = _load_spec(args.metric)
-    x0 = _parse_vector(args.x0, spec.dimension, "--x0")
-    y0 = _parse_vector(args.y0, spec.dimension, "--y0")
+    x0 = _parse_floats(args.x0, f"--x0 {args.x0!r}")
+    y0 = _parse_floats(args.y0, f"--y0 {args.y0!r}")
     watch = [w for w in (args.watch or "").split(",") if w]
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
     try:
@@ -237,12 +210,9 @@ def cmd_bracket(args) -> int:
     if len(names) != 2:
         raise UnknownFieldError("--fields takes exactly two comma-separated field ids")
     fa, fb = names
-    rng = np.random.default_rng(args.seed)
     rows = []
     max_scaled = 0.0
-    for _ in range(args.npoints):
-        x, y = metrics.sample_phase_point(spec, rng)
-        p = metrics.PhasePoint(x, y)
+    for p in metrics.sample_points(spec, args.npoints, args.seed):
         value, scale = integrals.poisson_bracket_scaled(spec, fa, fb, p)
         scaled = abs(value) / scale
         max_scaled = max(max_scaled, scaled)
@@ -319,8 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--x0", required=True, help="initial position, comma-separated")
     p_flow.add_argument("--y0", required=True, help="initial velocity, comma-separated")
     p_flow.add_argument("--tmax", type=_bounded("--tmax", float, 0), required=True)
-    p_flow.add_argument("--rtol", type=_bounded("--rtol", float, 0, strict=False), default=1e-10)
-    p_flow.add_argument("--atol", type=_bounded("--atol", float, 0), default=1e-12)
+    p_flow.add_argument(
+        "--rtol", type=_bounded("--rtol", float, 0, strict=False), default=flow.IntegrateSettings.rtol
+    )
+    p_flow.add_argument("--atol", type=_bounded("--atol", float, 0), default=flow.IntegrateSettings.atol)
     p_flow.add_argument("--watch", help="comma-separated field ids to track")
     p_flow.add_argument(
         "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="relative drift tolerance"

@@ -75,14 +75,18 @@ _ERR_NP = np.array(_ERR)
 EXIT_MARGIN = 2e-4
 # step-size controller safety factor
 SAFETY = 0.9
+# attempted steps (accepted and rejected) before a run is a step failure
+MAX_STEPS = 200_000
+# a trajectory is thinned to at most this many samples, endpoints kept
+MAX_SAMPLES = 400
 
 
 @dataclass(frozen=True)
 class IntegrateSettings:
+    """The error tolerances of :func:`integrate`; the CLI's defaults too."""
+
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 200_000
-    max_samples: int = 400
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,10 @@ def _thin(indices_len: int, max_samples: int) -> np.ndarray:
     return idx
 
 
-def _build_trajectory(ts, states, n, status, steps, rejections, nfev, min_step, max_samples):
+def _build_trajectory(ts, states, n, status, steps, rejections, nfev, min_step):
     ts = np.asarray(ts)
     states = np.asarray(states)
-    keep = _thin(len(ts), max_samples)
+    keep = _thin(len(ts), MAX_SAMPLES)
     stats = IntegratorStats(steps=steps, rejections=rejections, nfev=nfev, min_step=min_step)
     return Trajectory(
         ts=ts[keep], xs=states[keep, :n], ys=states[keep, n:], status=status, stats=stats
@@ -202,17 +206,15 @@ def integrate(spec, init, t_max: float, settings: IntegrateSettings | None = Non
         return metrics.guard_distance(spec, s[:n])
 
     def done(status):
-        return _build_trajectory(
-            ts, states, n, status, steps, rejections, nfev, min_step, settings.max_samples
-        )
+        return _build_trajectory(ts, states, n, status, steps, rejections, nfev, min_step)
 
     def fail(message):
         raise StepFailure(message, trajectory=done("step_failure"))
 
     ks = np.empty((7, 2 * n))
     while t_max - elapsed > 1e-12 * t_max:
-        if steps + rejections > settings.max_steps:
-            fail(f"exceeded {settings.max_steps} steps at t = {elapsed:.6g}")
+        if steps + rejections > MAX_STEPS:
+            fail(f"exceeded {MAX_STEPS} steps at t = {elapsed:.6g}")
         h = min(h, t_max - elapsed)
         if h <= 1e-14 * max(1.0, elapsed):
             fail(f"step size underflow at t = {elapsed:.6g}")

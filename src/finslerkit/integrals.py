@@ -30,7 +30,8 @@ callers must treat the pair (g1_paper, g2_paper) and the pair (c_1, c_2)
 as separate claims and report the discrepancy rather than reconcile it.
 
 Scalar fields (F, f_a, c_a, the closed forms) are registered under stable
-string ids so the flow and CLI layers can address them.  The f_a and c_a
+string ids so the flow and CLI layers can address them; the id is the
+registry key, and an entry holds only the field's jet order and builder.  The f_a and c_a
 read E from the Berwald tensor; ``s_cl`` contracts the mean Cartan and
 mean Landsberg route E_CL instead, so the paper's second expression is a
 field of its own (it equals f_1 / (2F)).
@@ -234,9 +235,10 @@ def paper_closed_forms(p) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _Field:
-    name: str
+    """A registered field, named by its key: the jet order it needs and how
+    it is built."""
+
     min_order: int
-    description: str
     build: Callable[[PointEvaluation], object]
 
 
@@ -260,50 +262,33 @@ def _s_cl(ev: PointEvaluation):
     return (g_inv * E_CL).sum(axis=1).sum()
 
 
-def _field_table(spec: MetricSpec) -> Mapping[str, _Field]:
-    return _fields_for(spec.dimension, spec.family)
-
-
 @functools.cache
 def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
     """The registry depends on the dimension and family only, so it is built
     once per such pair (a handful) and shared, read-only, by every spec of
     that shape."""
     fields = {
-        "one": _Field("one", 1, "constant 1 (bracket sanity field)", lambda ev: ev.F2.const(1.0)),
-        "F": _Field("F", 1, "Finsler norm F (flow-constant by construction)", lambda ev: ev.F),
-        "F2": _Field("F2", 1, "energy F^2", lambda ev: ev.F2),
-        "s_cl": _Field(
-            "s_cl", 5, "1/2 g^{ij} (I_{j;i} + J_{i.j}), the Cartan-Landsberg route to f_1/(2F)", _s_cl
-        ),
+        "one": _Field(1, lambda ev: ev.F2.const(1.0)),  # constant 1, a bracket sanity field
+        "F": _Field(1, lambda ev: ev.F),
+        "F2": _Field(1, lambda ev: ev.F2),
+        "s_cl": _Field(5, _s_cl),
     }
     for a in range(1, n):
-        fields[f"f{a}"] = _Field(
-            f"f{a}", 5, f"power trace tr(EE^{a})", lambda ev, a=a: _ee_family(ev, _power_traces)[a - 1]
-        )
-        fields[f"c{a}"] = _Field(
-            f"c{a}",
-            5,
-            f"char-poly coefficient of Lambda^{n - a}",
-            lambda ev, a=a: _ee_family(ev, _charpoly)[a - 1],
-        )
+        fields[f"f{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _power_traces)[a - 1])
+        fields[f"c{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _charpoly)[a - 1])
     if family == "funk_ball_berwald" and n == 3:
-        fields["g1_paper"] = _Field(
-            "g1_paper", 1, "printed closed form for g_1 (verbatim)", lambda ev: _g1_closed(ev.xs, ev.ys)
-        )
-        fields["g2_paper"] = _Field(
-            "g2_paper", 1, "printed closed form for g_2 (verbatim)", lambda ev: _g2_closed(ev.xs, ev.ys)
-        )
+        fields["g1_paper"] = _Field(1, lambda ev: _g1_closed(ev.xs, ev.ys))
+        fields["g2_paper"] = _Field(1, lambda ev: _g2_closed(ev.xs, ev.ys))
     return MappingProxyType(fields)
 
 
 def field_ids(spec: MetricSpec) -> list[str]:
     """Registered scalar-field ids for this metric."""
-    return sorted(_field_table(spec))
+    return sorted(_fields_for(spec.dimension, spec.family))
 
 
 def _lookup(spec: MetricSpec, name: str) -> _Field:
-    table = _field_table(spec)
+    table = _fields_for(spec.dimension, spec.family)
     if name not in table:
         if name in ("g1_paper", "g2_paper"):
             raise FamilyError(f"field {name!r} exists only for family funk_ball_berwald with n = 3")

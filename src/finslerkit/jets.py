@@ -793,7 +793,8 @@ class JetArray(_Coefficients):
     does, batched up to :data:`BATCH_ORDER`; sums over an index axis (``@``,
     :meth:`sum`, :meth:`trace`) add left to right.  So every entry has the
     bits of the same formula on single jets.  Operands are jets or tensors
-    of this space; other spaces raise :class:`SignatureError`.
+    of this space; other spaces raise :class:`SignatureError`.  A tensor is
+    never written into: item assignment raises ``TypeError``.
     """
 
     __slots__ = ()
@@ -820,17 +821,6 @@ class JetArray(_Coefficients):
 
     def __getitem__(self, index):
         return _wrap(self.space, self.coeffs[_index(index)], self.deg)
-
-    def __setitem__(self, index, value):
-        """Writes entries of this space whose degree bound is at most this
-        tensor's; the bound stays, so the tensor and every jet or tensor
-        read out of it keep a true one."""
-        if self._peer(value).deg > self.deg:
-            raise OrderError(
-                f"cannot write an entry of degree bound {value.deg} into a tensor of bound {self.deg}; "
-                "build the tensor from its coefficients (bound: the order) to write any entry"
-            )
-        self.coeffs[_index(index)] = value.coeffs
 
     def transpose(self, *axes) -> "JetArray":
         axes = axes or tuple(reversed(range(len(self.shape))))

@@ -9,7 +9,9 @@ coordinate, all finite, y != 0.  :func:`check_domain` is the one place
 where a point is checked against a metric: its dimension and the ball
 guard.  Every entry point that takes a point calls :func:`check_domain`,
 which takes a :class:`PhasePoint` as it is and builds one from an
-``(x, y)`` pair, so each point is converted once.
+``(x, y)`` pair, so each point is converted once.  A seeded run's sample
+(the CLI's ``inspect``, ``verify`` and ``bracket``, the load-time checks)
+is :func:`sample_points`, which draws as :func:`sample_phase_point` does.
 
 A :class:`MetricSpec` declares the data defining one Finsler metric through
 its energy function F^2(x, y):
@@ -95,6 +97,7 @@ __all__ = [
     "check_domain",
     "guard_distance",
     "sample_phase_point",
+    "sample_points",
     "catalog",
 ]
 
@@ -353,6 +356,13 @@ def sample_phase_point(spec: MetricSpec, rng: np.random.Generator):
     raise DomainError(f"could not sample an in-domain point for metric {spec.name!r}")
 
 
+def sample_points(spec: MetricSpec, count: int, seed: int) -> list[PhasePoint]:
+    """A seeded run's sample: ``count`` points drawn in turn by
+    :func:`sample_phase_point` from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [PhasePoint(*sample_phase_point(spec, rng)) for _ in range(count)]
+
+
 # -- config text ----------------------------------------------------------
 
 def _strip_comment(line: str) -> str:
@@ -515,20 +525,13 @@ def load_metric_file(path) -> MetricSpec:
 # -- load-time validation --------------------------------------------------
 
 def _validate_loaded(spec: MetricSpec) -> None:
-    rng = np.random.default_rng(_LOAD_CHECK_SEED)
-    points = []
-    for _ in range(8):
-        try:
-            points.append(sample_phase_point(spec, rng))
-        except DomainError:
-            raise
-        except FinslerError as err:
-            raise ConfigError(f"metric cannot be evaluated on its domain: {err}") from err
+    # sampling raises DomainError when no candidate point evaluates
+    points = sample_points(spec, 8, _LOAD_CHECK_SEED)
 
     if spec.family == "riemannian":
-        for x, _ in points[:5]:
+        for p in points[:5]:
             mat = np.empty((spec.dimension, spec.dimension))
-            xs = [float(v) for v in x]
+            xs = list(p.x)
             for i in range(spec.dimension):
                 for j in range(spec.dimension):
                     mat[i, j] = _float_expression(spec.components[i][j], xs)
@@ -551,12 +554,11 @@ def _validate_loaded(spec: MetricSpec) -> None:
     if spec.family == "custom":
         checked = 0
         failure = None
-        for x, y in points:
-            xs = [float(v) for v in x]
+        for p in points:
             try:
                 # f2_value holds every value to be finite and positive
-                base = f2_value(spec, xs, y)
-                scaled = [f2_value(spec, xs, [lam * float(v) for v in y]) for lam in (2.0, 3.0)]
+                base = f2_value(spec, p.x, p.y)
+                scaled = [f2_value(spec, p.x, [lam * v for v in p.y]) for lam in (2.0, 3.0)]
             except FinslerError as err:
                 failure = err
                 continue  # scaling may step on a fiber pole; try other samples
@@ -574,42 +576,15 @@ def _validate_loaded(spec: MetricSpec) -> None:
             )
 
     if spec.sigma is not None:
-        for x, _ in points:
-            value = _float_expression(spec.sigma, [float(v) for v in x])
+        for p in points:
+            value = _float_expression(spec.sigma, list(p.x))
             if value <= 0.0:
-                raise ConfigError(f"sigma is not positive at x = {list(map(float, x))}")
+                raise ConfigError(f"sigma is not positive at x = {list(p.x)}")
 
 
 # -- built-in catalog -------------------------------------------------------
 
-_CATALOG_TEXTS = {
-    "euclidean": """
-        [metric]
-        name = euclidean
-        dimension = {n}
-        family = euclidean
-    """,
-    "funk_ball_berwald": """
-        [metric]
-        name = funk_ball_berwald
-        dimension = {n}
-        family = funk_ball_berwald
-    """,
-    "riemannian_flat_skew": """
-        [metric]
-        name = riemannian_flat_skew
-        dimension = {n}
-        family = riemannian
-        {components}
-    """,
-    "riemannian_round_sphere": """
-        [metric]
-        name = riemannian_round_sphere
-        dimension = {n}
-        family = riemannian
-        {components}
-    """,
-}
+_CATALOG_TEMPLATE = "[metric]\nname = {name}\ndimension = {n}\nfamily = {family}\n{components}"
 
 
 def _flat_skew_components(n: int) -> str:
@@ -639,13 +614,13 @@ def catalog(n: int = 3) -> dict[str, MetricSpec]:
 
 @cache
 def _catalog(n: int) -> dict[str, MetricSpec]:
-    out = {}
-    for key, template in _CATALOG_TEXTS.items():
-        if key == "riemannian_flat_skew":
-            text = template.format(n=n, components=_flat_skew_components(n))
-        elif key == "riemannian_round_sphere":
-            text = template.format(n=n, components=_sphere_components(n))
-        else:
-            text = template.format(n=n)
-        out[key] = parse_metric("\n".join(line.strip() for line in text.strip().splitlines()))
-    return out
+    entries = {  # name: (family, component lines)
+        "euclidean": ("euclidean", ""),
+        "funk_ball_berwald": ("funk_ball_berwald", ""),
+        "riemannian_flat_skew": ("riemannian", _flat_skew_components(n)),
+        "riemannian_round_sphere": ("riemannian", _sphere_components(n)),
+    }
+    return {
+        name: parse_metric(_CATALOG_TEMPLATE.format(name=name, n=n, family=family, components=components))
+        for name, (family, components) in entries.items()
+    }

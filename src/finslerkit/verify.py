@@ -64,6 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdcheck, integrals, metrics
+from .errors import DomainError
 from .metrics import PhasePoint
 from .tensors import PointEvaluation
 
@@ -108,7 +109,13 @@ class _PointRecord(NamedTuple):
 
 
 def _norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+    """The 2-norm of ``a``'s entries; one past the float range is a
+    :class:`DomainError`, not numpy's overflow warning."""
+    try:
+        with np.errstate(over="raise"):
+            return float(np.linalg.norm(np.asarray(a).ravel()))
+    except FloatingPointError as err:
+        raise DomainError(f"a norm leaves the float range: {err}") from None
 
 
 # chi, the Hamel residual and nabla E are reported only unless a vanishing
@@ -190,8 +197,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     """Run every applicable invariant suite on one metric."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
-    rng = np.random.default_rng(seed)
-    points = [metrics.sample_phase_point(spec, rng) for _ in range(n_points)]
+    points = metrics.sample_points(spec, n_points, seed)
     n = spec.dimension
     is_funk = spec.family == "funk_ball_berwald"
     is_riem = spec.family in ("euclidean", "riemannian")
@@ -210,9 +216,9 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     # records of the leading points, for the subset suites after the loop
     shared: list[_PointRecord] = []
 
-    for x, y in points:
-        ev = PointEvaluation(spec, PhasePoint(x, y), order=6)
-        y = np.array(ev.point.y)
+    for p in points:
+        ev = PointEvaluation(spec, p, order=6)
+        y = np.array(p.y)
         F2 = ev.F2.num
         g = ev.g.num
         gs = max(1.0, _norm(g))
@@ -310,8 +316,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     # is reported even when every partial is below the oracle's noise floor
     add("jets_match_finite_differences", 0.0)
     idxs = _fd_index_sample(n)
-    for x, y in points[:2]:
-        x = 0.5 * np.asarray(x)  # keep FD stencils well inside the domain
+    for p in points[:2]:
+        x, y = 0.5 * np.asarray(p.x), p.y  # keep FD stencils well inside the domain
         # the sampled indices take at most two x-derivatives: cap 2
         jet = PointEvaluation(spec, PhasePoint(x, y), order=4).F2
 

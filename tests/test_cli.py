@@ -234,6 +234,31 @@ def test_malformed_numbers_exit_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["inspect", "--metric", FUNK, "--point", "nan,0,0;1,0,0"],
+            "non-finite coordinate in x = [nan, 0.0, 0.0], y = [1.0, 0.0, 0.0]",
+        ),
+        (["inspect", "--metric", FUNK, "--point", "0,0;1,0"], "point has dimension 2, metric dimension is 3"),
+        (
+            ["flow", "--metric", FUNK, "--x0", "0,0", "--y0", "1,0,0", "--tmax", "1"],
+            "x has length 2 but y has length 3",
+        ),
+    ],
+    ids=["non-finite", "dimension", "lengths"],
+)
+def test_malformed_points_are_reported_by_the_phase_point_boundary(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_flow_tolerance_defaults_are_the_integrator_settings():
+    args = cli._build_parser().parse_args(["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1"])
+    assert (args.rtol, args.atol) == (flow.IntegrateSettings().rtol, flow.IntegrateSettings().atol)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["inspect", "--metric", FUNK, "--point", "1e200,0,0;1,0,0"],
@@ -322,6 +347,18 @@ def test_non_finite_energy_exits_two_without_warnings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "F^2 is not finite and positive" in err
+
+
+def test_an_overflowing_norm_in_verify_exits_two_without_warnings(tmp_path, capsys):
+    # F^2 = 1e300 |y|^2 is finite, but the squares in the norm of g are not:
+    # one error line, no numpy overflow warning before it
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--metric", str(cfg), "--npoints", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a norm leaves the float range: overflow encountered in dot\n"
 
 
 def test_overflowing_components_exit_two_without_warnings(tmp_path, capsys):

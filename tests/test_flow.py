@@ -126,8 +126,9 @@ def test_invalid_time_span_is_rejected(funk):
     assert integrate(funk, AXIS_INIT, 0.1, IntegrateSettings(rtol=0.0)).status == "completed"
 
 
-def test_invalid_drift_tolerance_is_rejected(funk):
-    traj = integrate(funk, AXIS_INIT, 0.5, IntegrateSettings(max_samples=5))
+def test_invalid_drift_tolerance_is_rejected(funk, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_SAMPLES", 5)
+    traj = integrate(funk, AXIS_INIT, 0.5)
     for tol in (float("nan"), float("inf"), -1e-9):
         with pytest.raises(ValueError, match="tol"):
             flow.drift(funk, traj, ["F"], tol=tol)
@@ -136,9 +137,10 @@ def test_invalid_drift_tolerance_is_rejected(funk):
     assert report.tol == 0.0 and report.passed == (report.fields["F"].max_abs_dev == 0.0)
 
 
-def test_step_budget_failure_carries_partial_trajectory(funk):
+def test_step_budget_failure_carries_partial_trajectory(funk, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(StepFailure) as err:
-        integrate(funk, AXIS_INIT, 10.0, IntegrateSettings(max_steps=3))
+        integrate(funk, AXIS_INIT, 10.0)
     traj = err.value.trajectory
     assert isinstance(traj, Trajectory)
     assert traj.status == "step_failure"
@@ -166,17 +168,18 @@ def test_drift_report_flags_violations(funk):
     assert strict.tol == 1e-18
 
 
-def test_sample_thinning_keeps_endpoints(euclid):
-    settings = IntegrateSettings(max_samples=40)
-    traj = integrate(euclid, ((0.0, 0.0, 0.0), (1.0, 0.5, 0.2)), 20.0, settings)
+def test_sample_thinning_keeps_endpoints(euclid, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_SAMPLES", 40)
+    traj = integrate(euclid, ((0.0, 0.0, 0.0), (1.0, 0.5, 0.2)), 20.0)
     assert len(traj) <= 40
     assert traj.ts[0] == 0.0
     assert traj.ts[-1] == pytest.approx(20.0)
     assert np.all(np.diff(traj.ts) > 0)
 
 
-def test_trajectory_csv_round_trips(funk):
-    traj = integrate(funk, AXIS_INIT, 1.0, IntegrateSettings(max_samples=20))
+def test_trajectory_csv_round_trips(funk, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_SAMPLES", 20)
+    traj = integrate(funk, AXIS_INIT, 1.0)
     text = flow.trajectory_csv(funk, traj, ["f1", "c2"])
     lines = text.strip().splitlines()
     assert lines[0] == "t,x1,x2,x3,y1,y2,y3,f1,c2"
@@ -198,8 +201,9 @@ def test_integrator_stats_are_populated(funk):
     assert traj.stats.rejections >= 0
 
 
-def test_shared_field_values_give_the_same_outputs(funk):
-    traj = integrate(funk, AXIS_INIT, 1.0, IntegrateSettings(max_samples=20))
+def test_shared_field_values_give_the_same_outputs(funk, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_SAMPLES", 20)
+    traj = integrate(funk, AXIS_INIT, 1.0)
     fields = ["F", "f1", "c2"]
     values = flow.field_values(funk, traj, fields)
     assert len(values) == len(traj)

@@ -39,7 +39,9 @@ RUNS = {
     "flow/riemannian_round_sphere": (
         "flow", "riemannian_round_sphere", "--x0", "0.3,0,-0.2", "--y0", "0,1,0.5", "--tmax", "0.5", "--watch", "F",
     ),
-    "bracket/funk_ball_berwald/11": ("bracket", "funk_ball_berwald", "--fields", "f1,f2", "--npoints", "3", "--seed", "11"),
+    "bracket/funk_ball_berwald/11": (
+        "bracket", "funk_ball_berwald", "--fields", "f1,f2", "--npoints", "3", "--seed", "11",
+    ),
     "bracket-csv/randers3/12": (
         "bracket", "randers3.cfg", "--fields", "f1,F", "--npoints", "3", "--seed", "12", "--format", "csv",
     ),

@@ -369,6 +369,29 @@ def test_phase_point_lives_in_metrics_and_is_reexported():
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[metric]\nname = ball4\ndimension = 4\nfamily = funk_ball_berwald\n",
+        "[metric]\nname = randers3\ndimension = 3\nfamily = custom\nexpression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2\n",
+        # F^2 < 0 for some candidates: the sampler retries them
+        "[metric]\nname = pole3\ndimension = 3\nfamily = custom\nexpression = normy2 + 4*x1*y2^3/y1\n",
+    ],
+    ids=["ball4", "randers3", "pole3"],
+)
+def test_sample_points_draws_like_sample_phase_point_in_turn(text, monkeypatch):
+    spec = metrics.parse_metric(text)
+    rng = np.random.default_rng(0)
+    want = [metrics.sample_phase_point(spec, rng) for _ in range(12)]
+    candidates = []
+    f2_value = metrics.f2_value
+    monkeypatch.setattr(metrics, "f2_value", lambda *a: candidates.append(a) or f2_value(*a))
+    got = metrics.sample_points(spec, 12, 0)
+    assert all(isinstance(p, PhasePoint) for p in got)
+    assert [(p.x, p.y) for p in got] == [(tuple(x), tuple(y)) for x, y in want]
+    assert (len(candidates) > 12) == (spec.name == "pole3")
+
+
 def test_sampling_stays_in_domain(catalog3):
     rng = np.random.default_rng(11)
     for spec in catalog3.values():

@@ -335,8 +335,7 @@ def test_mat_inv_det_product_count(jet_products, signature, most):
 def test_non_finite_fundamental_tensor_is_singular(funk, monkeypatch, bad):
     p = _sample(funk, 3)
     ev = PointEvaluation(funk, p, order=2)
-    g = ev.g
-    g[1][1] = g[1][1] + bad
+    ev.g.coeffs[1, 1, 0] += bad  # the value part of g_22; tensors take no item assignment
     with pytest.raises(SingularMetricError):
         ev.g_inv
     eval_f2 = metrics.eval_F2
