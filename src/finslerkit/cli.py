@@ -44,12 +44,15 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, default=_json_default, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, out: str | None) -> None:
+    _write(json.dumps(report, default=_json_default, sort_keys=True, indent=2) + "\n", out)
 
 
 def _timestamp() -> str:
@@ -173,10 +176,7 @@ def cmd_flow(args) -> int:
     y0 = _parse_floats(args.y0, f"--y0 {args.y0!r}")
     watch = [w for w in (args.watch or "").split(",") if w]
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
-    try:
-        traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
-    except ValueError as exc:
-        raise FinslerError(str(exc)) from exc
+    traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
     # the CSV and the drift report share one evaluation per sample
     values = flow.field_values(spec, traj, watch) if watch else None
     if args.out:
@@ -235,19 +235,9 @@ def cmd_bracket(args) -> int:
         "values": rows,
     }
     if args.format == "csv":
-        n = spec.dimension
-        header = (
-            [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)] + ["value", "scale", "scaled"]
-        )
-        lines = [",".join(header)]
-        for row in rows:
-            vals = row["point"]["x"] + row["point"]["y"] + [row["value"], row["scale"], row["scaled"]]
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        columns = ["value", "scale", "scaled"]
+        table = ([*row["point"]["x"], *row["point"]["y"], *(row[c] for c in columns)] for row in rows)
+        _write(flow.phase_csv(spec.dimension, table, after=columns), args.out)
     else:
         _emit(report, args.out)
     if args.assert_zero and not passed:
@@ -315,7 +305,10 @@ def main(argv=None) -> int:
     try:
         # an option value out of range is a setup error, raised while parsing
         args = _build_parser().parse_args(argv)
-        return globals()[f"cmd_{args.command}"](args)
+        # a float overflow or invalid operation in any stage raises, so it
+        # ends in the one error line below and no numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            return globals()[f"cmd_{args.command}"](args)
     except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

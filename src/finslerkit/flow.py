@@ -41,6 +41,7 @@ __all__ = [
     "integrate",
     "field_values",
     "drift",
+    "phase_csv",
     "trajectory_csv",
 ]
 
@@ -343,18 +344,19 @@ def drift(spec, traj: Trajectory, fields, tol: float = 1e-6, values=None) -> Dri
     return DriftReport(fields=report_fields, tol=tol, passed=passed)
 
 
+def phase_csv(n: int, rows, before=(), after=()) -> str:
+    """CSV text with the columns ``before``, x1..xn, y1..yn and ``after``,
+    then one line per row of numbers, each to 17 significant digits."""
+    header = [*before, *(f"x{i + 1}" for i in range(n)), *(f"y{i + 1}" for i in range(n)), *after]
+    lines = [",".join(header), *(",".join(f"{v:.17g}" for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_csv(spec, traj: Trajectory, fields=(), values=None) -> str:
     """CSV text: t, x, y and optional field columns at every sample;
     ``values`` (from :func:`field_values`) is evaluated here when not given."""
     fields = list(fields)
-    n = traj.xs.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)] + fields
     if fields and values is None:
         values = field_values(spec, traj, fields)
-    lines = [",".join(header)]
-    for k, (t, x, y) in enumerate(traj.samples):
-        row = [t, *x, *y]
-        if fields:
-            row += [values[k][name] for name in fields]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = ([t, *x, *y, *(values[k][name] for name in fields)] for k, (t, x, y) in enumerate(traj.samples))
+    return phase_csv(traj.xs.shape[1], rows, before=["t"], after=fields)

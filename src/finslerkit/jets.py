@@ -101,10 +101,12 @@ unscaled.  The result is then ``v / b0``, ``b0**a p``, ``ln b0 + w`` and
 ``exp(b0) e``, so its value part is the float function's value.  A term
 ``t_k p_{d-k}`` is the degree-d part of a product of two blocks: block d
 reads the degree-d slice of the space's product table, so each function
-costs about one product's worth of pairs and issues no jet product.  The
-functions keep the domain of the power series they replaced: a value part
-at which a coefficient ``f^(k)(b0) / k!`` of that series would leave the
-normal float range raises :class:`~finslerkit.errors.DomainError`.
+costs about one product's worth of pairs and issues no jet product.  A
+function fails only where a coefficient it returns would not fit in a
+float: a value part that is not finite, or a coefficient that overflows,
+raises :class:`~finslerkit.errors.DomainError`, and underflow to zero or
+to a subnormal is the rounded result.  So a homothety ``c F^2`` evaluates
+for every constant ``c`` at which its coefficients fit.
 
 Tensors of jets
 ---------------
@@ -136,11 +138,11 @@ which patches ``DualLayer.__mul__``, to stop doing so.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
 import operator
-import sys
 from functools import cached_property
 from itertools import combinations
 
@@ -352,31 +354,19 @@ def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
     return space
 
 
-def _check_float_range(name: str, b0: float, order: int, exponents, coefficient) -> None:
-    """Raise :class:`DomainError` where the power-series coefficients
-    ``coefficient(k, b0 ** exponents[k])`` of the jet function ``name`` at
-    value part ``b0`` leave the normal float range.
-
-    The recurrences below never form these coefficients; the check keeps the
-    domain the functions had when they were built from them.  ``|b0|**e`` is
-    monotone in ``e``, so the two extreme exponents decide; only on failure
-    are the others walked, to name the first coefficient that leaves.
-    """
-
-    def leaves(k: int) -> bool:
-        try:
-            power = b0 ** exponents[k]
-            value = coefficient(k, power)
-        except (OverflowError, ZeroDivisionError):
-            return True
-        return not (sys.float_info.min <= abs(power) < math.inf and math.isfinite(value))
-
-    if leaves(0) or leaves(len(exponents) - 1):
-        k = next(k for k in range(len(exponents)) if leaves(k))
-        raise DomainError(
-            f"{name} of a jet with value part {b0!r} at order {order}: "
-            f"Taylor coefficient {k} leaves the float range"
-        )
+@contextlib.contextmanager
+def _float_range(name: str, b0: float):
+    """Context for computing the coefficients of the jet function ``name``
+    at value part ``b0``: a value part that is not finite, or a float
+    overflow or invalid operation in the body, raises :class:`DomainError`
+    naming both.  Underflow is left to round."""
+    if not math.isfinite(b0):
+        raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise DomainError(f"{name} of a jet with value part {b0!r}: a coefficient leaves the float range") from None
 
 
 def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gamma: float, delta: float = 0.0):
@@ -726,13 +716,12 @@ class Jet(_Coefficients):
 
     def recip(self) -> "Jet":
         b0 = self.value
-        if b0 == 0.0:
-            raise PoleError("division by a jet with zero value part")
-        m = self.space.order
-        _check_float_range("recip", b0, m, range(1, m + 2), lambda k, p: (-1.0) ** k / p)
-        # (1 + t) v = 1
-        p = _graded_solve(self.space, self._scaled(b0), 1.0, 0.0, 1.0)
-        p /= b0
+        with _float_range("recip", b0):
+            if b0 == 0.0:
+                raise PoleError("division by a jet with zero value part")
+            # (1 + t) v = 1
+            p = _graded_solve(self.space, self._scaled(b0), 1.0, 0.0, 1.0)
+            p /= b0
         return Jet(self.space, p)
 
     def sqrt(self) -> "Jet":
@@ -740,24 +729,21 @@ class Jet(_Coefficients):
 
     def ln(self) -> "Jet":
         b0 = self.value
-        if b0 <= 0.0:
-            raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
-        m = self.space.order
-        _check_float_range(
-            "ln", b0, m, range(m + 1), lambda k, p: (-1.0) ** (k + 1) / (k * p) if k else math.log(b0)
-        )
-        # (1 + t) E(w) = E(t)
-        p = _graded_solve(self.space, self._scaled(b0), 0.0, 1.0, 1.0, 1.0)
-        p[0] = math.log(b0)
+        with _float_range("ln", b0):
+            if b0 <= 0.0:
+                raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
+            # (1 + t) E(w) = E(t)
+            p = _graded_solve(self.space, self._scaled(b0), 0.0, 1.0, 1.0, 1.0)
+            p[0] = math.log(b0)
         return Jet(self.space, p)
 
     def exp(self) -> "Jet":
-        e0 = math.exp(self.value)
-        t = self.coeffs.copy()
-        t[0] = 0.0
-        # E(e) = e E(t)
-        p = _graded_solve(self.space, t, 1.0, 1.0, 0.0)
-        p *= e0
+        with _float_range("exp", self.value):
+            t = self.coeffs.copy()
+            t[0] = 0.0
+            # E(e) = e E(t)
+            p = _graded_solve(self.space, t, 1.0, 1.0, 0.0)
+            p *= math.exp(self.value)
         return Jet(self.space, p)
 
     def powc(self, alpha: float) -> "Jet":
@@ -766,16 +752,12 @@ class Jet(_Coefficients):
 
     def _power(self, alpha: float, name: str) -> "Jet":
         b0 = self.value
-        if b0 <= 0.0:
-            raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
-        m = self.space.order
-        binoms = [1.0]
-        for k in range(m):
-            binoms.append(binoms[-1] * ((alpha - k) / (k + 1)))
-        _check_float_range(name, b0, m, [alpha - k for k in range(m + 1)], lambda k, p: binoms[k] * p)
-        # (1 + t) E(p) = alpha p E(t)
-        p = _graded_solve(self.space, self._scaled(b0), 1.0, alpha + 1.0, 1.0)
-        p *= b0**alpha
+        with _float_range(name, b0):
+            if b0 <= 0.0:
+                raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
+            # (1 + t) E(p) = alpha p E(t)
+            p = _graded_solve(self.space, self._scaled(b0), 1.0, alpha + 1.0, 1.0)
+            p *= b0**alpha
         return Jet(self.space, p)
 
 

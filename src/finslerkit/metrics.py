@@ -401,9 +401,6 @@ def _read_sections(text: str):
     return sections
 
 
-_SCALAR_KEYS = {"name", "dimension", "family", "sigma", "expression"}
-
-
 def parse_metric(text: str) -> MetricSpec:
     """Parse and validate a metric description; see the module docstring.
 
@@ -480,13 +477,12 @@ def parse_metric(text: str) -> MetricSpec:
             expr.check_variables(node, dimension, allow_y=False, context=key)
             grid[i - 1][j - 1] = node
             del body[key]
-        zero = expr.Num(0.0)
         for i in range(dimension):
             if grid[i][i] is None:
                 raise ConfigError(f"missing diagonal component g_{i + 1}_{i + 1}")
             for j in range(dimension):
                 if grid[i][j] is None:
-                    grid[i][j] = grid[j][i] if grid[j][i] is not None else zero
+                    grid[i][j] = grid[j][i] if grid[j][i] is not None else _ZERO
         components = tuple(tuple(row) for row in grid)
     if body:
         raise ConfigError(f"unknown key(s) {sorted(body)!r} for family {family!r}")

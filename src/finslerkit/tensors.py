@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, metrics
-from .errors import OrderError, SingularMetricError
+from .errors import DomainError, OrderError, SingularMetricError
 from .jets import JetSpace, seed_phase_point, stack
 from .metrics import PhasePoint
 
@@ -139,15 +139,21 @@ def _align(*tensors):
     return [t.to_space(space) for t in tensors]
 
 
-def _condition_number(g: np.ndarray) -> float:
-    """max|lambda| / min|lambda| over the eigenvalues of the symmetric
-    matrix g, which is its 2-norm condition number; inf when g is singular
-    or has an entry that is not finite."""
-    if not np.isfinite(g).all():
-        return math.inf
-    eigs = np.abs(np.linalg.eigvalsh(g))
-    smallest = float(eigs.min())
-    return float(eigs.max()) / smallest if smallest > 0.0 else math.inf
+def _check_conditioned(g: np.ndarray, point) -> None:
+    """Raise :class:`SingularMetricError` where the symmetric matrix g, the
+    fundamental tensor at ``point``, has a 2-norm condition number (max|lambda|
+    / min|lambda| over its eigenvalues) above :data:`COND_LIMIT`; a singular
+    g, or one with an entry that is not finite, counts as infinite."""
+    cond = math.inf
+    if np.isfinite(g).all():
+        eigs = np.abs(np.linalg.eigvalsh(g))
+        if eigs.min() > 0.0:
+            cond = float(eigs.max()) / float(eigs.min())
+    if cond > COND_LIMIT:
+        raise SingularMetricError(
+            f"fundamental tensor is numerically singular at {point} "
+            f"(condition number {cond:.3e} > {COND_LIMIT:.0e})"
+        )
 
 
 def mat_inv_det(mat):
@@ -283,14 +289,14 @@ class PointEvaluation:
 
     @cached_property
     def _g_inv_det(self):
-        cond = _condition_number(self.g.num)
-        if cond > COND_LIMIT:
-            raise SingularMetricError(
-                f"fundamental tensor is numerically singular at {self.point} "
-                f"(condition number {cond:.3e} > {COND_LIMIT:.0e})"
-            )
+        _check_conditioned(self.g.num, self.point)
         r = range(self.n)
-        return mat_inv_det([[self.g[i, j] for j in r] for i in r])
+        # under a homothety c F^2, det g scales like c^n: it is the first to overflow
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return mat_inv_det([[self.g[i, j] for j in r] for i in r])
+        except FloatingPointError:
+            raise DomainError(f"det g leaves the float range at {self.point}") from None
 
     @property
     def g_inv(self):
@@ -459,10 +465,6 @@ def spray_values(spec, p) -> np.ndarray:
     f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
     hess = f2.hessian()
     g = 0.5 * hess[n:, n:]
-    cond = _condition_number(g)
-    if cond > COND_LIMIT:
-        raise SingularMetricError(
-            f"fundamental tensor is numerically singular at {p} (condition number {cond:.3e})"
-        )
+    _check_conditioned(g, p)
     b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
     return 0.25 * np.linalg.solve(g, b)

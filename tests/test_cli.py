@@ -375,14 +375,45 @@ def test_overflowing_components_exit_two_without_warnings(tmp_path, capsys):
 
 
 def test_series_out_of_float_range_exits_two_naming_the_function(tmp_path, capsys):
-    # F^2 = 1e300 |y|^2 loads and evaluates in floats, but the Taylor
-    # series of sqrt at a value part near 1e300 leaves the float range
-    cfg = tmp_path / "scaled.cfg"
-    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*1e300\n")
-    assert run(["inspect", "--metric", str(cfg), "--npoints", "2"]) == 2
+    # F^2 = |y|^2 exp(800 x1) is a float at x1 = 0.88, but the degree-1
+    # coefficient of its exp, 800 exp(704), is not
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*exp(800*x1)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["inspect", "--metric", str(cfg), "--point", "0.88,0,0;1,0,0"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sqrt of a jet with value part ") and err.count("\n") == 1
-    assert "leaves the float range" in err
+    assert err == "error: exp of a jet with value part 704.0: a coefficient leaves the float range\n"
+
+
+def test_a_homothety_of_the_euclidean_metric_verifies(tmp_path):
+    # c F^2 has the spray of F^2: the suites see no difference at c = 1e30
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = 1e30*normy2\n")
+    assert run(["verify", "--metric", str(cfg), "--npoints", "2", "--out", str(tmp_path / "verify.json")]) == 0
+
+
+@pytest.mark.parametrize("expression", ["normy2 + 1e308*y1^2", "normy2*1e300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "--npoints", "2"],
+        ["verify", "--npoints", "2"],
+        ["bracket", "--fields", "f1,f2", "--npoints", "3"],
+        ["flow", "--x0", "0.1,0,0", "--y0", "1,0,0", "--tmax", "1", "--watch", "f1"],
+    ],
+    ids=["inspect", "verify", "bracket", "flow"],
+)
+def test_an_overflow_past_f2_exits_two_with_one_line(tmp_path, capsys, expression, argv):
+    # F^2 is a float at the sampled points, but a later stage overflows:
+    # every command prints one error line and no numpy warning
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[metric]\ndimension = 3\nfamily = custom\nexpression = {expression}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--metric", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_large_dimension_exits_two_without_a_jet_table(tmp_path, capsys, monkeypatch):
@@ -428,7 +459,9 @@ def test_any_config_text_ends_in_an_exit_code_not_a_traceback(tmp_path_factory, 
     cfg = tmp_path_factory.mktemp("config") / "metric.cfg"
     cfg.write_text(text)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    # a numpy warning would reach stderr before the error line: fail on it
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(["inspect", "--metric", str(cfg), "--npoints", "1", "--out", str(cfg.with_suffix(".json"))])
     assert code in (0, 1, 2, 3), text
     assert "Traceback" not in err.getvalue(), text

@@ -26,6 +26,30 @@ def _sample(spec, seed=0):
     return PhasePoint(x, y)
 
 
+# -- homotheties ----------------------------------------------------------------
+
+_RANDERS = "(sqrt(normy2) + 0.2*(x2*y1 - x1*y2 + x3*y3))^2"
+
+
+def _scaled_randers(c):
+    return metrics.parse_metric(f"[metric]\ndimension = 3\nfamily = custom\nexpression = {c!r}*{_RANDERS}\n")
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e-30, 1e30, 1e100])
+def test_a_homothety_keeps_the_spray_and_scales_the_first_integrals(c):
+    # c F^2 has the spray, connection, mean Berwald curvature, chi and Jacobi
+    # endomorphism of F^2, and each f_a scales by c^(-a/2)
+    for p in metrics.sample_points(_scaled_randers(1.0), 3, 5):
+        want = tensors.PointEvaluation(_scaled_randers(1.0), p).packet()
+        got = tensors.PointEvaluation(_scaled_randers(c), p).packet()
+        for name in ("G", "N", "E", "chi", "R_jac"):
+            ref = getattr(want, name)
+            assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+        f, f_want = _packet_integrals(got).f, _packet_integrals(want).f
+        a = np.arange(1, len(f_want) + 1)
+        np.testing.assert_allclose(f * c ** (a / 2), f_want, rtol=1e-14)
+
+
 # -- frozen values at the ball center -----------------------------------------
 
 def test_first_integral_set_at_center(funk, origin_point):

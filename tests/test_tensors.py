@@ -14,6 +14,8 @@ Independent oracles used here:
 import functools
 import math
 import operator
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -352,10 +354,22 @@ def test_non_finite_fundamental_tensor_is_singular(funk, monkeypatch, bad):
 
 def test_condition_guard_near_ball_boundary(funk):
     p = PhasePoint((0.9999985, 0.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(SingularMetricError):
+    # both routes word the check alike
+    message = re.escape(f"fundamental tensor is numerically singular at {p} (condition number ") + r".* > 1e\+10\)"
+    with pytest.raises(SingularMetricError, match=message):
         PointEvaluation(funk, p, order=2).g_inv
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(SingularMetricError, match=message):
         tensors.spray_values(funk, p)
+
+
+def test_an_overflowing_det_g_is_a_domain_error_naming_it():
+    # g = 1e110 I is a float, det g = 1e330 is not
+    spec = metrics.parse_metric("[metric]\ndimension = 3\nfamily = custom\nexpression = 1e110*normy2\n")
+    p = PhasePoint((0.1, 0.2, 0.3), (1.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"det g leaves the float range at {p}")):
+            PointEvaluation(spec, p).det_g
 
 
 # -- order bookkeeping ----------------------------------------------------------
