@@ -55,8 +55,15 @@ def _emit(report: dict, out: str | None) -> None:
     _write(json.dumps(report, default=_json_default, sort_keys=True, indent=2) + "\n", out)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _report(command: str, spec: metrics.MetricSpec, **fields) -> dict:
+    """A report: the header every command writes, then ``fields``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "command": command,
+        "metric": spec.name,
+        **fields,
+    }
 
 
 def _load_spec(name_or_path: str) -> metrics.MetricSpec:
@@ -111,7 +118,7 @@ def cmd_inspect(args) -> int:
         fis = integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(p.y))
         docs.append(
             {
-                "point": {"x": list(p.x), "y": list(p.y)},
+                "point": p,
                 "F": pkt.F,
                 "g": pkt.g,
                 "g_inv": pkt.g_inv,
@@ -137,17 +144,7 @@ def cmd_inspect(args) -> int:
                 "bordered_value": fis.bordered_value,
             }
         )
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "generated_at": _timestamp(),
-            "command": "inspect",
-            "metric": spec.name,
-            "seed": args.seed,
-            "points": docs,
-        },
-        args.out,
-    )
+    _emit(_report("inspect", spec, seed=args.seed, points=docs), args.out)
     return 0
 
 
@@ -155,16 +152,14 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.metric)
     report = verify.verify_metric(spec, n_points=args.npoints, seed=args.seed)
     _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "generated_at": _timestamp(),
-            "command": "verify",
-            "metric": spec.name,
-            "n_points": report.n_points,
-            "seed": report.seed,
-            "passed": report.passed,
-            "suites": list(report.suites),
-        },
+        _report(
+            "verify",
+            spec,
+            n_points=report.n_points,
+            seed=report.seed,
+            passed=report.passed,
+            suites=list(report.suites),
+        ),
         args.out,
     )
     return 0 if report.passed else 1
@@ -175,23 +170,23 @@ def cmd_flow(args) -> int:
     x0 = _parse_floats(args.x0, f"--x0 {args.x0!r}")
     y0 = _parse_floats(args.y0, f"--y0 {args.y0!r}")
     watch = [w for w in (args.watch or "").split(",") if w]
+    if watch:
+        integrals.field_order(spec, watch)  # an unknown field fails now, not after the integration
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
     traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
     # the CSV and the drift report share one evaluation per sample
     values = flow.field_values(spec, traj, watch) if watch else None
     if args.out:
         Path(args.out).write_text(flow.trajectory_csv(spec, traj, watch, values=values))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _timestamp(),
-        "command": "flow",
-        "metric": spec.name,
-        "status": traj.status,
-        "t_final": float(traj.ts[-1]),
-        "samples": len(traj),
-        "stats": traj.stats,
-        "tol": args.tol,
-    }
+    report = _report(
+        "flow",
+        spec,
+        status=traj.status,
+        t_final=float(traj.ts[-1]),
+        samples=len(traj),
+        stats=traj.stats,
+        tol=args.tol,
+    )
     exit_code = 0
     if watch:
         drift_report = flow.drift(spec, traj, watch, tol=args.tol, values=values)
@@ -216,29 +211,25 @@ def cmd_bracket(args) -> int:
         value, scale = integrals.poisson_bracket_scaled(spec, fa, fb, p)
         scaled = abs(value) / scale
         max_scaled = max(max_scaled, scaled)
-        rows.append(
-            {"point": {"x": list(p.x), "y": list(p.y)}, "value": value, "scale": scale, "scaled": scaled}
-        )
+        rows.append({"point": p, "value": value, "scale": scale, "scaled": scaled})
     passed = max_scaled <= args.tol
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_at": _timestamp(),
-        "command": "bracket",
-        "metric": spec.name,
-        "fields": [fa, fb],
-        "n_points": args.npoints,
-        "seed": args.seed,
-        "tol": args.tol,
-        "max_scaled": max_scaled,
-        "assert_zero": bool(args.assert_zero),
-        "passed": passed,
-        "values": rows,
-    }
     if args.format == "csv":
         columns = ["value", "scale", "scaled"]
-        table = ([*row["point"]["x"], *row["point"]["y"], *(row[c] for c in columns)] for row in rows)
+        table = ([*row["point"].x, *row["point"].y, *(row[c] for c in columns)] for row in rows)
         _write(flow.phase_csv(spec.dimension, table, after=columns), args.out)
     else:
+        report = _report(
+            "bracket",
+            spec,
+            fields=[fa, fb],
+            n_points=args.npoints,
+            seed=args.seed,
+            tol=args.tol,
+            max_scaled=max_scaled,
+            assert_zero=bool(args.assert_zero),
+            passed=passed,
+            values=rows,
+        )
         _emit(report, args.out)
     if args.assert_zero and not passed:
         return 1
@@ -309,18 +300,12 @@ def main(argv=None) -> int:
         # ends in the one error line below and no numpy warning
         with np.errstate(over="raise", invalid="raise"):
             return globals()[f"cmd_{args.command}"](args)
-    except StepFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FinslerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (FinslerError, OSError, ValueError, ArithmeticError) as exc:
         # an escaped ValueError (numpy's LinAlgError is one) or a float
         # overflow is still a setup error: one line and exit 2, never a
-        # traceback
+        # traceback; only a failed integrator step exits 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, StepFailure) else 2
 
 
 if __name__ == "__main__":

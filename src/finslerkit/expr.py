@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import BranchError, ConfigError, DimensionError, ExpressionSyntaxError, PoleError
 
-__all__ = ["parse_expression", "to_text", "evaluate", "free_variables", "Node"]
+__all__ = ["parse_expression", "to_text", "evaluate", "Node"]
 
 
 class Node:
@@ -319,26 +319,17 @@ def to_text(node: Node) -> str:
 
 # -- analysis ----------------------------------------------------------
 
-def free_variables(node: Node) -> set[tuple[str, int]]:
-    """All (axis, index) variables the expression reads, reducers included."""
-    out: set[tuple[str, int]] = set()
+def check_variables(node: Node, dimension: int, allow_y: bool = True, context: str = "expression"):
+    """Raise :class:`DimensionError` at the first out-of-range or forbidden
+    variable in reading order; the reducers ``normy2`` and ``dotxy`` read y."""
 
     def walk(nd: Node):
-        if isinstance(nd, Var):
-            out.add((nd.axis, nd.index))
-        elif isinstance(nd, Reduce):
-            # Reducers read every coordinate of the axes they touch; mark
-            # axis with index 0 as "all of this axis".
-            if nd.name == "normx2":
-                out.add(("x", 0))
-            elif nd.name == "normy2":
-                out.add(("y", 0))
-            else:
-                out.add(("x", 0))
-                out.add(("y", 0))
-        elif isinstance(nd, Neg):
-            walk(nd.arg)
-        elif isinstance(nd, Call):
+        if isinstance(nd, Var) and nd.index > dimension:
+            raise DimensionError(f"{context} uses {nd.axis}{nd.index} but the dimension is {dimension}")
+        reads_y = isinstance(nd, Var) and nd.axis == "y" or isinstance(nd, Reduce) and nd.name != "normx2"
+        if reads_y and not allow_y:
+            raise DimensionError(f"{context} must not depend on y (found y-variable)")
+        if isinstance(nd, (Neg, Call)):
             walk(nd.arg)
         elif isinstance(nd, Pow):
             walk(nd.base)
@@ -347,18 +338,6 @@ def free_variables(node: Node) -> set[tuple[str, int]]:
             walk(nd.right)
 
     walk(node)
-    return out
-
-
-def check_variables(node: Node, dimension: int, allow_y: bool = True, context: str = "expression"):
-    """Raise :class:`DimensionError` for out-of-range or forbidden variables."""
-    for axis, index in free_variables(node):
-        if index > dimension:
-            raise DimensionError(
-                f"{context} uses {axis}{index} but the dimension is {dimension}"
-            )
-        if axis == "y" and not allow_y:
-            raise DimensionError(f"{context} must not depend on y (found y-variable)")
 
 
 # -- evaluation --------------------------------------------------------

@@ -115,13 +115,11 @@ one float array ``coeffs[*index, size]``.  Jets and tensors share their
 linear operations and products (:class:`_Coefficients`), which act on the
 last axis and broadcast over the others, so a tensor operation is one
 numpy call over all entries: a gather for ``d`` and
-:meth:`~JetArray.partials`, one ufunc for ``+``, ``-`` and scaling.  A
-product gathers the pairs of the space's product table for every entry
-at once up to order :data:`BATCH_ORDER`, and one entry at a time above
-it, where the gathered pairs outgrow the cache.  Each entry sums its
-pairs like a product of two jets, and sums over an index add left to
-right, so a tensor formula gives the bits of the same formula on single
-jets.
+:meth:`~JetArray.partials`, one ufunc for ``+``, ``-`` and scaling, and
+for a product one gather of the pairs of the space's product table for
+every entry at once.  Each entry sums its pairs like a product of two
+jets, and sums over an index add left to right, so a tensor formula
+gives the bits of the same formula on single jets.
 
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
 extra directional derivative through any computation written against the
@@ -424,12 +422,6 @@ def _ipow(base, n: int):
         square = square * square
 
 
-# Products over a tensor's entries run as one gather up to this order; above
-# it the gathered pair arrays outgrow the cache and one entry at a time is
-# faster (3x3 @ at (6, 4, 2): 274 us batched, 179 us per entry).
-BATCH_ORDER = 3
-
-
 def _products(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the products of the jets ``a[..., :]`` and
     ``b[..., :]`` of ``space``, broadcast against each other.  Each entry
@@ -440,17 +432,7 @@ def _products(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a[ia]
         prod *= b[ib]
         return np.add.reduceat(prod, starts)
-    if space.order <= BATCH_ORDER:
-        return np.add.reduceat(a.take(ia, axis=-1) * b.take(ib, axis=-1), starts, axis=-1)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    a = np.broadcast_to(a, shape).reshape(-1, space.size)
-    b = np.broadcast_to(b, shape).reshape(-1, space.size)
-    out = np.empty(a.shape)
-    for x, y, entry in zip(a, b, out):
-        prod = x.take(ia)  # at these orders take gathers faster than indexing
-        prod *= y.take(ib)
-        np.add.reduceat(prod, starts, out=entry)
-    return out.reshape(shape)
+    return np.add.reduceat(a.take(ia, axis=-1) * b.take(ib, axis=-1), starts, axis=-1)
 
 
 def _wrap(space: JetSpace, coeffs: np.ndarray, deg: int):
@@ -771,9 +753,9 @@ class JetArray(_Coefficients):
     axes left is a tensor again.  Linear operations (``+``, ``-``, scaling
     by a number, :meth:`d`, :meth:`partials`, :meth:`to_space`, ``num``)
     are one numpy operation on all entries.  Products (elementwise ``*``
-    with broadcasting, ``@``) multiply entry by entry like :class:`Jet`
-    does, batched up to :data:`BATCH_ORDER`; sums over an index axis (``@``,
-    :meth:`sum`, :meth:`trace`) add left to right.  So every entry has the
+    with broadcasting, ``@``) are one gather over all entries, each
+    entry summing its pairs like :class:`Jet` does; sums over an index
+    axis (``@``, :meth:`sum`, :meth:`trace`) add left to right.  So every entry has the
     bits of the same formula on single jets.  Operands are jets or tensors
     of this space; other spaces raise :class:`SignatureError`.  A tensor is
     never written into: item assignment raises ``TypeError``.

@@ -341,16 +341,7 @@ class PointEvaluation:
         """Berwald curvature B^i_jkl."""
         if self.order < 5:
             raise OrderError("the Berwald tensor needs seed order >= 5")
-        n = self.n
-        # the fiber planes d/dy^k d/dy^j G^i for j <= k, each differentiated
-        # once: (j, k) serves (k, j) as well, since derivatives commute
-        pairs = [(j, k) for k in range(n) for j in range(k + 1)]
-        planes = [self.dy(self.N[:, : k + 1], k) for k in range(n)]
-        lines = self._grad_y(stack([planes[k][:, j] for j, k in pairs]))
-        plane_of = np.empty((n, n), dtype=np.intp)
-        for index, (j, k) in enumerate(pairs):
-            plane_of[j, k] = plane_of[k, j] = index
-        return lines.transpose(1, 0, 2)[:, plane_of]
+        return self._grad_y(self._grad_y(self.N))
 
     @cached_property
     def E(self):

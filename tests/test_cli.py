@@ -149,6 +149,24 @@ def test_flow_maps_step_failure_to_exit_three(monkeypatch, capsys):
     assert "underflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "metric, field, message",
+    [
+        (FUNK, "nosuch", "error: unknown scalar field 'nosuch'; registered: "),
+        ("euclidean", "g1_paper", "error: field 'g1_paper' exists only for family funk_ball_berwald with n = 3"),
+    ],
+)
+def test_flow_rejects_a_watched_field_before_integrating(monkeypatch, capsys, metric, field, message):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --watch")
+
+    monkeypatch.setattr(cli.flow, "integrate", never)
+    code = run(["flow", "--metric", metric, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--watch", field])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 # -- bracket ---------------------------------------------------------------------
 
 def test_bracket_assert_zero_passes_for_involutive_pair(tmp_path):

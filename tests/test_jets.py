@@ -579,7 +579,7 @@ def _coeffs(entries):
 @pytest.mark.parametrize("dim", [6, 8])
 @pytest.mark.parametrize("order", range(7))
 def test_jet_arrays_equal_entrywise_jet_operations_bit_for_bit(dim, order):
-    # every cap the pipeline's spaces carry, on both sides of BATCH_ORDER
+    # every cap the pipeline's spaces carry, at every order the batched products serve
     spaces = {jet_space(dim, order, cap) for cap in (0, 1, 2, None)}
     rng = np.random.default_rng(100 * dim + order)
     for space in sorted(spaces, key=lambda s: s.x_cap):

@@ -98,6 +98,19 @@ def test_evaluation_errors():
         expr.check_variables(expr.parse_expression("x4"), 3)
 
 
+def test_check_variables_names_the_first_defect_in_reading_order():
+    def message(text):
+        with pytest.raises(DimensionError) as info:
+            expr.check_variables(expr.parse_expression(text), 3, allow_y=False, context="sigma")
+        return str(info.value)
+
+    assert message("x5 + y1") == "sigma uses x5 but the dimension is 3"
+    assert message("y1 + x5") == message("normy2 + x5") == message("dotxy + x5") == (
+        "sigma must not depend on y (found y-variable)"
+    )
+    expr.check_variables(expr.parse_expression("normx2 + x3"), 3, allow_y=False, context="sigma")
+
+
 @given(st.integers(min_value=-6, max_value=6), st.floats(min_value=0.2, max_value=3.0))
 def test_integer_powers_match_float_pow(n, base):
     node = expr.parse_expression(f"x1^{'(' + str(n) + ')' if n < 0 else n}")

@@ -599,8 +599,8 @@ def test_capped_evaluations_equal_uncapped_bit_for_bit(catalog3, randers, jet_pr
     assert values == {field: integrals._lookup(spec, field).build(uncapped).num for field in names}
 
 
-@pytest.mark.parametrize("n, calls", [(3, 81), (4, 216)])
-def test_berwald_differentiates_each_fiber_plane_once(catalog3, monkeypatch, n, calls):
+@pytest.mark.parametrize("n, calls", [(3, 117), (4, 336)])
+def test_berwald_is_three_fiber_gradients_of_G(catalog3, monkeypatch, n, calls):
     spec = catalog3["funk_ball_berwald"] if n == 3 else metrics.catalog(4)["funk_ball_berwald"]
     ev = PointEvaluation(spec, _sample(spec, 2), order=5)
     G = ev.G  # built before counting
