@@ -302,13 +302,14 @@ def field_order(spec: MetricSpec, names) -> int:
     return max(_lookup(spec, name).min_order for name in names)
 
 
-def evaluate_fields(spec: MetricSpec, names, p) -> dict[str, float]:
-    """Values of the named fields at one phase point (shared evaluation).
+def evaluate_fields(spec: MetricSpec, names, p, dtype=np.float64) -> dict[str, float]:
+    """Values of the named fields at one phase point (shared evaluation),
+    computed in ``dtype`` and returned as floats.
 
     Values read at most one x-derivative of F^2 (E, for f_a and c_a), so
     the evaluation is seeded at x-degree cap 1."""
     names = list(names)
-    ev = PointEvaluation(spec, p, order=field_order(spec, names), x_cap=1)
+    ev = PointEvaluation(spec, p, order=field_order(spec, names), x_cap=1, dtype=dtype)
     return {name: _lookup(spec, name).build(ev).num for name in names}
 
 

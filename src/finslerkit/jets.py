@@ -29,6 +29,17 @@ Storage is dense (one float per multi-index).  The intended regime is
 ``dim <= 8`` and ``order <= 6``; larger signatures work but tables grow
 combinatorially.
 
+Coefficient dtype
+-----------------
+Coefficients are float64 unless the seeds were made in another dtype
+(``dtype`` of :func:`seed_phase_point`, :meth:`Jet.variable` and
+:meth:`Jet.constant`), and every operation keeps its operands' dtype: the
+same code runs in ``np.longdouble`` where float64 roundoff is too coarse.
+Nothing multiplies a wider operand into a float64 array in place, which
+numpy's ``same_kind`` casting would round silently.  The analytic
+functions read their value part with ``math`` in float64, as they always
+have, and with numpy in a wider dtype (:meth:`Jet._b0`).
+
 Signatures and the x-degree cap
 -------------------------------
 A jet's signature is the triple ``(dim, order, x_cap)``: besides the total
@@ -218,6 +229,7 @@ class JetSpace:
         self._diff = {}
         self._meets = {}
         self._truncations = {}
+        self._weights = {}
 
     def __repr__(self):
         return f"JetSpace(dim={self.dim}, order={self.order}, x_cap={self.x_cap})"
@@ -301,6 +313,19 @@ class JetSpace:
             out.append((d, lo, hi, ia[first:last], ib[first:last], starts[lo:hi] - first))
         return out
 
+    def graded_weights(self, beta: float, gamma: float) -> list[np.ndarray]:
+        """Per block of :attr:`graded_table`, the weights ``beta k - gamma d``
+        of :func:`_graded_solve` over the first factors' degrees k (cached
+        per pair)."""
+        weights = self._weights.get((beta, gamma))
+        if weights is None:
+            weights = self._weights[beta, gamma] = []
+            for d, _, hi, *_ in self.graded_table:
+                w = self.degrees[:hi] * beta
+                w -= gamma * d
+                weights.append(w)
+        return weights
+
     def _diff_table(self, var):
         """(lower, src, factor): the space of df/dx_var and the arrays
         mapping coefficients of f to its coefficients.  An x variable
@@ -353,12 +378,12 @@ def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
 
 
 @contextlib.contextmanager
-def _float_range(name: str, b0: float):
+def _float_range(name: str, b0):
     """Context for computing the coefficients of the jet function ``name``
     at value part ``b0``: a value part that is not finite, or a float
     overflow or invalid operation in the body, raises :class:`DomainError`
     naming both.  Underflow is left to round."""
-    if not math.isfinite(b0):
+    if not _value_function("isfinite", b0):
         raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -382,15 +407,14 @@ def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gam
     factor's degree alone, so it scales ``t`` before the gather; it is exact
     for the library's exponents, and the block is divided by d once.
     """
-    p = np.zeros(space.size)
+    p = np.zeros(space.size, t.dtype)
     p[0] = start
     if space.order >= 1:
         end = space.degree_end[1]
         p[1:end] = t[1:end] * (delta + (beta - gamma) * start)
-    for d, lo, hi, ia, ib, starts in space.graded_table:
-        s = space.degrees[:hi] * beta
-        s -= gamma * d
-        s *= t[:hi]
+    for (d, lo, hi, ia, ib, starts), w in zip(space.graded_table, space.graded_weights(beta, gamma)):
+        # not in place: the float64 weights would round a wider t
+        s = w * t[:hi]
         prod = s[ia]
         prod *= p[ib]
         block = np.add.reduceat(prod, starts)
@@ -399,6 +423,12 @@ def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gam
             block += t[lo:hi] * delta
         p[lo:hi] = block
     return p
+
+
+def _value_function(name: str, b0):
+    """``math``'s function ``name`` at a float value part, numpy's at a
+    wider one (see :meth:`Jet._b0`): float64 keeps math's bits."""
+    return getattr(np if isinstance(b0, np.generic) else math, name)(b0)
 
 
 def _ipow(base, n: int):
@@ -446,9 +476,11 @@ def _index(index) -> tuple:
     return index + (slice(None),) if any(i is Ellipsis for i in index) else index
 
 
-def _sequential_sum(parts):
-    """parts[0] + parts[1] + ..., left to right, whatever the axis length."""
-    return functools.reduce(operator.add, parts)
+def _sequential_sum(c: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``c`` over ``axis``, adding its slices left to right
+    whatever the axis length."""
+    index = (slice(None),) * axis
+    return functools.reduce(operator.add, (c[index + (i,)] for i in range(c.shape[axis])))
 
 
 class _Coefficients:
@@ -522,7 +554,7 @@ class _Coefficients:
             # order's layout, a prefix, and its table sums their pairs
             low = jet_space(space.dim, deg, space.x_cap)
             part = _products(low, self.coeffs[..., : low.size], other.coeffs[..., : low.size])
-            c = np.zeros(part.shape[:-1] + (space.size,))
+            c = np.zeros(part.shape[:-1] + (space.size,), part.dtype)
             c[..., : low.size] = part
             return _wrap(space, c, deg)
         if isinstance(other, numbers.Real):
@@ -569,13 +601,13 @@ class Jet(_Coefficients):
     # -- construction -------------------------------------------------
 
     @classmethod
-    def constant(cls, space: JetSpace, value: float) -> "Jet":
-        c = np.zeros(space.size)
+    def constant(cls, space: JetSpace, value: float, dtype=np.float64) -> "Jet":
+        c = np.zeros(space.size, dtype)
         c[0] = value
         return cls(space, c, 0)
 
     @classmethod
-    def variable(cls, space: JetSpace, var: int, value: float) -> "Jet":
+    def variable(cls, space: JetSpace, var: int, value: float, dtype=np.float64) -> "Jet":
         """The coordinate function ``x_var`` expanded around ``value``."""
         if not 0 <= var < space.dim:
             raise DimensionError(f"variable index {var} out of range for dim {space.dim}")
@@ -583,14 +615,14 @@ class Jet(_Coefficients):
             raise OrderError("seeding a variable requires order >= 1")
         if var < space.dim // 2 and space.x_cap < 1:
             raise OrderError(f"seeding position variable {var} requires an x-degree cap >= 1")
-        c = np.zeros(space.size)
+        c = np.zeros(space.size, dtype)
         c[0] = value
         c[space.dim - var] = 1.0  # degree-1 block in reverse variable order
         return cls(space, c, 1)
 
     def const(self, value: float) -> "Jet":
-        """Constant jet with this jet's signature."""
-        return Jet.constant(self.space, value)
+        """Constant jet with this jet's signature and coefficient dtype."""
+        return Jet.constant(self.space, value, self.coeffs.dtype)
 
     # -- inspection ---------------------------------------------------
 
@@ -604,7 +636,7 @@ class Jet(_Coefficients):
 
     @property
     def value(self) -> float:
-        """Value part (coefficient of the empty multi-index)."""
+        """Value part (coefficient of the empty multi-index), as a float."""
         return float(self.coeffs[0])
 
     # ``num`` is the shared "plain number for control flow" accessor of the
@@ -690,14 +722,19 @@ class Jet(_Coefficients):
 
     # -- analytic functions by degree-graded recurrences ------------------
 
-    def _scaled(self, b0: float) -> np.ndarray:
+    def _b0(self):
+        """The value part in the coefficients' precision: a float for
+        float64, else a numpy scalar of the wider dtype."""
+        return self.coeffs[0].item()
+
+    def _scaled(self, b0) -> np.ndarray:
         """Coefficients of self / b0 - 1: the scaled jet less its value part."""
         t = self.coeffs / b0
         t[0] = 0.0
         return t
 
     def recip(self) -> "Jet":
-        b0 = self.value
+        b0 = self._b0()
         with _float_range("recip", b0):
             if b0 == 0.0:
                 raise PoleError("division by a jet with zero value part")
@@ -710,22 +747,23 @@ class Jet(_Coefficients):
         return self._power(0.5, "sqrt")
 
     def ln(self) -> "Jet":
-        b0 = self.value
+        b0 = self._b0()
         with _float_range("ln", b0):
             if b0 <= 0.0:
                 raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
             # (1 + t) E(w) = E(t)
             p = _graded_solve(self.space, self._scaled(b0), 0.0, 1.0, 1.0, 1.0)
-            p[0] = math.log(b0)
+            p[0] = _value_function("log", b0)
         return Jet(self.space, p)
 
     def exp(self) -> "Jet":
-        with _float_range("exp", self.value):
+        b0 = self._b0()
+        with _float_range("exp", b0):
             t = self.coeffs.copy()
             t[0] = 0.0
             # E(e) = e E(t)
             p = _graded_solve(self.space, t, 1.0, 1.0, 0.0)
-            p *= math.exp(self.value)
+            p *= _value_function("exp", b0)
         return Jet(self.space, p)
 
     def powc(self, alpha: float) -> "Jet":
@@ -733,7 +771,7 @@ class Jet(_Coefficients):
         return self._power(alpha, f"power {alpha!r}")
 
     def _power(self, alpha: float, name: str) -> "Jet":
-        b0 = self.value
+        b0 = self._b0()
         with _float_range(name, b0):
             if b0 <= 0.0:
                 raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
@@ -771,7 +809,7 @@ class JetArray(_Coefficients):
 
     @property
     def num(self) -> np.ndarray:
-        """The value parts of the entries, as a float array."""
+        """The value parts of the entries, as an array of the coefficients' dtype."""
         return self.coeffs[..., 0].copy()
 
     @property
@@ -798,14 +836,14 @@ class JetArray(_Coefficients):
         """The sum over one index axis, or over all of them in row-major order."""
         c = self.coeffs
         if axis is None:
-            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size)), self.deg)
-        return _wrap(self.space, _sequential_sum(np.moveaxis(c, axis % len(self.shape), 0)), self.deg)
+            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size), 0), self.deg)
+        return _wrap(self.space, _sequential_sum(c, axis % len(self.shape)), self.deg)
 
     def trace(self, axis1: int = 0, axis2: int = 1):
         """The sum of the diagonal of two index axes."""
         ndim = len(self.shape)
         diagonal = np.diagonal(self.coeffs, 0, axis1 % ndim, axis2 % ndim)  # the diagonal axis comes last
-        return _wrap(self.space, _sequential_sum(np.moveaxis(diagonal, -1, 0)), self.deg)
+        return _wrap(self.space, _sequential_sum(diagonal, diagonal.ndim - 1), self.deg)
 
     def __matmul__(self, other):
         """numpy's matmul for matrices and vectors; each entry sums its
@@ -959,22 +997,23 @@ class DualLayer:
         return DualLayer(self.value @ other.value, self.tangent @ other.value + self.value @ other.tangent)
 
 
-def seed_phase_point(point, order: int, x_cap: int | None = None):
+def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float64):
     """Coordinate jets for a :class:`~finslerkit.metrics.PhasePoint`.
 
     Returns ``2n`` jets over the shared space ``(2n, order, x_cap)``:
     variables ``0..n-1`` are the positions ``point.x``, ``n..2n-1`` the
     fiber coordinates ``point.y``, and ``x_cap`` (default: none) bounds the
-    number of position derivatives carried.  The point was checked when it
-    was built (y != 0 among the rest: every metric here is fiberwise
-    singular at the origin).
+    number of position derivatives carried.  The coefficients are of
+    ``dtype``, and so is everything computed from them (module docstring).
+    The point was checked when it was built (y != 0 among the rest: every
+    metric here is fiberwise singular at the origin).
     """
     if order < 1:
         raise OrderError("seeding a phase point requires order >= 1")
     n = len(point.x)
     space = jet_space(2 * n, order, x_cap)
-    seeds = [Jet.variable(space, k, v) for k, v in enumerate(point.x)]
-    seeds += [Jet.variable(space, n + k, v) for k, v in enumerate(point.y)]
+    seeds = [Jet.variable(space, k, v, dtype) for k, v in enumerate(point.x)]
+    seeds += [Jet.variable(space, n + k, v, dtype) for k, v in enumerate(point.y)]
     return seeds
 
 

@@ -73,7 +73,7 @@ import numpy as np
 
 from . import expr, metrics
 from .errors import DomainError, OrderError, SingularMetricError
-from .jets import JetSpace, seed_phase_point, stack
+from .jets import DualLayer, Jet, JetArray, JetSpace, seed_phase_point, stack
 from .metrics import PhasePoint
 
 __all__ = [
@@ -143,7 +143,9 @@ def _check_conditioned(g: np.ndarray, point) -> None:
     """Raise :class:`SingularMetricError` where the symmetric matrix g, the
     fundamental tensor at ``point``, has a 2-norm condition number (max|lambda|
     / min|lambda| over its eigenvalues) above :data:`COND_LIMIT`; a singular
-    g, or one with an entry that is not finite, counts as infinite."""
+    g, or one with an entry that is not finite, counts as infinite.  The
+    check runs in float64, whatever the coefficients' dtype."""
+    g = np.asarray(g, np.float64)
     cond = math.inf
     if np.isfinite(g).all():
         eigs = np.abs(np.linalg.eigvalsh(g))
@@ -161,49 +163,86 @@ def mat_inv_det(mat):
     Gauss-Jordan elimination on ``[mat | I]`` with partial pivoting on the
     value parts.
 
-    The entries are first aligned to the meet of their spaces, so every
-    result lives there.  Only entries a later step reads are formed: once a
-    left column is eliminated it is never read again, and a right-block
-    column stays the identity's (structural zeros and one untouched) until
-    its row is a pivot row.  That takes ``(k-1) k (k+1)`` products and ``k``
-    reciprocals for a k x k matrix, with the full elimination's operands in
-    its order, so every entry it forms equals the full elimination's (up to
-    the sign of a zero coefficient).  The inverse comes back as a tensor
-    (:func:`~finslerkit.jets.stack`).  Raises :class:`SingularMetricError`
-    on an exactly singular value part.
+    ``mat`` is a k x k tensor, or k rows of jets, which are first aligned
+    to the meet of their spaces.  Each step eliminates one column with two
+    tensor products: the pivot row times the pivot's reciprocal, then the
+    other rows' factors times that row, broadcast.  Only entries a later
+    step reads are formed: an eliminated left column is dropped, and a
+    right-block column stays the identity's (structural zeros and one
+    untouched) until its row is a pivot row, so each row carries k live
+    entries.  That takes ``(k-1) k (k+1)`` products and ``k`` reciprocals,
+    with the full elimination's operands in its order, so every entry it
+    forms equals the full elimination's (up to the sign of a zero
+    coefficient).  The inverse comes back as a tensor.  A dual matrix
+    inverts its value part and takes the tangents from d(A^-1) = -A^-1 dA
+    A^-1 and d(det A) = det A tr(A^-1 dA).  Raises
+    :class:`SingularMetricError` on an exactly singular value part.
     """
-    k = len(mat)
-    flat = _align(*(entry for row in mat for entry in row))
-    # each row's left block from the current column on
-    left = [flat[i * k : (i + 1) * k] for i in range(k)]
-    # each row's live right-block entries by column; None is the identity's 1
-    right = [{i: None} for i in range(k)]
+    if not isinstance(mat, (JetArray, DualLayer)):
+        k = len(mat)
+        flat = _align(*(entry for row in mat for entry in row))
+        mat = stack([stack(flat[i * k : (i + 1) * k]) for i in range(k)])
+    if isinstance(mat, DualLayer):
+        inv, det = mat_inv_det(mat.value)
+        step = inv @ mat.tangent
+        return DualLayer(inv, -(step @ inv)), DualLayer(det, det * step.trace())
+    space, k, deg = mat.space, mat.shape[0], mat.deg
+    # Row r of ``aug`` holds the left block from the current column on,
+    # then the live right-block columns in the order their rows pivoted.
+    # The elimination's row r, after its row swaps, is row ``at[r]`` of
+    # ``aug`` and row ``rows[r]`` of ``mat``.
+    aug = mat.coeffs
+    at = list(range(k))
+    rows = list(range(k))
+    columns = []  # the column of the inverse each live right one is
     det = None
     sign = 1.0
     for col in range(k):
-        pivot_row = max(range(col, k), key=lambda r: abs(left[r][0].num))
-        if left[pivot_row][0].num == 0.0:
+        values = aug[:, 0, 0]
+        pivot_row = max(range(col, k), key=lambda r: abs(values[at[r]]))
+        if values[at[pivot_row]] == 0.0:
             raise SingularMetricError("matrix of scalars has an exactly singular value part")
         if pivot_row != col:
-            left[col], left[pivot_row] = left[pivot_row], left[col]
-            right[col], right[pivot_row] = right[pivot_row], right[col]
+            at[col], at[pivot_row] = at[pivot_row], at[col]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             sign = -sign
-        pivot = left[col][0]
+        columns.append(rows[col])
+        pivot = Jet(space, aug[at[col], 0], deg)
         det = pivot if det is None else det * pivot
         inv_pivot = pivot.recip()
-        left[col] = [entry * inv_pivot for entry in left[col][1:]]
-        right[col] = {j: inv_pivot if e is None else e * inv_pivot for j, e in right[col].items()}
-        for row in range(k):
-            if row == col:
-                continue
-            factor = left[row][0]
-            left[row] = [e - factor * ce for e, ce in zip(left[row][1:], left[col])]
-            entries = right[row]
-            for j, ce in right[col].items():
-                # a missing entry is a structural zero
-                entries[j] = entries[j] - factor * ce if j in entries else -(factor * ce)
-    inv = stack([stack([right[i][j] for j in range(k)]) for i in range(k)])
-    return inv, (-det if sign < 0 else det)
+        # the other rows keep their order, and the pivot row goes last
+        new = np.empty_like(aug)
+        pivot_aug = new[-1]
+        pivot_aug[:-1] = (JetArray(space, aug[at[col], 1:], deg) * inv_pivot).coeffs
+        pivot_aug[-1] = inv_pivot.coeffs  # the identity's 1 times inv_pivot
+        others = aug[at[:col] + at[col + 1 :]]
+        scaled = (JetArray(space, others[:, :1], deg) * JetArray(space, pivot_aug)).coeffs
+        np.subtract(others[:, 1:], scaled[:, :-1], out=new[:-1, :-1])
+        # the new column is a structural zero in the other rows: -(factor ce)
+        np.negative(scaled[:, -1], out=new[:-1, -1])
+        aug, deg = new, space.order
+        at = [r if r < col else r - 1 for r in range(k)]
+        at[col] = k - 1
+    # the last step leaves every row where the elimination has it
+    return JetArray(space, aug[:, np.argsort(columns)]), (-det if sign < 0 else det)
+
+
+def _stage(method):
+    """A :class:`PointEvaluation` stage, computed on first use and kept.  A
+    float overflow or invalid operation raised while it runs (under
+    ``np.errstate(over="raise")``, as the CLI runs) becomes a
+    :class:`DomainError` naming the stage and the point; a stage it calls
+    has named itself already."""
+    name = method.__name__.lstrip("_")
+
+    @functools.wraps(method)
+    def run(self):
+        try:
+            return method(self)
+        except FloatingPointError as err:
+            raise DomainError(f"{name} leaves the float range at {self.point}: {err}") from None
+
+    return cached_property(run)
 
 
 # the tensor-valued fields of a CurvaturePacket
@@ -220,20 +259,31 @@ class PointEvaluation:
     table asks for; :meth:`packet` is the numpy snapshot of the whole
     tower (order >= 5).  The seeds carry at most ``x_cap`` position
     derivatives (module docstring; ``None`` for none); the default 2 is
-    all any quantity here needs.  Pass ``seeds`` to run the same formulas
-    over other coordinate scalars with the jet interface: duals of jets
+    all any quantity here needs.  The seeds' coefficients are of
+    ``dtype``, and so is every tensor: ``np.longdouble`` runs the same
+    formulas with a longer mantissa where the platform has one.  Stages
+    that raise on a float overflow name themselves (:func:`_stage`).
+    Pass ``seeds`` to run the same formulas over other coordinate scalars
+    with the jet interface: duals of jets
     (:class:`~finslerkit.jets.DualLayer`) give duals of tensors.
     """
 
     def __init__(
-        self, spec: metrics.MetricSpec, point, order: int = 5, sigma=None, seeds=None, x_cap: int | None = 2
+        self,
+        spec: metrics.MetricSpec,
+        point,
+        order: int = 5,
+        sigma=None,
+        seeds=None,
+        x_cap: int | None = 2,
+        dtype=np.float64,
     ):
         point = metrics.check_domain(spec, point)
         self.spec = spec
         self.point = point
         self.n = spec.dimension
         if seeds is None:
-            seeds = seed_phase_point(point, order, x_cap)
+            seeds = seed_phase_point(point, order, x_cap, dtype)
         self.seeds = seeds
         self.order = seeds[0].order
         self.xs = seeds[: self.n]
@@ -255,7 +305,7 @@ class PointEvaluation:
         """The partials of t's entries by y^k, along a new last axis k."""
         return t.partials(range(self.n, 2 * self.n))
 
-    @cached_property
+    @cached_property  # a stack of the seeds: nothing to overflow
     def _y(self):
         """The fiber coordinates as a tensor."""
         return stack(self.ys)
@@ -273,28 +323,27 @@ class PointEvaluation:
 
     # -- pipeline stages ------------------------------------------------
 
-    @cached_property
+    @_stage
     def F2(self):
         return metrics.eval_F2(self.spec, self.xs, self.ys)
 
-    @cached_property
+    @_stage
     def F(self):
         return self.F2.sqrt()
 
-    @cached_property
+    @_stage
     def g(self):
         if self.order < 2:
             raise OrderError("the fundamental tensor needs seed order >= 2")
         return self._grad_y(self._grad_y(self.F2)) * 0.5
 
-    @cached_property
+    @_stage
     def _g_inv_det(self):
         _check_conditioned(self.g.num, self.point)
-        r = range(self.n)
         # under a homothety c F^2, det g scales like c^n: it is the first to overflow
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return mat_inv_det([[self.g[i, j] for j in r] for i in r])
+                return mat_inv_det(self.g)
         except FloatingPointError:
             raise DomainError(f"det g leaves the float range at {self.point}") from None
 
@@ -306,105 +355,105 @@ class PointEvaluation:
     def det_g(self):
         return self._g_inv_det[1]
 
-    @cached_property
+    @_stage
     def h(self):
         g, fy = _align(self.g, self._grad_y(self.F))
         return g - fy[:, None] * fy
 
-    @cached_property
+    @_stage
     def G(self):
         """Spray coefficients G^i."""
         F2y = self._grad_y(self.F2)
         g_inv, F2yx, ys, F2x = _align(self.g_inv, self._grad_x(F2y), self._y, self._grad_x(self.F2))
         return (g_inv @ (F2yx @ ys - F2x)) * 0.25
 
-    @cached_property
+    @_stage
     def N(self):
         if self.order < 3:
             raise OrderError("the nonlinear connection needs seed order >= 3")
         return self._grad_y(self.G)
 
-    @cached_property
+    @_stage
     def R_jac(self):
         """Jacobi endomorphism R^i_j."""
         Gx, DN, N = _align(self._grad_x(self.G), self.spray_d(self.N), self.N)
         return Gx * 2.0 - DN - N @ N
 
-    @cached_property
+    @_stage
     def R_curv(self):
         """Curvature tensor R^i_jk of the nonlinear connection."""
         hN = self.hder(self.N)
         return hN - hN.transpose(0, 2, 1)
 
-    @cached_property
+    @_stage
     def B(self):
         """Berwald curvature B^i_jkl."""
         if self.order < 5:
             raise OrderError("the Berwald tensor needs seed order >= 5")
         return self._grad_y(self._grad_y(self.N))
 
-    @cached_property
+    @_stage
     def E(self):
         """Mean Berwald tensor from the trace of B."""
         return self.B.trace(axis1=0, axis2=3) * 0.5
 
-    @cached_property
+    @_stage
     def sigma(self):
         node = self._sigma_node
         value = 1.0 if node is None else expr.evaluate(node, self.xs, self.ys)
         # a constant density comes back as a plain number
         return self.xs[0].const(value) if isinstance(value, numbers.Real) else value
 
-    @cached_property
+    @_stage
     def tau(self):
         """Distortion 1/2 ln(det g / sigma)."""
         det, sig = _align(self.det_g, self.sigma)
         return (det / sig).ln() * 0.5
 
-    @cached_property
+    @_stage
     def S(self):
         return self.spray_d(self.tau)
 
-    @cached_property
+    @_stage
     def E_S(self):
         """Mean Berwald tensor from the fiber Hessian of S."""
         return self._grad_y(self._grad_y(self.S)) * 0.5
 
-    @cached_property
+    @_stage
     def I(self):
         """Mean Cartan torsion I_k."""
         return self._grad_y(self.tau)
 
-    @cached_property
+    @_stage
     def J(self):
         """Mean Landsberg torsion J_i = nabla I_i."""
         DI, I, N = _align(self.spray_d(self.I), self.I, self.N)
         return DI - I @ N
 
-    @cached_property
+    @_stage
     def I_hcov(self):
         """Horizontal covariant derivative; element [i][j] is I_{j;i}."""
         hI, I, G_yy = _align(self.hder(self.I), self.I, self._grad_y(self.N))
         return functools.reduce(operator.sub, (I[l] * G_yy[l] for l in range(self.n)), hI.T)
 
-    @cached_property
+    @_stage
     def J_vder(self):
         """Fiber derivative; element [i][j] is dJ_i/dy^j."""
         return self._grad_y(self.J)
 
-    @cached_property
+    @_stage
     def E_CL(self):
         """Mean Berwald tensor from mean Cartan/Landsberg data."""
         I_hcov, J_vder = _align(self.I_hcov, self.J_vder)
         return (I_hcov + J_vder) * 0.5
 
-    @cached_property
+    @_stage
     def chi(self):
         """chi_i = 1/2 (D(dS/dy^i) - dS/dx^i)."""
         DSy, Sx = _align(self.spray_d(self._grad_y(self.S)), self._grad_x(self.S))
         return (DSy - Sx) * 0.5
 
-    @cached_property
+    @_stage
     def hamel(self):
         """H_ij = delta(dS/dy^j)/dx^i - delta(dS/dy^i)/dx^j."""
         # hSy[j][i] is delta(dS/dy^j)/dx^i
@@ -418,7 +467,7 @@ class PointEvaluation:
 
     # -- numpy views ----------------------------------------------------
 
-    @cached_property
+    @_stage
     def flag(self) -> FlagData:
         r = self.R_jac.num
         g = self.g.num

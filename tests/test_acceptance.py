@@ -126,6 +126,63 @@ def test_c3_first_integrals_constant_along_geodesic(funk, axis_trajectory):
     assert elapsed <= 30.0
 
 
+# The watched fields run in long double (flow.field_values).  Where it is
+# float64 these two companions do not apply, and C3 itself reads about
+# 1.1e-6 (see the README).
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant, reason="np.longdouble is float64 here"
+)
+
+
+@needs_long_double
+def test_c3_drift_is_far_inside_its_tolerance(funk, axis_trajectory):
+    # C3's drift is roundoff in E near the boundary; in long double it is
+    # far below C3's tolerance
+    traj, _ = axis_trajectory
+    rep = flow.drift(funk, traj, ["f1", "f2", "c1", "c2"], tol=1e-9)
+    worst = max(d.max_rel_drift for d in rep.fields.values())
+    _line("C3'", rep.passed, f"long-double fields at {len(traj)} samples: worst rel drift {worst:.3e} (tol 1e-09)")
+    assert len(traj) == flow.MAX_SAMPLES
+    assert rep.passed
+
+
+@needs_long_double
+def test_ball_E_at_c3_last_sample_matches_a_50_digit_reference(funk, axis_trajectory):
+    # The ball is projectively flat, G = P y, so E = ((n+1)/2) d^2P/dy dy
+    # from the closed-form projective factor, here to 50 digits.  At C3's
+    # last sample 1 - |x| is about 2e-4 and float64 loses six digits of E.
+    mpmath = pytest.importorskip("mpmath")
+    traj, _ = axis_trajectory
+    x, y = traj.xs[-1], traj.ys[-1]
+    n = len(x)
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        nx2 = mpmath.fsum(v * v for v in xs)
+
+        def P(*ys):
+            ny2 = mpmath.fsum(v * v for v in ys)
+            d = mpmath.fsum(a * b for a, b in zip(xs, ys))
+            return (mpmath.sqrt(ny2 - (nx2 * ny2 - d * d)) + d) / (1 - nx2)
+
+        ys = [mpmath.mpf(float(v)) for v in y]
+        want = np.array([
+            [float((n + 1) / 2 * mpmath.diff(P, ys, tuple(int(k in (i, j)) + int(k == i == j) for k in range(n))))
+             for j in range(n)]
+            for i in range(n)
+        ])
+
+    def error(dtype):
+        got = PointEvaluation(funk, PhasePoint(x, y), order=5, x_cap=1, dtype=dtype).E.num.astype(float)
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    wide, narrow = error(np.longdouble), error(np.float64)
+    _line("C3 E", wide <= 1e-9,
+          f"E at 1 - |x| = {1 - np.linalg.norm(x):.2e} vs 50 digits: long double {wide:.2e}, "
+          f"float64 {narrow:.2e} (tol 1e-09)")
+    assert wide <= 1e-9
+    assert narrow > 1e-9  # the reason the fields run in long double
+
+
 def test_c4_printed_closed_forms(funk, axis_trajectory):
     tol_center, tol_drift, tol_bracket = 1e-12, 1e-6, 1e-6
     traj, _ = axis_trajectory

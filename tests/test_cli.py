@@ -411,18 +411,27 @@ def test_a_homothety_of_the_euclidean_metric_verifies(tmp_path):
     assert run(["verify", "--metric", str(cfg), "--npoints", "2", "--out", str(tmp_path / "verify.json")]) == 0
 
 
-@pytest.mark.parametrize("expression", ["normy2 + 1e308*y1^2", "normy2*1e300"])
+_FLOW_ARGV = ["flow", "--x0", "0.1,0,0", "--y0", "1,0,0", "--tmax", "1", "--watch", "f1"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expression",
     [
-        ["inspect", "--npoints", "2"],
-        ["verify", "--npoints", "2"],
-        ["bracket", "--fields", "f1,f2", "--npoints", "3"],
-        ["flow", "--x0", "0.1,0,0", "--y0", "1,0,0", "--tmax", "1", "--watch", "f1"],
+        (argv, expression)
+        for expression in ("normy2 + 1e308*y1^2", "normy2*1e300")
+        for argv in (
+            ["inspect", "--npoints", "2"],
+            ["verify", "--npoints", "2"],
+            ["bracket", "--fields", "f1,f2", "--npoints", "3"],
+            _FLOW_ARGV,
+        )
+        # flow's fields run in long double, where det g = 1e900 is a number
+        # (test_flow_watches_a_homothety_past_the_float64_range)
+        if (argv, expression) != (_FLOW_ARGV, "normy2*1e300")
     ],
-    ids=["inspect", "verify", "bracket", "flow"],
+    ids=lambda v: v if isinstance(v, str) else v[0],
 )
-def test_an_overflow_past_f2_exits_two_with_one_line(tmp_path, capsys, expression, argv):
+def test_an_overflow_past_f2_exits_two_with_one_line(tmp_path, capsys, argv, expression):
     # F^2 is a float at the sampled points, but a later stage overflows:
     # every command prints one error line and no numpy warning
     cfg = tmp_path / "huge.cfg"
@@ -432,6 +441,37 @@ def test_an_overflow_past_f2_exits_two_with_one_line(tmp_path, capsys, expressio
         assert run([*argv, "--metric", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_overflow_past_f2_names_the_stage_and_the_point(tmp_path, capsys):
+    # F^2 and its first fiber derivative fit, but differentiating the
+    # y1^2 coefficient 1e308 for g gives 2e308
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2 + 1e308*y1^2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["inspect", "--metric", str(cfg), "--point", "0.1,0.2,0.3;0.5,1,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: g leaves the float range at PhasePoint(x=(0.1, 0.2, 0.3), y=(0.5, 1.0, 0.0)): "
+        "overflow encountered in multiply\n"
+    )
+
+
+def test_flow_watches_a_homothety_past_the_float64_range(tmp_path, capsys):
+    # c F^2 has the spray of F^2, which runs in float64; the watched field
+    # runs in long double, where det g = c^3 = 1e900 fits, so f1 = tr EE is
+    # the Euclidean value 0 throughout
+    if np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp:
+        pytest.skip("np.longdouble has float64's range here")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*_FLOW_ARGV, "--metric", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "completed" and report["drift"]["passed"]
+    f1 = report["drift"]["fields"]["f1"]
+    assert f1 == {"initial": 0.0, "max_abs_dev": 0.0, "max_rel_drift": 0.0, "t_at_max": 0.0}
 
 
 def test_large_dimension_exits_two_without_a_jet_table(tmp_path, capsys, monkeypatch):

@@ -115,6 +115,64 @@ def test_agrees_with_library_integrator(funk):
     np.testing.assert_allclose(ours, sol.y[:, -1], rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "metric, init, t_max",
+    [
+        ("funk_ball_berwald", ((0.24, 0.12, -0.15), (0.21, 0.9, 0.34)), 0.5),
+        ("riemannian_round_sphere", ((1 / 3, 2 / 3, 2 / 3), (1.0, 0.5, -1.0)), 2.0),
+    ],
+    ids=["ball", "sphere"],
+)
+def test_agrees_with_the_library_dop853(metric, init, t_max):
+    # the same pair at the same tolerances, with its dense output computed
+    # at every step, as the library's is
+    spec = metrics.catalog(3)[metric]
+    settings = IntegrateSettings()
+    traj = integrate(spec, init, t_max, settings)
+    sol = solve_ivp(
+        lambda t, s: flow._rhs_flat(spec, s),
+        (0.0, t_max),
+        np.concatenate([np.array(init[0]), np.array(init[1])]),
+        method="DOP853",
+        rtol=settings.rtol,
+        atol=settings.atol,
+        dense_output=True,
+    )
+    ours = np.concatenate([traj.xs[-1], traj.ys[-1]])
+    np.testing.assert_allclose(ours, sol.y[:, -1], rtol=0, atol=1e-9)
+    assert traj.stats.nfev <= 1.25 * sol.nfev
+
+
+def test_dense_samples_lie_on_a_great_circle(sphere):
+    # |x0| = 1 and y0 orthogonal to x0: a unit circle at speed |y0|
+    x0, y0 = np.array([1 / 3, 2 / 3, 2 / 3]), np.array([1.0, 0.5, -1.0])
+    traj = integrate(sphere, (x0, y0), 2.0)
+    speed = np.linalg.norm(y0)
+    phase = speed * traj.ts[:, None]
+    assert len(traj) == 1 + flow.DENSE_SAMPLES * traj.stats.steps
+    np.testing.assert_allclose(traj.xs, np.cos(phase) * x0 + np.sin(phase) * (y0 / speed), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(traj.ys, -np.sin(phase) * (speed * x0) + np.cos(phase) * y0, rtol=0, atol=1e-8)
+
+
+def test_rejections_are_counted_by_cause(funk, sphere, monkeypatch):
+    # a step that fails error control is not a domain rejection
+    traj = integrate(sphere, ((0.3, 0.0, -0.2), (0.0, 1.0, 0.5)), 0.5)
+    assert traj.stats.rejections >= 1 and traj.stats.domain_rejections == 0
+    # a stage outside the domain is one
+    spray = flow.spray_values
+    calls = []
+
+    def spray_leaving_once(spec, p):
+        calls.append(p)
+        if len(calls) == 4:
+            raise DomainError("outside")
+        return spray(spec, p)
+
+    monkeypatch.setattr(flow, "spray_values", spray_leaving_once)
+    traj = integrate(funk, AXIS_INIT, 1.0)
+    assert traj.stats.rejections == traj.stats.domain_rejections == 1
+
+
 def test_invalid_time_span_is_rejected(funk):
     for t_max in (0.0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="t_max"):

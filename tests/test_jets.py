@@ -471,8 +471,9 @@ def _mp_product(space, a, b):
     return [mpmath.fsum(a[i] * b[j] for i, j in zip(ia[s:e], ib[s:e])) for s, e in zip(bounds, bounds[1:])]
 
 
-def _mp_reference(jet, outer):
-    """sum_k outer(k, b0) (jet - b0)**k by Horner's rule in 50 digits."""
+def _mp_reference(jet, outer, to=float):
+    """sum_k outer(k, b0) (jet - b0)**k by Horner's rule in 50 digits, each
+    coefficient converted by ``to``."""
     space = jet.space
     with mpmath.workdps(50):
         b0 = mpmath.mpf(jet.value)
@@ -481,7 +482,7 @@ def _mp_reference(jet, outer):
         for k in range(space.order - 1, -1, -1):
             acc = _mp_product(space, acc, u)
             acc[0] += outer(k, b0)
-        return np.array([float(c) for c in acc])
+        return np.array([to(c) for c in acc])
 
 
 def _random_jet(signature, name, value):
@@ -500,6 +501,20 @@ def test_functions_match_a_50_digit_reference(signature, name):
     want = _mp_reference(jet, outer)
     got = method(jet).coeffs
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("signature", [(6, 5, 2), (2, 6, None)])
+@pytest.mark.parametrize("name", sorted(OUTER_SERIES))
+def test_functions_in_long_double_match_a_50_digit_reference(signature, name):
+    # the same jets in long double: a step that rounds through a float64
+    # array (numpy's same_kind casting does so silently) costs about
+    # three digits here
+    outer, method = OUTER_SERIES[name]
+    jet = _random_jet(signature, name, 1.7)
+    want = _mp_reference(jet, outer, lambda c: np.longdouble(mpmath.nstr(c, 30)))
+    got = method(Jet(jet.space, jet.coeffs.astype(np.longdouble))).coeffs
+    assert got.dtype == np.longdouble
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(np.longdouble).eps * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("value", [1e-300, 1e-100, 1e-30, 1e30, 1e100, 1e300])

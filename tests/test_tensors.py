@@ -372,6 +372,31 @@ def test_an_overflowing_det_g_is_a_domain_error_naming_it():
             PointEvaluation(spec, p).det_g
 
 
+# -- coefficient dtype ----------------------------------------------------------
+
+# every stage of a PointEvaluation, as attribute names, and nabla2 of E
+_STAGES = (
+    "F2", "F", "g", "g_inv", "det_g", "h", "G", "N", "R_jac", "R_curv", "B", "E", "sigma", "tau", "S", "E_S",
+    "I", "J", "I_hcov", "J_vder", "E_CL", "chi", "hamel",
+)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_stage_seeded_in_long_double_stays_long_double(n):
+    # numpy's same_kind casting rounds a long double silently when it is
+    # written into a float64 array: a stage that did so would come out float64
+    for spec in metrics.catalog(n).values():
+        p = _sample(spec, seed=n)
+        wide = PointEvaluation(spec, p, order=6, dtype=np.longdouble)
+        narrow = PointEvaluation(spec, p, order=6)
+        for name in _STAGES:
+            got, want = getattr(wide, name), getattr(narrow, name)
+            assert got.coeffs.dtype == np.longdouble, (spec.name, name)
+            scale = max(1.0, float(np.abs(want.coeffs).max()))
+            assert float(np.abs(got.coeffs - want.coeffs).max()) <= 1e-9 * scale, (spec.name, name)
+        assert wide.nabla2(wide.E).coeffs.dtype == np.longdouble
+
+
 # -- order bookkeeping ----------------------------------------------------------
 
 def test_order_requirements(funk, origin_point):
