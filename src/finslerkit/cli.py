@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -292,10 +293,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_vectors(argv: list[str]) -> list[str]:
+    """``argv`` with each vector option joined to a next value that starts
+    with a minus, as ``--x0=-0.3,..``: argparse takes only a lone number
+    for a negative value, and any other for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--x0", "--y0") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         # an option value out of range is a setup error, raised while parsing
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glue_vectors(sys.argv[1:] if argv is None else argv))
         # a float overflow or invalid operation in any stage raises, so it
         # ends in the one error line below and no numpy warning
         with np.errstate(over="raise", invalid="raise"):

@@ -163,8 +163,7 @@ def mat_inv_det(mat):
     Gauss-Jordan elimination on ``[mat | I]`` with partial pivoting on the
     value parts.
 
-    ``mat`` is a k x k tensor, or k rows of jets, which are first aligned
-    to the meet of their spaces.  Each step eliminates one column with two
+    ``mat`` is a k x k tensor.  Each step eliminates one column with two
     tensor products: the pivot row times the pivot's reciprocal, then the
     other rows' factors times that row, broadcast.  Only entries a later
     step reads are formed: an eliminated left column is dropped, and a
@@ -178,10 +177,6 @@ def mat_inv_det(mat):
     A^-1 and d(det A) = det A tr(A^-1 dA).  Raises
     :class:`SingularMetricError` on an exactly singular value part.
     """
-    if not isinstance(mat, (JetArray, DualLayer)):
-        k = len(mat)
-        flat = _align(*(entry for row in mat for entry in row))
-        mat = stack([stack(flat[i * k : (i + 1) * k]) for i in range(k)])
     if isinstance(mat, DualLayer):
         inv, det = mat_inv_det(mat.value)
         step = inv @ mat.tangent
@@ -227,12 +222,17 @@ def mat_inv_det(mat):
     return JetArray(space, aug[:, np.argsort(columns)]), (-det if sign < 0 else det)
 
 
+def _out_of_range(name: str, point, err: FloatingPointError) -> DomainError:
+    """The error for a float overflow raised in the stage ``name`` at ``point``."""
+    return DomainError(f"{name} leaves the float range at {point}: {err}")
+
+
 def _stage(method):
     """A :class:`PointEvaluation` stage, computed on first use and kept.  A
     float overflow or invalid operation raised while it runs (under
-    ``np.errstate(over="raise")``, as the CLI runs) becomes a
-    :class:`DomainError` naming the stage and the point; a stage it calls
-    has named itself already."""
+    ``np.errstate(over="raise")``, as the CLI runs) becomes the
+    :func:`_out_of_range` error naming the stage and the point; a stage it
+    calls has named itself already."""
     name = method.__name__.lstrip("_")
 
     @functools.wraps(method)
@@ -240,7 +240,7 @@ def _stage(method):
         try:
             return method(self)
         except FloatingPointError as err:
-            raise DomainError(f"{name} leaves the float range at {self.point}: {err}") from None
+            raise _out_of_range(name, self.point, err) from None
 
     return cached_property(run)
 
@@ -497,14 +497,18 @@ def spray_values(spec, p) -> np.ndarray:
     Same formula as the jet route: g is half the yy block of the Hessian
     of F^2, d^2F^2/dy dx . y its yx block applied to y, and dF^2/dx the x
     part of the gradient; then one ``np.linalg.solve``.  This is the fast
-    path for geodesic right-hand sides.
+    path for geodesic right-hand sides.  A float overflow in it is the
+    stage ``spray``'s :func:`_out_of_range` error.
     """
     p = metrics.check_domain(spec, p)
     n = spec.dimension
-    seeds = seed_phase_point(p, 2)
-    f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
-    hess = f2.hessian()
-    g = 0.5 * hess[n:, n:]
-    _check_conditioned(g, p)
-    b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
-    return 0.25 * np.linalg.solve(g, b)
+    try:
+        seeds = seed_phase_point(p, 2)
+        f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
+        hess = f2.hessian()
+        g = 0.5 * hess[n:, n:]
+        _check_conditioned(g, p)
+        b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
+        return 0.25 * np.linalg.solve(g, b)
+    except FloatingPointError as err:
+        raise _out_of_range("spray", p, err) from None

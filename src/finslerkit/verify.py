@@ -22,14 +22,14 @@ Families gate what is asserted:
 All tolerances are relative to natural scales with an absolute floor, so
 identically-zero cases pass cleanly.
 
-Each sampled point is evaluated once, at seed order 6, and that one
-evaluation feeds every suite that looks at the point.  The suites that
-run on a leading subset of the sample -- sigma independence (25 points),
-the homogeneity ladder (40), Hamel y-independence and the printed closed
-forms (10) -- read a record the main loop keeps of the point: its F, g,
-G, N, E, chi, tau, first integrals and Hamel residual.  An order-5 value
-part equals the order-6 one, so nothing changes by reading them off the
-deeper jet.  The evaluations that *are* the checks stay separate.
+The sample is walked once.  Each point is evaluated at seed order 6, and
+that one evaluation feeds every suite that looks at the point, those on
+a leading subset of the sample included: sigma independence (the first
+25 points), the homogeneity ladder (40), Hamel y-independence and the
+printed closed forms (10) and the finite-difference oracle (2) run while
+the point's evaluation is in hand.  An order-5 value part equals the
+order-6 one, so nothing changes by reading them off the deeper jet.  The
+evaluations that *are* the checks stay separate.
 
 Evaluations are lazy, and each builds only the tensors its suites read:
 
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,21 +90,6 @@ class VerifyReport:
     seed: int
     suites: tuple[SuiteResult, ...]
     passed: bool
-
-
-class _PointRecord(NamedTuple):
-    """What the subset suites read of one sampled point."""
-
-    point: PhasePoint
-    F: float
-    g: np.ndarray
-    G: np.ndarray
-    N: np.ndarray
-    E: np.ndarray
-    chi: np.ndarray
-    tau: float
-    fis: integrals.FirstIntegralSet
-    hamel: np.ndarray
 
 
 def _norm(a) -> float:
@@ -213,10 +197,17 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             worst[name] = residual
 
     max_jacobi = 0.0
-    # records of the leading points, for the subset suites after the loop
-    shared: list[_PointRecord] = []
+    idxs = _fd_index_sample(n)
+    # draws a second fiber direction at each of the first ten points, in order
+    rng2 = np.random.default_rng(seed + 1)
 
-    for p in points:
+    def f2_flat(c):
+        return metrics.f2_value(spec, c[:n], c[n:])
+
+    # the oracle's row is reported even when every partial is below its noise floor
+    add("jets_match_finite_differences", 0.0)
+
+    for i, p in enumerate(points):
         ev = PointEvaluation(spec, p, order=6)
         y = np.array(p.y)
         F2 = ev.F2.num
@@ -227,7 +218,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         N = ev.N.num
         I = ev.I.num
         J = ev.J.num
-        S_y = np.array([ev.dy(ev.S, i).num for i in range(n)])
+        S_y = np.array([ev.dy(ev.S, k).num for k in range(n)])
         chi_v = ev.chi.num
         hamel = ev.hamel.num
         R_jac = ev.R_jac.num
@@ -284,8 +275,6 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             float(np.abs(fit[: n - 1] - fis.c).max()), abs(float(fit[-1]))
         ) / max(1.0, float(np.abs(fis.c).max()))
         add("charpoly_fit_agrees", fit_res)
-        if len(shared) < 40:  # the largest subset read below
-            shared.append(_PointRecord(ev.point, F, g, ev.G.num, N, E, chi_v, ev.tau.num, fis, hamel))
 
         if is_riem:
             for t in (B, E, I, J, fis.f, fis.c):
@@ -296,6 +285,59 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
             add("euclidean_flag_zero", abs(flag.kappa))
             add("euclidean_flag_zero", flag.residual)
 
+        # sigma independence: E and chi must not see the reference volume
+        if i < 25:
+            ev_b = PointEvaluation(spec, p, order=5, sigma=SIGMA_TEST_EXPRESSION)
+            E_b, chi_b = ev_b.E.num, ev_b.chi.num
+            add("sigma_independence", _norm(E - E_b) / Es)
+            add("sigma_independence", _norm(chi_v - chi_b) / max(1.0, _norm(chi_v)))
+            add("sigma_shifts_tau", abs(ev.tau.num - ev_b.tau.num))
+
+        # jets against the finite-difference oracle
+        if i < 2:
+            x_fd = 0.5 * np.asarray(p.x)  # keep FD stencils well inside the domain
+            # the sampled indices take at most two x-derivatives: cap 2
+            jet = PointEvaluation(spec, PhasePoint(x_fd, p.y), order=4).F2
+            coords = list(x_fd) + list(p.y)
+            jet_vals = {m: jet.extract(m) for m in idxs}
+            scale = max(abs(v) for v in jet_vals.values())
+            for m in idxs:
+                fd = fdcheck.fd_partial(f2_flat, coords, m)
+                # partials smaller than the stencils' roundoff amplification
+                # are invisible to the oracle: both routes agree the value is
+                # "zero at this resolution" and a ratio would be pure noise
+                noise = fdcheck.noise_floor(max(scale, abs(jet.value)), coords, m)
+                if max(abs(jet_vals[m]), abs(fd)) <= 50.0 * noise:
+                    continue
+                denom = max(abs(jet_vals[m]), abs(fd), 1e-8)
+                add("jets_match_finite_differences", abs(fd - jet_vals[m]) / denom)
+
+        # homogeneity: exact 0-homogeneous invariance and the degree ladder
+        if i < 40:
+            G = ev.G.num
+            for lam in (2.0, 0.5):
+                F_l, g_l, G_l, N_l, E_l, fis_l = _ladder_values(spec, PhasePoint(p.x, lam * y))
+                add("homogeneity_ladder", _norm(fis.EE - fis_l.EE) / EEs)
+                add("homogeneity_ladder", float(np.abs(fis.f - fis_l.f).max()) / max(1.0, float(np.abs(fis.f).max())))
+                add("homogeneity_ladder", float(np.abs(fis.c - fis_l.c).max()) / max(1.0, float(np.abs(fis.c).max())))
+                add("homogeneity_ladder", abs(F_l - lam * F) / max(1.0, F))
+                add("homogeneity_ladder", _norm(g_l - g) / gs)
+                add("homogeneity_ladder", _norm(G_l - lam**2 * G) / max(1.0, _norm(G)))
+                add("homogeneity_ladder", _norm(N_l - lam * N) / max(1.0, _norm(N)))
+                add("homogeneity_ladder", _norm(E_l - E / lam) / Es)
+
+        if i < 10:
+            # y-independence of the Hamel residual (basic 2-form)
+            y2 = rng2.standard_normal(n)
+            y2 /= np.linalg.norm(y2)
+            h2 = PointEvaluation(spec, PhasePoint(p.x, y2), order=5).hamel.num
+            add("hamel_y_independence", _norm(hamel - h2))
+            # printed closed forms against the char-poly coefficients
+            if is_funk and n == 3:
+                g1p, g2p = integrals.paper_closed_forms(p)
+                add("closed_forms_vs_charpoly", abs(g1p - fis.c[0]))
+                add("closed_forms_vs_charpoly", abs(g2p - fis.c[1]))
+
     # Lemma-grade biconditional: S is a Hamel function iff chi vanishes
     chi_small = worst["chi_vanishes"] <= _SUITES["chi_vanishes"][0]
     hamel_small = worst["hamel_residual"] <= _SUITES["hamel_residual"][0]
@@ -303,70 +345,6 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
 
     if is_funk:
         add("jacobi_vanishes", max_jacobi)
-
-    # sigma independence: E and chi must not see the reference volume
-    for rec in shared[:25]:
-        ev_b = PointEvaluation(spec, rec.point, order=5, sigma=SIGMA_TEST_EXPRESSION)
-        E_b, chi_b = ev_b.E.num, ev_b.chi.num
-        add("sigma_independence", _norm(rec.E - E_b) / max(1.0, _norm(rec.E)))
-        add("sigma_independence", _norm(rec.chi - chi_b) / max(1.0, _norm(rec.chi)))
-        add("sigma_shifts_tau", abs(rec.tau - ev_b.tau.num))
-
-    # jets against the finite-difference oracle (sampled subset); the row
-    # is reported even when every partial is below the oracle's noise floor
-    add("jets_match_finite_differences", 0.0)
-    idxs = _fd_index_sample(n)
-    for p in points[:2]:
-        x, y = 0.5 * np.asarray(p.x), p.y  # keep FD stencils well inside the domain
-        # the sampled indices take at most two x-derivatives: cap 2
-        jet = PointEvaluation(spec, PhasePoint(x, y), order=4).F2
-
-        def f2_flat(c):
-            return metrics.f2_value(spec, c[:n], c[n:])
-
-        coords = list(x) + list(y)
-        jet_vals = {m: jet.extract(m) for m in idxs}
-        scale = max(abs(v) for v in jet_vals.values())
-        for m in idxs:
-            fd = fdcheck.fd_partial(f2_flat, coords, m)
-            # partials smaller than the stencils' roundoff amplification
-            # are invisible to the oracle: both routes agree the value is
-            # "zero at this resolution" and a ratio would be pure noise
-            noise = fdcheck.noise_floor(max(scale, abs(jet.value)), coords, m)
-            if max(abs(jet_vals[m]), abs(fd)) <= 50.0 * noise:
-                continue
-            denom = max(abs(jet_vals[m]), abs(fd), 1e-8)
-            add("jets_match_finite_differences", abs(fd - jet_vals[m]) / denom)
-
-    # homogeneity: exact 0-homogeneous invariance and the degree ladder
-    for rec in shared[:40]:
-        x, y = rec.point.x, np.array(rec.point.y)
-        fis1 = rec.fis
-        for lam in (2.0, 0.5):
-            F_l, g_l, G_l, N_l, E_l, fis_l = _ladder_values(spec, PhasePoint(x, lam * y))
-            add("homogeneity_ladder", _norm(fis1.EE - fis_l.EE) / max(1.0, _norm(fis1.EE)))
-            add("homogeneity_ladder", float(np.abs(fis1.f - fis_l.f).max()) / max(1.0, float(np.abs(fis1.f).max())))
-            add("homogeneity_ladder", float(np.abs(fis1.c - fis_l.c).max()) / max(1.0, float(np.abs(fis1.c).max())))
-            add("homogeneity_ladder", abs(F_l - lam * rec.F) / max(1.0, rec.F))
-            add("homogeneity_ladder", _norm(g_l - rec.g) / max(1.0, _norm(rec.g)))
-            add("homogeneity_ladder", _norm(G_l - lam**2 * rec.G) / max(1.0, _norm(rec.G)))
-            add("homogeneity_ladder", _norm(N_l - lam * rec.N) / max(1.0, _norm(rec.N)))
-            add("homogeneity_ladder", _norm(E_l - rec.E / lam) / max(1.0, _norm(rec.E)))
-
-    # y-independence of the Hamel residual (basic 2-form)
-    rng2 = np.random.default_rng(seed + 1)
-    for rec in shared[:10]:
-        y2 = rng2.standard_normal(n)
-        y2 /= np.linalg.norm(y2)
-        h2 = PointEvaluation(spec, PhasePoint(rec.point.x, y2), order=5).hamel.num
-        add("hamel_y_independence", _norm(rec.hamel - h2))
-
-    # printed closed forms against the char-poly coefficients
-    if is_funk and n == 3:
-        for rec in shared[:10]:
-            g1p, g2p = integrals.paper_closed_forms(rec.point)
-            add("closed_forms_vs_charpoly", abs(g1p - rec.fis.c[0]))
-            add("closed_forms_vs_charpoly", abs(g2p - rec.fis.c[1]))
 
     # family-dependent gating for chi assertions: flat metrics (euclidean,
     # or riemannian with a vanishing sampled Jacobi endomorphism) and the

@@ -271,6 +271,25 @@ def test_malformed_points_are_reported_by_the_phase_point_boundary(argv, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, argv",
+    [
+        ("--point", "-0.3,0.1,0.2;0.2,-1,0.3", ["inspect"]),
+        ("--x0", "-0.3,0.1,0.2", ["flow", "--y0", "0.2,1,0.3", "--tmax", "0.5"]),
+        ("--y0", "-0.2,1,0.3", ["flow", "--x0", "0.3,0.1,0.2", "--tmax", "0.5"]),
+    ],
+    ids=["point", "x0", "y0"],
+)
+def test_a_vector_value_may_start_with_a_minus(option, value, argv, capsys):
+    # argparse alone takes "-0.3,0.1,0.2" for an option and reads only the
+    # "--x0=-0.3,.." form; both forms must give the same report
+    outputs = []
+    for pair in ([option, value], [f"{option}={value}"]):
+        assert run([*argv, "--metric", FUNK, *pair]) == 0
+        outputs.append(_strip_timestamp(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_flow_tolerance_defaults_are_the_integrator_settings():
     args = cli._build_parser().parse_args(["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1"])
     assert (args.rtol, args.atol) == (flow.IntegrateSettings().rtol, flow.IntegrateSettings().atol)
@@ -457,6 +476,19 @@ def test_an_overflow_past_f2_names_the_stage_and_the_point(tmp_path, capsys):
     )
 
 
+def test_an_overflow_in_the_spray_names_the_spray_and_the_point(tmp_path, capsys):
+    # the same overflow as above, met first by flow's right-hand side
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2 + 1e308*y1^2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["flow", "--metric", str(cfg), "--x0", "0.1,0.2,0.3", "--y0", "0.5,1,0", "--tmax", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: spray leaves the float range at PhasePoint(x=(0.1, 0.2, 0.3), y=(0.5, 1.0, 0.0)): "
+        "overflow encountered in multiply\n"
+    )
+
+
 def test_flow_watches_a_homothety_past_the_float64_range(tmp_path, capsys):
     # c F^2 has the spray of F^2, which runs in float64; the watched field
     # runs in long double, where det g = c^3 = 1e900 fits, so f1 = tr EE is
@@ -578,7 +610,7 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_console_script_and_module_entry():
+def test_console_script_entry():
     proc = subprocess.run(
         ["finslerkit", "inspect", "--metric", "euclidean", "--point", "0,0,0;1,2,0"],
         capture_output=True,
@@ -587,6 +619,8 @@ def test_console_script_and_module_entry():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["points"][0]["F"] == pytest.approx(5**0.5)
 
+
+def test_module_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "finslerkit", "verify", "--metric", "euclidean", "--npoints", "3"],
         capture_output=True,

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from finslerkit import fdcheck, integrals, metrics, tensors
 from finslerkit.errors import DimensionError, DomainError, OrderError, SingularMetricError
-from finslerkit.jets import Jet, JetArray, jet_space
+from finslerkit.jets import Jet, JetArray, jet_space, stack
 from finslerkit.tensors import PhasePoint, PointEvaluation, mat_inv_det
 
 
@@ -246,8 +246,8 @@ def test_homogeneity_degrees(lam):
 # -- linear algebra on scalars -------------------------------------------------
 
 def _const_matrix(values):
-    space = jet_space(1, 0)
-    return [[Jet.constant(space, v) for v in row] for row in values]
+    """A matrix of constant jets, as a tensor."""
+    return JetArray(jet_space(1, 0), np.array(values, dtype=float)[..., None])
 
 
 def test_mat_inv_det_matches_numpy():
@@ -297,7 +297,7 @@ def _full_gauss_jordan(mat):
 
 def _spd_jet_matrix(signature, seed):
     """A symmetric matrix of jets whose value part is positive definite and
-    far from diagonal, so that elimination pivots."""
+    far from diagonal, so that elimination pivots, as rows of jets."""
     space = jet_space(*signature)
     rng = np.random.default_rng(seed)
     n = space.dim // 2
@@ -316,7 +316,7 @@ def _spd_jet_matrix(signature, seed):
 def test_mat_inv_det_equals_the_full_elimination_bit_for_bit(signature):
     for seed in range(4):
         mat = _spd_jet_matrix(signature, seed)
-        inv, det = mat_inv_det(mat)
+        inv, det = mat_inv_det(stack([stack(row) for row in mat]))
         want_inv, want_det = _full_gauss_jordan(mat)
         np.testing.assert_array_equal(det.coeffs, want_det.coeffs)
         for got_row, want_row in zip(inv, want_inv):
@@ -327,7 +327,7 @@ def test_mat_inv_det_equals_the_full_elimination_bit_for_bit(signature):
 
 @pytest.mark.parametrize("signature, most", [((6, 5, 2), 26), ((8, 5, 2), 63)])
 def test_mat_inv_det_product_count(jet_products, signature, most):
-    mat = _spd_jet_matrix(signature, 0)
+    mat = stack([stack(row) for row in _spd_jet_matrix(signature, 0)])
     jet_products.count = 0
     mat_inv_det(mat)
     assert jet_products.count <= most

@@ -6,6 +6,7 @@ asserted versus merely reported, and that reports are reproducible.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -228,12 +229,14 @@ def test_four_dimensional_metric_verifies():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts ``PointEvaluation`` constructions in ``.count`` while the test runs."""
-    counter = SimpleNamespace(count=0)
+    """Counts ``PointEvaluation`` constructions in ``.count`` while the test
+    runs, and keeps each one's keyword arguments in ``.kwargs``."""
+    counter = SimpleNamespace(count=0, kwargs=[])
     init = PointEvaluation.__init__
 
     def counted(self, *args, **kwargs):
         counter.count += 1
+        counter.kwargs.append(kwargs)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PointEvaluation, "__init__", counted)
@@ -309,6 +312,16 @@ def test_one_order6_evaluation_feeds_every_point_suite(catalog3, evaluations, na
     # and the order-4 F^2 jets of the finite-difference suite's two points
     verify_metric(catalog3[name], n_points=4, seed=SEED)
     assert evaluations.count == 22
+
+
+def test_subset_suites_stop_at_their_sizes(catalog3, evaluations):
+    # past every subset size: the order-6 evaluation at each of 45 points,
+    # sigma-overridden ones at 25, two ladder rungs at 40, a second fiber
+    # direction at 10 and the oracle's order-4 jets at 2
+    verify_metric(catalog3["euclidean"], n_points=45, seed=SEED)
+    kinds = Counter((kw["order"], "sigma" in kw, kw.get("x_cap", 2)) for kw in evaluations.kwargs)
+    assert kinds == {(6, False, 2): 45, (5, True, 2): 25, (5, False, 1): 80, (5, False, 2): 10, (4, False, 2): 2}
+    assert evaluations.count == 162
 
 
 @pytest.mark.parametrize(
