@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--atol", type=_bounded("--atol", float, 0), default=flow.IntegrateSettings.atol)
     p_flow.add_argument("--watch", help="comma-separated field ids to track")
     p_flow.add_argument(
-        "--tol", type=_bounded("--tol", float, 0, strict=False), default=1e-6, help="relative drift tolerance"
+        "--tol", type=_bounded("--tol", float, 0, strict=False), default=flow.DRIFT_TOL,
+        help="relative drift tolerance",
     )
 
     p_bracket = sub.add_parser("bracket", help="Poisson bracket of two fields at sampled points")
@@ -310,8 +311,9 @@ def main(argv=None) -> int:
     try:
         # an option value out of range is a setup error, raised while parsing
         args = _build_parser().parse_args(_glue_vectors(sys.argv[1:] if argv is None else argv))
-        # a float overflow or invalid operation in any stage raises, so it
-        # ends in the one error line below and no numpy warning
+        # stages, the spray and verify raise on a float overflow themselves;
+        # this covers inspect's first integrals, bracket's terms and the
+        # integrator, so every overflow ends in the one error line below
         with np.errstate(over="raise", invalid="raise"):
             return globals()[f"cmd_{args.command}"](args)
     except (FinslerError, OSError, ValueError, ArithmeticError) as exc:

@@ -25,15 +25,15 @@ scalar fields is measured at those samples only, never at internal
 stages, so the measurement is decoupled from step control.  The fields
 are evaluated in long double (:func:`field_values`): in float64, the
 roundoff of the mean Berwald tensor near the ball's boundary is as large
-as a drift tolerance of 1e-6.  Where ``np.longdouble`` is float64 (MSVC,
-Apple silicon), it still is.  Relative drift uses denominator
-max(|initial|, 1e-8).
+as the default drift tolerance :data:`DRIFT_TOL`.  Where ``np.longdouble``
+is float64 (MSVC, Apple silicon), it still is.  Relative drift uses
+denominator max(|initial|, 1e-8).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +169,8 @@ MAX_STEPS = 200_000
 DENSE_SAMPLES = 16
 # a trajectory is thinned to at most this many samples, endpoints kept
 MAX_SAMPLES = 400
+# the default bound on a watched field's relative drift (flow --tol)
+DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,9 @@ class FieldDrift:
 
 @dataclass(frozen=True)
 class DriftReport:
-    fields: dict[str, FieldDrift] = field(default_factory=dict)
-    tol: float = 1e-6
-    passed: bool = True
+    fields: dict[str, FieldDrift]
+    tol: float
+    passed: bool
 
 
 def geodesic_rhs(spec, state):
@@ -423,7 +425,7 @@ def field_values(spec, traj: Trajectory, fields) -> list[dict[str, float]]:
     return [integrals.evaluate_fields(spec, fields, (x, y), np.longdouble) for x, y in zip(traj.xs, traj.ys)]
 
 
-def drift(spec, traj: Trajectory, fields, tol: float = 1e-6, values=None) -> DriftReport:
+def drift(spec, traj: Trajectory, fields, tol: float = DRIFT_TOL, values=None) -> DriftReport:
     """Drift of fields over the samples; ``values`` (from :func:`field_values`)
     is evaluated here when not given."""
     if not (math.isfinite(tol) and tol >= 0.0):

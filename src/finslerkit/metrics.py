@@ -232,23 +232,16 @@ def eval_F2(spec: MetricSpec, xs, ys):
 
     The value part of the result must be finite and strictly positive;
     otherwise the point is outside the metric's domain and
-    :class:`DomainError` is raised.  Over jets, a float overflow or an
-    invalid operation in any coefficient raises it too, instead of
-    printing numpy's warning and carrying inf or NaN on.
+    :class:`DomainError` is raised.  A float overflow in a coefficient
+    follows the caller's errstate: the stage ``F2`` and the spray
+    (:mod:`finslerkit.tensors`) raise it as their error naming the point.
     """
     if len(xs) != spec.dimension or len(ys) != spec.dimension:
         raise DimensionError(
             f"metric has dimension {spec.dimension}, got {len(xs)} position "
             f"and {len(ys)} fiber coordinates"
         )
-    if isinstance(xs[0], float):  # entering an errstate costs a quarter of an f2_value call
-        out = _family_F2(spec, xs, ys)
-    else:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                out = _family_F2(spec, xs, ys)
-        except FloatingPointError as err:
-            raise DomainError(f"F^2 cannot be evaluated at this point: {err}") from None
+    out = _family_F2(spec, xs, ys)
     if not 0.0 < _num(out) < math.inf:  # NaN fails too
         raise DomainError(
             f"F^2 is not finite and positive at this point (value {_num(out)!r}); outside the domain"

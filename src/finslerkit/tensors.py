@@ -228,17 +228,18 @@ def _out_of_range(name: str, point, err: FloatingPointError) -> DomainError:
 
 
 def _stage(method):
-    """A :class:`PointEvaluation` stage, computed on first use and kept.  A
-    float overflow or invalid operation raised while it runs (under
-    ``np.errstate(over="raise")``, as the CLI runs) becomes the
-    :func:`_out_of_range` error naming the stage and the point; a stage it
-    calls has named itself already."""
+    """A :class:`PointEvaluation` stage, computed on first use and kept.  It
+    runs under ``np.errstate(over="raise", invalid="raise")``, so a float
+    overflow or invalid operation in it is the :func:`_out_of_range` error
+    naming the stage and the point, whatever the caller's errstate; a
+    stage it calls has named itself already."""
     name = method.__name__.lstrip("_")
 
     @functools.wraps(method)
     def run(self):
         try:
-            return method(self)
+            with np.errstate(over="raise", invalid="raise"):
+                return method(self)
         except FloatingPointError as err:
             raise _out_of_range(name, self.point, err) from None
 
@@ -261,8 +262,10 @@ class PointEvaluation:
     derivatives (module docstring; ``None`` for none); the default 2 is
     all any quantity here needs.  The seeds' coefficients are of
     ``dtype``, and so is every tensor: ``np.longdouble`` runs the same
-    formulas with a longer mantissa where the platform has one.  Stages
-    that raise on a float overflow name themselves (:func:`_stage`).
+    formulas with a longer mantissa where the platform has one.  A float
+    overflow in a stage is an error naming the stage and the point
+    (:func:`_stage`).  ``sigma``, a parsed expression node, overrides the
+    metric's reference density ``spec.sigma``.
     Pass ``seeds`` to run the same formulas over other coordinate scalars
     with the jet interface: duals of jets
     (:class:`~finslerkit.jets.DualLayer`) give duals of tensors.
@@ -288,8 +291,6 @@ class PointEvaluation:
         self.order = seeds[0].order
         self.xs = seeds[: self.n]
         self.ys = seeds[self.n :]
-        if sigma is not None and isinstance(sigma, str):
-            sigma = expr.parse_expression(sigma)
         self._sigma_node = sigma if sigma is not None else spec.sigma
 
     # -- derivative helpers -------------------------------------------
@@ -341,11 +342,7 @@ class PointEvaluation:
     def _g_inv_det(self):
         _check_conditioned(self.g.num, self.point)
         # under a homothety c F^2, det g scales like c^n: it is the first to overflow
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return mat_inv_det(self.g)
-        except FloatingPointError:
-            raise DomainError(f"det g leaves the float range at {self.point}") from None
+        return mat_inv_det(self.g)
 
     @property
     def g_inv(self):
@@ -497,18 +494,20 @@ def spray_values(spec, p) -> np.ndarray:
     Same formula as the jet route: g is half the yy block of the Hessian
     of F^2, d^2F^2/dy dx . y its yx block applied to y, and dF^2/dx the x
     part of the gradient; then one ``np.linalg.solve``.  This is the fast
-    path for geodesic right-hand sides.  A float overflow in it is the
-    stage ``spray``'s :func:`_out_of_range` error.
+    path for geodesic right-hand sides.  It runs under the errstate of a
+    stage (:func:`_stage`), so a float overflow or invalid operation in it
+    is the :func:`_out_of_range` error of the stage ``spray``.
     """
     p = metrics.check_domain(spec, p)
     n = spec.dimension
     try:
-        seeds = seed_phase_point(p, 2)
-        f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
-        hess = f2.hessian()
-        g = 0.5 * hess[n:, n:]
-        _check_conditioned(g, p)
-        b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
-        return 0.25 * np.linalg.solve(g, b)
+        with np.errstate(over="raise", invalid="raise"):
+            seeds = seed_phase_point(p, 2)
+            f2 = metrics.eval_F2(spec, seeds[:n], seeds[n:])
+            hess = f2.hessian()
+            g = 0.5 * hess[n:, n:]
+            _check_conditioned(g, p)
+            b = (hess[n:, :n] * p.y).sum(axis=1) - f2.gradient()[:n]
+            return 0.25 * np.linalg.solve(g, b)
     except FloatingPointError as err:
         raise _out_of_range("spray", p, err) from None

@@ -62,15 +62,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fdcheck, integrals, metrics
-from .errors import DomainError
+from . import expr, fdcheck, integrals, metrics
 from .metrics import PhasePoint
-from .tensors import PointEvaluation
+from .tensors import PointEvaluation, _out_of_range
 
 __all__ = ["SuiteResult", "VerifyReport", "verify_metric", "SIGMA_TEST_EXPRESSION"]
 
 # fixed smooth positive test density for the sigma-independence check
 SIGMA_TEST_EXPRESSION = "exp(2*(0.3*x1 - 0.2*x2 + 0.1*normx2))"
+_SIGMA_TEST_NODE = expr.parse_expression(SIGMA_TEST_EXPRESSION)
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,9 @@ class VerifyReport:
 
 
 def _norm(a) -> float:
-    """The 2-norm of ``a``'s entries; one past the float range is a
-    :class:`DomainError`, not numpy's overflow warning."""
-    try:
-        with np.errstate(over="raise"):
-            return float(np.linalg.norm(np.asarray(a).ravel()))
-    except FloatingPointError as err:
-        raise DomainError(f"a norm leaves the float range: {err}") from None
+    """The 2-norm of ``a``'s entries; one past the float range is
+    :func:`verify_metric`'s error naming the point."""
+    return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
 # chi, the Hamel residual and nabla E are reported only unless a vanishing
@@ -207,136 +203,141 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     # the oracle's row is reported even when every partial is below its noise floor
     add("jets_match_finite_differences", 0.0)
 
-    for i, p in enumerate(points):
-        ev = PointEvaluation(spec, p, order=6)
-        y = np.array(p.y)
-        F2 = ev.F2.num
-        g = ev.g.num
-        gs = max(1.0, _norm(g))
-        E = ev.E.num
-        Es = max(1.0, _norm(E))
-        N = ev.N.num
-        I = ev.I.num
-        J = ev.J.num
-        S_y = np.array([ev.dy(ev.S, k).num for k in range(n)])
-        chi_v = ev.chi.num
-        hamel = ev.hamel.num
-        R_jac = ev.R_jac.num
-        B = ev.B.num
+    try:
+        # a float overflow outside a stage is an error naming the point
+        with np.errstate(over="raise", invalid="raise"):
+            for i, p in enumerate(points):
+                ev = PointEvaluation(spec, p, order=6)
+                y = np.array(p.y)
+                F2 = ev.F2.num
+                g = ev.g.num
+                gs = max(1.0, _norm(g))
+                E = ev.E.num
+                Es = max(1.0, _norm(E))
+                N = ev.N.num
+                I = ev.I.num
+                J = ev.J.num
+                S_y = np.array([ev.dy(ev.S, k).num for k in range(n)])
+                chi_v = ev.chi.num
+                hamel = ev.hamel.num
+                R_jac = ev.R_jac.num
+                B = ev.B.num
 
-        # structural identities of the fundamental tensor
-        add("g_symmetric", _norm(g - g.T) / gs)
-        add("g_yy_equals_F2", abs(y @ g @ y - F2) / max(1.0, F2))
-        h = ev.h.num
-        add("h_annihilates_y", _norm(h @ y) / gs)
-        eigs = np.sort(np.abs(np.linalg.eigvalsh(h)))
-        add("h_rank_n_minus_1", eigs[0] / max(1.0, eigs[-1]))
+                # structural identities of the fundamental tensor
+                add("g_symmetric", _norm(g - g.T) / gs)
+                add("g_yy_equals_F2", abs(y @ g @ y - F2) / max(1.0, F2))
+                h = ev.h.num
+                add("h_annihilates_y", _norm(h @ y) / gs)
+                eigs = np.sort(np.abs(np.linalg.eigvalsh(h)))
+                add("h_rank_n_minus_1", eigs[0] / max(1.0, eigs[-1]))
 
-        # mean Berwald structure; contractions scale with the tensors involved
-        ys = max(1.0, _norm(y))
-        add("E_symmetric", _norm(E - E.T) / Es)
-        add("E_annihilates_y", _norm(E @ y) / (Es * ys))
-        add("I_contracts_to_zero", abs(y @ I) / max(1.0, _norm(I) * ys))
-        add("J_contracts_to_zero", abs(y @ J) / max(1.0, _norm(J) * ys))
-        perm_worst = 0.0
-        for a, b, c in itertools.permutations(range(3)):
-            perm = B.transpose(0, 1 + a, 1 + b, 1 + c)
-            perm_worst = max(perm_worst, float(np.abs(B - perm).max()))
-        add("B_totally_symmetric", perm_worst / max(1.0, float(np.abs(B).max())))
+                # mean Berwald structure; contractions scale with the tensors involved
+                ys = max(1.0, _norm(y))
+                add("E_symmetric", _norm(E - E.T) / Es)
+                add("E_annihilates_y", _norm(E @ y) / (Es * ys))
+                add("I_contracts_to_zero", abs(y @ I) / max(1.0, _norm(I) * ys))
+                add("J_contracts_to_zero", abs(y @ J) / max(1.0, _norm(J) * ys))
+                perm_worst = 0.0
+                for a, b, c in itertools.permutations(range(3)):
+                    perm = B.transpose(0, 1 + a, 1 + b, 1 + c)
+                    perm_worst = max(perm_worst, float(np.abs(B - perm).max()))
+                add("B_totally_symmetric", perm_worst / max(1.0, float(np.abs(B).max())))
 
-        # three routes to E
-        E_S = ev.E_S.num
-        E_CL = ev.E_CL.num
-        add("three_route_E_agreement", _norm(E - E_S) / Es)
-        add("three_route_E_agreement", _norm(E - E_CL) / Es)
-        add("three_route_E_agreement", _norm(E_S - E_CL) / Es)
+                # three routes to E
+                E_S = ev.E_S.num
+                E_CL = ev.E_CL.num
+                add("three_route_E_agreement", _norm(E - E_S) / Es)
+                add("three_route_E_agreement", _norm(E - E_CL) / Es)
+                add("three_route_E_agreement", _norm(E_S - E_CL) / Es)
 
-        # dynamical covariant derivative
-        add("nabla_g_vanishes", _norm(ev.nabla2(ev.g).num) / gs)
-        nabla_E = ev.nabla2(ev.E).num
-        add("nabla_E_vanishes", _norm(nabla_E) / (1.0 + _norm(E) * _norm(N)))
+                # dynamical covariant derivative
+                add("nabla_g_vanishes", _norm(ev.nabla2(ev.g).num) / gs)
+                nabla_E = ev.nabla2(ev.E).num
+                add("nabla_E_vanishes", _norm(nabla_E) / (1.0 + _norm(E) * _norm(N)))
 
-        # chi and the Hamel residual (scaled by the same natural magnitude)
-        scale_chi = 1.0 + _norm(N) * _norm(S_y)
-        add("chi_vanishes", _norm(chi_v) / scale_chi)
-        add("hamel_residual", _norm(hamel) / scale_chi)
-        max_jacobi = max(max_jacobi, _norm(R_jac) / max(1.0, _norm(N) ** 2))
+                # chi and the Hamel residual (scaled by the same natural magnitude)
+                scale_chi = 1.0 + _norm(N) * _norm(S_y)
+                add("chi_vanishes", _norm(chi_v) / scale_chi)
+                add("hamel_residual", _norm(hamel) / scale_chi)
+                max_jacobi = max(max_jacobi, _norm(R_jac) / max(1.0, _norm(N) ** 2))
 
-        # first integrals
-        F = ev.F.num
-        fis = integrals.first_integral_set(F, g, ev.g_inv.num, E, y)
-        EEs = max(1.0, _norm(fis.EE))
-        add("EE_annihilates_y", _norm(fis.EE @ y) / EEs)
-        add("EE_determinant_vanishes", abs(np.linalg.det(fis.EE)) / EEs**n)
-        add("newton_identities", fis.newton_residual)
-        add("bordered_equals_c_last", abs(fis.bordered_value - fis.c[-1]) / max(1.0, abs(fis.c[-1])))
-        fit = integrals.charpoly_fit(fis.EE)
-        fit_res = max(
-            float(np.abs(fit[: n - 1] - fis.c).max()), abs(float(fit[-1]))
-        ) / max(1.0, float(np.abs(fis.c).max()))
-        add("charpoly_fit_agrees", fit_res)
+                # first integrals
+                F = ev.F.num
+                fis = integrals.first_integral_set(F, g, ev.g_inv.num, E, y)
+                EEs = max(1.0, _norm(fis.EE))
+                add("EE_annihilates_y", _norm(fis.EE @ y) / EEs)
+                add("EE_determinant_vanishes", abs(np.linalg.det(fis.EE)) / EEs**n)
+                add("newton_identities", fis.newton_residual)
+                add("bordered_equals_c_last", abs(fis.bordered_value - fis.c[-1]) / max(1.0, abs(fis.c[-1])))
+                fit = integrals.charpoly_fit(fis.EE)
+                fit_res = max(
+                    float(np.abs(fit[: n - 1] - fis.c).max()), abs(float(fit[-1]))
+                ) / max(1.0, float(np.abs(fis.c).max()))
+                add("charpoly_fit_agrees", fit_res)
 
-        if is_riem:
-            for t in (B, E, I, J, fis.f, fis.c):
-                add("riemannian_degeneration", float(np.abs(t).max()))
+                if is_riem:
+                    for t in (B, E, I, J, fis.f, fis.c):
+                        add("riemannian_degeneration", float(np.abs(t).max()))
 
-        if spec.family == "euclidean":
-            flag = ev.flag
-            add("euclidean_flag_zero", abs(flag.kappa))
-            add("euclidean_flag_zero", flag.residual)
+                if spec.family == "euclidean":
+                    flag = ev.flag
+                    add("euclidean_flag_zero", abs(flag.kappa))
+                    add("euclidean_flag_zero", flag.residual)
 
-        # sigma independence: E and chi must not see the reference volume
-        if i < 25:
-            ev_b = PointEvaluation(spec, p, order=5, sigma=SIGMA_TEST_EXPRESSION)
-            E_b, chi_b = ev_b.E.num, ev_b.chi.num
-            add("sigma_independence", _norm(E - E_b) / Es)
-            add("sigma_independence", _norm(chi_v - chi_b) / max(1.0, _norm(chi_v)))
-            add("sigma_shifts_tau", abs(ev.tau.num - ev_b.tau.num))
+                # sigma independence: E and chi must not see the reference volume
+                if i < 25:
+                    ev_b = PointEvaluation(spec, p, order=5, sigma=_SIGMA_TEST_NODE)
+                    E_b, chi_b = ev_b.E.num, ev_b.chi.num
+                    add("sigma_independence", _norm(E - E_b) / Es)
+                    add("sigma_independence", _norm(chi_v - chi_b) / max(1.0, _norm(chi_v)))
+                    add("sigma_shifts_tau", abs(ev.tau.num - ev_b.tau.num))
 
-        # jets against the finite-difference oracle
-        if i < 2:
-            x_fd = 0.5 * np.asarray(p.x)  # keep FD stencils well inside the domain
-            # the sampled indices take at most two x-derivatives: cap 2
-            jet = PointEvaluation(spec, PhasePoint(x_fd, p.y), order=4).F2
-            coords = list(x_fd) + list(p.y)
-            jet_vals = {m: jet.extract(m) for m in idxs}
-            scale = max(abs(v) for v in jet_vals.values())
-            for m in idxs:
-                fd = fdcheck.fd_partial(f2_flat, coords, m)
-                # partials smaller than the stencils' roundoff amplification
-                # are invisible to the oracle: both routes agree the value is
-                # "zero at this resolution" and a ratio would be pure noise
-                noise = fdcheck.noise_floor(max(scale, abs(jet.value)), coords, m)
-                if max(abs(jet_vals[m]), abs(fd)) <= 50.0 * noise:
-                    continue
-                denom = max(abs(jet_vals[m]), abs(fd), 1e-8)
-                add("jets_match_finite_differences", abs(fd - jet_vals[m]) / denom)
+                # jets against the finite-difference oracle
+                if i < 2:
+                    x_fd = 0.5 * np.asarray(p.x)  # keep FD stencils well inside the domain
+                    # the sampled indices take at most two x-derivatives: cap 2
+                    jet = PointEvaluation(spec, PhasePoint(x_fd, p.y), order=4).F2
+                    coords = list(x_fd) + list(p.y)
+                    jet_vals = {m: jet.extract(m) for m in idxs}
+                    scale = max(abs(v) for v in jet_vals.values())
+                    for m in idxs:
+                        fd = fdcheck.fd_partial(f2_flat, coords, m)
+                        # partials smaller than the stencils' roundoff amplification
+                        # are invisible to the oracle: both routes agree the value is
+                        # "zero at this resolution" and a ratio would be pure noise
+                        noise = fdcheck.noise_floor(max(scale, abs(jet.value)), coords, m)
+                        if max(abs(jet_vals[m]), abs(fd)) <= 50.0 * noise:
+                            continue
+                        denom = max(abs(jet_vals[m]), abs(fd), 1e-8)
+                        add("jets_match_finite_differences", abs(fd - jet_vals[m]) / denom)
 
-        # homogeneity: exact 0-homogeneous invariance and the degree ladder
-        if i < 40:
-            G = ev.G.num
-            for lam in (2.0, 0.5):
-                F_l, g_l, G_l, N_l, E_l, fis_l = _ladder_values(spec, PhasePoint(p.x, lam * y))
-                add("homogeneity_ladder", _norm(fis.EE - fis_l.EE) / EEs)
-                add("homogeneity_ladder", float(np.abs(fis.f - fis_l.f).max()) / max(1.0, float(np.abs(fis.f).max())))
-                add("homogeneity_ladder", float(np.abs(fis.c - fis_l.c).max()) / max(1.0, float(np.abs(fis.c).max())))
-                add("homogeneity_ladder", abs(F_l - lam * F) / max(1.0, F))
-                add("homogeneity_ladder", _norm(g_l - g) / gs)
-                add("homogeneity_ladder", _norm(G_l - lam**2 * G) / max(1.0, _norm(G)))
-                add("homogeneity_ladder", _norm(N_l - lam * N) / max(1.0, _norm(N)))
-                add("homogeneity_ladder", _norm(E_l - E / lam) / Es)
+                # homogeneity: exact 0-homogeneous invariance and the degree ladder
+                if i < 40:
+                    G = ev.G.num
+                    for lam in (2.0, 0.5):
+                        F_l, g_l, G_l, N_l, E_l, fis_l = _ladder_values(spec, PhasePoint(p.x, lam * y))
+                        add("homogeneity_ladder", _norm(fis.EE - fis_l.EE) / EEs)
+                        add("homogeneity_ladder", float(np.abs(fis.f - fis_l.f).max()) / max(1.0, float(np.abs(fis.f).max())))
+                        add("homogeneity_ladder", float(np.abs(fis.c - fis_l.c).max()) / max(1.0, float(np.abs(fis.c).max())))
+                        add("homogeneity_ladder", abs(F_l - lam * F) / max(1.0, F))
+                        add("homogeneity_ladder", _norm(g_l - g) / gs)
+                        add("homogeneity_ladder", _norm(G_l - lam**2 * G) / max(1.0, _norm(G)))
+                        add("homogeneity_ladder", _norm(N_l - lam * N) / max(1.0, _norm(N)))
+                        add("homogeneity_ladder", _norm(E_l - E / lam) / Es)
 
-        if i < 10:
-            # y-independence of the Hamel residual (basic 2-form)
-            y2 = rng2.standard_normal(n)
-            y2 /= np.linalg.norm(y2)
-            h2 = PointEvaluation(spec, PhasePoint(p.x, y2), order=5).hamel.num
-            add("hamel_y_independence", _norm(hamel - h2))
-            # printed closed forms against the char-poly coefficients
-            if is_funk and n == 3:
-                g1p, g2p = integrals.paper_closed_forms(p)
-                add("closed_forms_vs_charpoly", abs(g1p - fis.c[0]))
-                add("closed_forms_vs_charpoly", abs(g2p - fis.c[1]))
+                if i < 10:
+                    # y-independence of the Hamel residual (basic 2-form)
+                    y2 = rng2.standard_normal(n)
+                    y2 /= np.linalg.norm(y2)
+                    h2 = PointEvaluation(spec, PhasePoint(p.x, y2), order=5).hamel.num
+                    add("hamel_y_independence", _norm(hamel - h2))
+                    # printed closed forms against the char-poly coefficients
+                    if is_funk and n == 3:
+                        g1p, g2p = integrals.paper_closed_forms(p)
+                        add("closed_forms_vs_charpoly", abs(g1p - fis.c[0]))
+                        add("closed_forms_vs_charpoly", abs(g2p - fis.c[1]))
+    except FloatingPointError as err:
+        raise _out_of_range("verify", p, err) from None
 
     # Lemma-grade biconditional: S is a Hamel function iff chi vanishes
     chi_small = worst["chi_vanishes"] <= _SUITES["chi_vanishes"][0]

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from finslerkit import cli, flow, fdcheck, integrals, metrics
+from finslerkit import cli, expr, flow, fdcheck, integrals, metrics
 from finslerkit.jets import seed_phase_point
 from finslerkit.tensors import PhasePoint, PointEvaluation
 from finslerkit.verify import SIGMA_TEST_EXPRESSION, _fd_index_sample
@@ -312,11 +312,12 @@ def test_c6_riemannian_degeneration_and_flat_curvature(catalog3, funk):
 def test_c7_sigma_independence(catalog3):
     tol = 1e-8
     worst = 0.0
+    sigma = expr.parse_expression(SIGMA_TEST_EXPRESSION)
     for spec in catalog3.values():
         for x, y in _sample(spec, 25):
             p = PhasePoint(x, y)
             ev_a = PointEvaluation(spec, p, order=5)
-            ev_b = PointEvaluation(spec, p, order=5, sigma=SIGMA_TEST_EXPRESSION)
+            ev_b = PointEvaluation(spec, p, order=5, sigma=sigma)
             E_a, E_b = ev_a.E.num, ev_b.E.num
             chi_a, chi_b = ev_a.chi.num, ev_b.chi.num
             worst = max(

@@ -308,22 +308,32 @@ def test_a_position_past_the_float_range_is_outside_the_ball_guard(argv, capsys)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["inspect", "--metric", "riemannian_round_sphere", "--point", "1e200,0,0;1,0,0"],
-        ["flow", "--metric", "euclidean", "--x0", "1e300,0,0", "--y0", "1e300,0,0", "--tmax", "1"],
-        ["flow", "--metric", "riemannian_round_sphere", "--x0", "1e200,0,0", "--y0", "1,0,0", "--tmax", "1"],
+        (
+            ["inspect", "--metric", "riemannian_round_sphere", "--point", "1e200,0,0;1,0,0"],
+            "F2 leaves the float range at PhasePoint(x=(1e+200, 0.0, 0.0), y=(1.0, 0.0, 0.0))",
+        ),
+        (
+            ["flow", "--metric", "euclidean", "--x0", "1e300,0,0", "--y0", "1e300,0,0", "--tmax", "1"],
+            "spray leaves the float range at PhasePoint(x=(1e+300, 0.0, 0.0), y=(1e+300, 0.0, 0.0))",
+        ),
+        (
+            ["flow", "--metric", "riemannian_round_sphere", "--x0", "1e200,0,0", "--y0", "1,0,0", "--tmax", "1"],
+            "spray leaves the float range at PhasePoint(x=(1e+200, 0.0, 0.0), y=(1.0, 0.0, 0.0))",
+        ),
     ],
     ids=["inspect-sphere", "flow-euclidean", "flow-sphere"],
 )
-def test_a_huge_position_exits_two_without_warnings(argv, capsys):
+def test_a_huge_position_exits_two_without_warnings(argv, message, capsys):
     # these metrics have no position guard: F^2 over jets overflows, which
-    # is a DomainError, not a numpy warning followed by an error line
+    # is a DomainError naming the stage and the point, not a numpy warning
+    # followed by an error line
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: F^2 cannot be evaluated at this point: overflow encountered in multiply\n"
+    assert err == f"error: {message}: overflow encountered in multiply\n"
 
 
 @pytest.mark.parametrize(
@@ -388,14 +398,16 @@ def test_non_finite_energy_exits_two_without_warnings(tmp_path, capsys):
 
 def test_an_overflowing_norm_in_verify_exits_two_without_warnings(tmp_path, capsys):
     # F^2 = 1e300 |y|^2 is finite, but the squares in the norm of g are not:
-    # one error line, no numpy overflow warning before it
+    # one error line naming the sample's first point, no numpy overflow
+    # warning before it
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("[metric]\ndimension = 3\nfamily = custom\nexpression = normy2*1e300\n")
+    p = metrics.sample_points(metrics.load_metric_file(cfg), 2, 0)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["verify", "--metric", str(cfg), "--npoints", "2"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: a norm leaves the float range: overflow encountered in dot\n"
+    assert err == f"error: verify leaves the float range at {p}: overflow encountered in dot\n"
 
 
 def test_overflowing_components_exit_two_without_warnings(tmp_path, capsys):

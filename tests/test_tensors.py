@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerkit import fdcheck, integrals, metrics, tensors
+from finslerkit import fdcheck, integrals, metrics, tensors, verify
 from finslerkit.errors import DimensionError, DomainError, OrderError, SingularMetricError
 from finslerkit.jets import Jet, JetArray, jet_space, stack
 from finslerkit.tensors import PhasePoint, PointEvaluation, mat_inv_det
@@ -362,14 +362,42 @@ def test_condition_guard_near_ball_boundary(funk):
         tensors.spray_values(funk, p)
 
 
-def test_an_overflowing_det_g_is_a_domain_error_naming_it():
-    # g = 1e110 I is a float, det g = 1e330 is not
-    spec = metrics.parse_metric("[metric]\ndimension = 3\nfamily = custom\nexpression = 1e110*normy2\n")
-    p = PhasePoint((0.1, 0.2, 0.3), (1.0, 0.0, 0.0))
-    with warnings.catch_warnings():
+def _custom(expression):
+    return metrics.parse_metric(f"[metric]\ndimension = 3\nfamily = custom\nexpression = {expression}\n")
+
+
+_G_POINT = PhasePoint((0.1, 0.2, 0.3), (0.5, 1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "spec, point, name, run",
+    [
+        # |x|^2 = 1e400 in the sphere's conformal factor
+        (
+            metrics.catalog(3)["riemannian_round_sphere"], PhasePoint((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)), "F2",
+            lambda spec, p: PointEvaluation(spec, p).F2,
+        ),
+        # F^2 fits, but differentiating its y1^2 coefficient 1e308 gives 2e308
+        (_custom("normy2 + 1e308*y1^2"), _G_POINT, "g", lambda spec, p: PointEvaluation(spec, p).g),
+        # g = 1e110 I is a float, det g = 1e330 is not
+        (
+            _custom("1e110*normy2"), PhasePoint((0.1, 0.2, 0.3), (1.0, 0.0, 0.0)), "g_inv_det",
+            lambda spec, p: PointEvaluation(spec, p).det_g,
+        ),
+        (_custom("normy2 + 1e308*y1^2"), _G_POINT, "spray", tensors.spray_values),
+        # every stage fits, but the squares in the norm of g do not
+        (_custom("normy2*1e300"), None, "verify", lambda spec, p: verify.verify_metric(spec, 2, 0)),
+    ],
+    ids=["F2", "g", "det_g", "spray", "verify"],
+)
+def test_an_overflowing_det_g_is_a_domain_error_naming_it(spec, point, name, run):
+    # each entry point raises on its own under numpy's default errstate;
+    # verify names the point of its sample where it overflows, the first
+    p = metrics.sample_points(spec, 2, 0)[0] if point is None else point
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=re.escape(f"det g leaves the float range at {p}")):
-            PointEvaluation(spec, p).det_g
+        with pytest.raises(DomainError, match=re.escape(f"{name} leaves the float range at {p}: ")):
+            run(spec, p)
 
 
 # -- coefficient dtype ----------------------------------------------------------

@@ -210,7 +210,7 @@ def test_sigma_test_expression_parses_and_depends_on_x_only(funk):
     for y in ((1.0, 0.0, 0.0), (0.3, -0.8, 0.5)):
         p = tensors.PhasePoint(x, y)
         t0 = tensors.PointEvaluation(funk, p, order=2).tau.num
-        t1 = tensors.PointEvaluation(funk, p, order=2, sigma=SIGMA_TEST_EXPRESSION).tau.num
+        t1 = tensors.PointEvaluation(funk, p, order=2, sigma=node).tau.num
         taus.append(t1 - t0)
     assert taus[0] == pytest.approx(expected, rel=1e-12)
     assert taus[1] == pytest.approx(expected, rel=1e-12)
@@ -256,9 +256,10 @@ def _per_suite_rows(spec, n_points, seed):
     rows = {}
 
     worst = shift = 0.0
+    sigma = expr.parse_expression(SIGMA_TEST_EXPRESSION)
     for x, y in points[:25]:
         ev_a = PointEvaluation(spec, PhasePoint(x, y), order=5)
-        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=SIGMA_TEST_EXPRESSION)
+        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=sigma)
         E_a, E_b = ev_a.E.num, ev_b.E.num
         chi_a, chi_b = ev_a.chi.num, ev_b.chi.num
         worst = max(worst, _norm(E_a - E_b) / max(1.0, _norm(E_a)), _norm(chi_a - chi_b) / max(1.0, _norm(chi_a)))
@@ -358,8 +359,9 @@ def _packet_route(spec, n_points, seed):
             getattr(ev, name)
         ev.nabla2(ev.g)
         ev.nabla2(ev.E)
+    sigma = expr.parse_expression(SIGMA_TEST_EXPRESSION)
     for x, y in points[:25]:
-        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=SIGMA_TEST_EXPRESSION)
+        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=sigma)
         ev_b.E, ev_b.chi, ev_b.tau
     for x, y in points[:40]:
         for lam in (2.0, 0.5):
