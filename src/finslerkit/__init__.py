@@ -27,7 +27,6 @@ from .integrals import (
     field_ids,
     first_integral_set,
     paper_closed_forms,
-    poisson_bracket,
     poisson_bracket_scaled,
 )
 from .jets import DualLayer, Jet, JetArray, JetSpace
@@ -71,7 +70,6 @@ __all__ = [
     "load_metric_file",
     "paper_closed_forms",
     "parse_metric",
-    "poisson_bracket",
     "poisson_bracket_scaled",
     "sample_phase_point",
     "verify_metric",

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import BranchError, ConfigError, DimensionError, ExpressionSyntaxError, PoleError
 
-__all__ = ["parse_expression", "to_text", "evaluate", "Node"]
+__all__ = ["parse_expression", "evaluate", "Node"]
 
 
 class Node:
@@ -263,58 +263,6 @@ def parse_expression(text: str, base_line: int = 1, base_column: int = 1) -> Nod
     embedded in a larger file can point at the real location.
     """
     return _Parser(_tokenize(text, base_line, base_column)).parse()
-
-
-# -- printing ----------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 2, 3, 4
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    if isinstance(node, Num) and node.value < 0:
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def _wrap(node: Node, min_prec: int) -> str:
-    text = to_text(node)
-    if _prec(node) < min_prec:
-        return f"({text})"
-    return text
-
-
-def to_text(node: Node) -> str:
-    """Render an AST back to parseable text (parse(to_text(t)) == t)."""
-    if isinstance(node, Num):
-        v = node.value
-        return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
-    if isinstance(node, Var):
-        return f"{node.axis}{node.index}"
-    if isinstance(node, Reduce):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})"
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.arg, _PREC_NEG + 1)
-    if isinstance(node, Pow):
-        if node.den == 1 and node.num >= 0:
-            exp = str(node.num)
-        else:
-            exp = f"({node.num}/{node.den})" if node.den != 1 else f"({node.num})"
-        return f"{_wrap(node.base, _PREC_POW + 1)}^{exp}"
-    if isinstance(node, BinOp):
-        left = _wrap(node.left, _prec(node))
-        right = _wrap(node.right, _prec(node) + 1)
-        if node.op in "+-":
-            return f"{left} {node.op} {right}"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- analysis ----------------------------------------------------------

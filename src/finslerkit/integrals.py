@@ -65,7 +65,6 @@ from .tensors import PointEvaluation, _align, spray_values
 __all__ = [
     "FirstIntegralSet",
     "build_EE",
-    "traces_and_charpoly",
     "newton_from_traces",
     "charpoly_fit",
     "bordered_determinant",
@@ -76,7 +75,6 @@ __all__ = [
     "evaluate_fields",
     "field_gradient",
     "spray_derivative_of_field",
-    "poisson_bracket",
     "poisson_bracket_scaled",
 ]
 
@@ -109,7 +107,10 @@ def _power_traces(EE: np.ndarray) -> np.ndarray:
 
 
 def _charpoly(EE: np.ndarray) -> np.ndarray:
-    """c_1..c_{n-1} by Faddeev-LeVerrier (see :func:`traces_and_charpoly`)."""
+    """c_1..c_{n-1}, the coefficients of det(Lambda I + EE) by
+    Faddeev-LeVerrier: M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}),
+    c_k = tr(M_k)/k.  EE holds floats or, for the scalar fields, is a tensor
+    of jets, and so do the coefficients."""
     n = EE.shape[0]
     M = EE
     c = [M.trace()]
@@ -118,17 +119,6 @@ def _charpoly(EE: np.ndarray) -> np.ndarray:
         M = EE @ (c[k - 1] * eye - M)
         c.append(M.trace() / (k + 1))
     return np.array(c)
-
-
-def traces_and_charpoly(EE: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power traces f_1..f_{n-1} and char-poly coefficients c_1..c_{n-1}.
-
-    The c_a are the Faddeev-LeVerrier coefficients of det(Lambda I + EE):
-    M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}), c_k = tr(M_k)/k.
-    EE holds floats or, for the scalar fields, is a tensor of jets; the
-    arrays returned hold floats or jets.
-    """
-    return _power_traces(EE), _charpoly(EE)
 
 
 def newton_from_traces(f: np.ndarray) -> np.ndarray:
@@ -176,7 +166,7 @@ def first_integral_set(
     for a :class:`~finslerkit.tensors.CurvaturePacket` ``pkt``.
     """
     EE = build_EE(F, g_inv, E)
-    f, c = traces_and_charpoly(EE)
+    f, c = _power_traces(EE), _charpoly(EE)
     newton = newton_from_traces(f)
     residual = float(max(abs(newton[a] - c[a]) / max(1.0, abs(c[a])) for a in range(len(c))))
     return FirstIntegralSet(
@@ -348,14 +338,9 @@ def _bracket_terms(spec: MetricSpec, fa: str, fb: str, p):
     return term1, term2
 
 
-def poisson_bracket(spec: MetricSpec, fa: str, fb: str, p) -> float:
-    """{fa, fb} = 1/2 g^{ij} (dfa/dy^j delta fb/dx^i - dfb/dy^j delta fa/dx^i)."""
-    term1, term2 = _bracket_terms(spec, fa, fb, p)
-    return 0.5 * (term1 - term2)
-
-
 def poisson_bracket_scaled(spec: MetricSpec, fa: str, fb: str, p) -> tuple[float, float]:
-    """(bracket value, scale), where scale bounds the magnitude of either term.
+    """({fa, fb}, scale) at ``p``, where scale bounds the magnitude of either
+    term of the bracket (module docstring).
 
     A bracket is 'numerically zero' when |value| is small against the scale,
     which guards against calling a cancellation of two huge terms a zero.

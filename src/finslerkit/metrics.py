@@ -89,7 +89,6 @@ __all__ = [
     "FUNK_GUARD_INSET",
     "MAX_DIMENSION",
     "parse_metric",
-    "format_metric",
     "load_metric_file",
     "eval_F2",
     "eval_projective_factor",
@@ -490,20 +489,6 @@ def parse_metric(text: str) -> MetricSpec:
     )
     _validate_loaded(spec)
     return spec
-
-
-def format_metric(spec: MetricSpec) -> str:
-    """Canonical config text; parse_metric(format_metric(s)) equals s."""
-    lines = ["[metric]", f"name = {spec.name}", f"dimension = {spec.dimension}", f"family = {spec.family}"]
-    if spec.sigma is not None:
-        lines.append(f"sigma = {expr.to_text(spec.sigma)}")
-    if spec.expression is not None:
-        lines.append(f"expression = {expr.to_text(spec.expression)}")
-    if spec.components is not None:
-        for i in range(spec.dimension):
-            for j in range(spec.dimension):
-                lines.append(f"g_{i + 1}_{j + 1} = {expr.to_text(spec.components[i][j])}")
-    return "\n".join(lines) + "\n"
 
 
 def load_metric_file(path) -> MetricSpec:

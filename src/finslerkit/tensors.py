@@ -264,10 +264,8 @@ class PointEvaluation:
     ``dtype``, and so is every tensor: ``np.longdouble`` runs the same
     formulas with a longer mantissa where the platform has one.  A float
     overflow in a stage is an error naming the stage and the point
-    (:func:`_stage`).  ``sigma``, a parsed expression node, overrides the
-    metric's reference density ``spec.sigma``.
-    Pass ``seeds`` to run the same formulas over other coordinate scalars
-    with the jet interface: duals of jets
+    (:func:`_stage`).  Pass ``seeds`` to run the same formulas over other
+    coordinate scalars with the jet interface: duals of jets
     (:class:`~finslerkit.jets.DualLayer`) give duals of tensors.
     """
 
@@ -276,7 +274,6 @@ class PointEvaluation:
         spec: metrics.MetricSpec,
         point,
         order: int = 5,
-        sigma=None,
         seeds=None,
         x_cap: int | None = 2,
         dtype=np.float64,
@@ -291,12 +288,8 @@ class PointEvaluation:
         self.order = seeds[0].order
         self.xs = seeds[: self.n]
         self.ys = seeds[self.n :]
-        self._sigma_node = sigma if sigma is not None else spec.sigma
 
     # -- derivative helpers -------------------------------------------
-
-    def dy(self, f, i: int):
-        return f.d(self.n + i)
 
     def _grad_x(self, t):
         """The partials of t's entries by x^k, along a new last axis k."""
@@ -396,7 +389,8 @@ class PointEvaluation:
 
     @_stage
     def sigma(self):
-        node = self._sigma_node
+        """The metric's reference density ``spec.sigma`` (1 when unset)."""
+        node = self.spec.sigma
         value = 1.0 if node is None else expr.evaluate(node, self.xs, self.ys)
         # a constant density comes back as a plain number
         return self.xs[0].const(value) if isinstance(value, numbers.Real) else value

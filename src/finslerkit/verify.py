@@ -39,7 +39,7 @@ Evaluations are lazy, and each builds only the tensors its suites read:
   derivatives), tau, S, chi, the Hamel residual and the covariant
   derivatives of g and E; the scalar-flag diagnosis only for the
   euclidean family;
-* the one under the overridden density sigma: E, chi and tau;
+* the one under the test density sigma: E, E_S, chi and tau;
 * the ones at lambda*y for lambda = 2 and 1/2: F, g, g^-1, G, N and E,
   which are all the ladder and the first integrals compare; these take
   at most one x-derivative of F^2, so their jets are seeded at x-degree
@@ -58,7 +58,7 @@ chi, I, J and the flag, at every evaluation: 39 % of the jet products of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,6 +178,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     points = metrics.sample_points(spec, n_points, seed)
+    spec_b = replace(spec, sigma=_SIGMA_TEST_NODE)  # the metric under the test density
     n = spec.dimension
     is_funk = spec.family == "funk_ball_berwald"
     is_riem = spec.family in ("euclidean", "riemannian")
@@ -217,7 +218,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                 N = ev.N.num
                 I = ev.I.num
                 J = ev.J.num
-                S_y = np.array([ev.dy(ev.S, k).num for k in range(n)])
+                S_y = ev._grad_y(ev.S).num
                 chi_v = ev.chi.num
                 hamel = ev.hamel.num
                 R_jac = ev.R_jac.num
@@ -284,11 +285,13 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                     add("euclidean_flag_zero", abs(flag.kappa))
                     add("euclidean_flag_zero", flag.residual)
 
-                # sigma independence: E and chi must not see the reference volume
+                # sigma independence: E, E_S and chi must not see the reference
+                # volume; E_S reads it through S = D(tau), whose shift is linear in y
                 if i < 25:
-                    ev_b = PointEvaluation(spec, p, order=5, sigma=_SIGMA_TEST_NODE)
-                    E_b, chi_b = ev_b.E.num, ev_b.chi.num
+                    ev_b = PointEvaluation(spec_b, p, order=5)
+                    E_b, E_S_b, chi_b = ev_b.E.num, ev_b.E_S.num, ev_b.chi.num
                     add("sigma_independence", _norm(E - E_b) / Es)
+                    add("sigma_independence", _norm(E_S - E_S_b) / Es)
                     add("sigma_independence", _norm(chi_v - chi_b) / max(1.0, _norm(chi_v)))
                     add("sigma_shifts_tau", abs(ev.tau.num - ev_b.tau.num))
 

@@ -207,6 +207,53 @@ def test_bracket_csv_format(capsys):
     assert len(lines) == 3
 
 
+# -- the theorem's negative control ---------------------------------------------------
+
+# A Randers metric whose 1-form 0.2*(x2 dx1 - x1 dx2 + x3 dx3) is not closed,
+# so chi does not vanish and the paper's first integrals need not be constant.
+TWISTED_RANDERS = (
+    "[metric]\nname = twisted_randers\ndimension = 3\nfamily = custom\n"
+    "expression = (sqrt(normy2) + 0.2*(x2*y1 - x1*y2 + x3*y3))^2\n"
+)
+
+
+@pytest.fixture
+def twisted(tmp_path):
+    cfg = tmp_path / "twisted.cfg"
+    cfg.write_text(TWISTED_RANDERS)
+    return str(cfg)
+
+
+def test_first_integrals_drift_where_chi_does_not_vanish(twisted, capsys):
+    argv = ["flow", "--metric", twisted, "--x0", "0.1,0.2,-0.1", "--y0", "0.5,0.3,0.4", "--tmax", "1"]
+    assert run(argv + ["--watch", "F,f1,f2,c1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "completed"
+    drift = {name: field["max_rel_drift"] for name, field in report["drift"]["fields"].items()}
+    # F is a first integral of every geodesic flow; f_a and c_a are not here
+    assert drift["F"] < 1e-10
+    assert drift["f1"] == pytest.approx(0.2222, rel=1e-3)
+    assert drift["c1"] == drift["f1"]  # c1 = f1 = tr(EE)
+    assert drift["f2"] == pytest.approx(0.2546, rel=1e-3)
+
+
+def test_first_integrals_are_not_in_involution_where_chi_does_not_vanish(twisted, capsys):
+    assert run(["bracket", "--metric", twisted, "--fields", "f1,f2", "--npoints", "5", "--assert-zero"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert doc["max_scaled"] == pytest.approx(0.07167, rel=1e-3)
+
+
+def test_verify_reports_chi_and_still_asserts_the_biconditional(twisted, capsys):
+    assert run(["verify", "--metric", twisted, "--npoints", "20", "--seed", "1"]) == 0
+    suites = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    for name, worst in (("chi_vanishes", 0.0691), ("hamel_residual", 0.1294), ("nabla_E_vanishes", 0.1202)):
+        assert not suites[name]["asserted"], name
+        assert suites[name]["worst"] == pytest.approx(worst, rel=1e-3), name
+    bicond = suites["hamel_chi_biconditional"]
+    assert bicond["asserted"] and bicond["passed"] and bicond["worst"] == 0.0
+
+
 # -- error mapping ----------------------------------------------------------------
 
 def test_setup_errors_exit_two(tmp_path, capsys):

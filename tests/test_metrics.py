@@ -1,6 +1,9 @@
 """Config parsing, expression language, domain guards, sampling."""
 
+import importlib
 import math
+import pkgutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,20 +60,6 @@ def test_expression_evaluates_like_python():
         assert expr.evaluate(node, xs, ys) == pytest.approx(want, rel=1e-14), text
 
 
-def test_expression_round_trips_through_text():
-    for text in (
-        "2*x1 - x2^2/4 + 1",
-        "sqrt(normx2 + 1)*exp(-x1)",
-        "(y1^4 + y2^4)^(1/2)",
-        "x1/(x2*x3)",
-        "-(x1 + x2)^2",
-        "1.5e-3*y1^2",
-    ):
-        node = expr.parse_expression(text)
-        again = expr.parse_expression(expr.to_text(node))
-        assert node == again, text
-
-
 def test_syntax_errors_carry_position():
     with pytest.raises(ExpressionSyntaxError) as err:
         expr.parse_expression("x1 + ", base_line=7, base_column=3)
@@ -124,13 +113,6 @@ def test_parse_and_format_round_trip():
     assert spec.name == "quartic"
     assert spec.dimension == 3
     assert spec.family == "custom"
-    again = metrics.parse_metric(metrics.format_metric(spec))
-    assert again == spec
-
-
-def test_catalog_round_trips(catalog3):
-    for name, spec in catalog3.items():
-        assert metrics.parse_metric(metrics.format_metric(spec)) == spec, name
 
 
 def test_sigma_and_comments_parse():
@@ -375,6 +357,21 @@ def test_each_point_entry_converts_a_point_once(funk, entry, monkeypatch):
         assert built == []
 
 
+def test_every_exported_name_resolves():
+    # a stale entry in an __all__ breaks ``from <module> import *``
+    modules = [finslerkit] + [
+        importlib.import_module(f"finslerkit.{info.name}")
+        for info in pkgutil.iter_modules(finslerkit.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", ())
+        assert len(set(names)) == len(names), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        exec(f"from {module.__name__} import *", {})
+
+
 def test_phase_point_lives_in_metrics_and_is_reexported():
     assert tensors.PhasePoint is finslerkit.PhasePoint is metrics.PhasePoint
     assert metrics.check_domain(metrics.catalog(3)["euclidean"], ((0.0, 0.0, 0.0), (1, 0, 0))) == PhasePoint(
@@ -464,9 +461,9 @@ def test_riemannian_terms_group_equal_components(catalog3, written):
     assert terms[expr.parse_expression("x1*0.3")] == ((1, 0, 1.0),)
     assert expr.Num(0.0) not in terms
     assert sum(len(pairs) for pairs in terms.values()) == 6
-    # built once, kept on the instance, invisible to equality and the round trip
+    # built once, kept on the instance, invisible to equality
     assert written.riemannian_terms is written.riemannian_terms
-    assert metrics.parse_metric(metrics.format_metric(written)) == written
+    assert replace(written) == written
 
 
 @pytest.mark.parametrize("name", ["riemannian_round_sphere", "riemannian_flat_skew", "written"])
@@ -516,7 +513,7 @@ def test_float_overflow_is_outside_the_domain():
         metrics.f2_value(spec, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0])
     # no sample survives, so loading fails with the domain error, not OverflowError
     with pytest.raises(DomainError):
-        metrics.parse_metric(metrics.format_metric(spec))
+        metrics.parse_metric("[metric]\nname = overflow\ndimension = 3\nfamily = custom\nexpression = normy2*exp(1e6*x1)\n")
     # a float power that overflows, and a density that does
     with pytest.raises(DomainError):
         metrics.parse_metric("[metric]\ndimension = 2\nfamily = custom\nexpression = (1e300*normy2)^2\n")

@@ -687,5 +687,5 @@ def test_berwald_is_three_fiber_gradients_of_G(catalog3, monkeypatch, n, calls):
         for j in range(n):
             for k in range(n):
                 lo, hi = min(j, k), max(j, k)
-                plane = ev.dy(ev.dy(G[i], lo), hi)
-                assert [ev.dy(plane, l).num for l in range(n)] == [b.num for b in B[i][j][k]]
+                plane = G[i].d(n + lo).d(n + hi)
+                assert [plane.d(n + l).num for l in range(n)] == [b.num for b in B[i][j][k]]

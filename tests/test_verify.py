@@ -7,6 +7,7 @@ asserted versus merely reported, and that reports are reproducible.
 
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,14 +204,14 @@ def test_seed_changes_the_sample(funk):
 def test_sigma_test_expression_parses_and_depends_on_x_only(funk):
     node = expr.parse_expression(SIGMA_TEST_EXPRESSION)
     assert node is not None
-    # the override must shift tau by exactly -1/2 ln sigma(x) and be blind to y
+    # the test density must shift tau by exactly -1/2 ln sigma(x), blind to y
     x = (0.2, -0.1, 0.05)
     expected = -(0.3 * x[0] - 0.2 * x[1] + 0.1 * sum(v * v for v in x))
     taus = []
     for y in ((1.0, 0.0, 0.0), (0.3, -0.8, 0.5)):
         p = tensors.PhasePoint(x, y)
         t0 = tensors.PointEvaluation(funk, p, order=2).tau.num
-        t1 = tensors.PointEvaluation(funk, p, order=2, sigma=node).tau.num
+        t1 = tensors.PointEvaluation(replace(funk, sigma=node), p, order=2).tau.num
         taus.append(t1 - t0)
     assert taus[0] == pytest.approx(expected, rel=1e-12)
     assert taus[1] == pytest.approx(expected, rel=1e-12)
@@ -230,14 +231,14 @@ def test_four_dimensional_metric_verifies():
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts ``PointEvaluation`` constructions in ``.count`` while the test
-    runs, and keeps each one's keyword arguments in ``.kwargs``."""
-    counter = SimpleNamespace(count=0, kwargs=[])
+    runs, and keeps each one's spec and keyword arguments in ``.calls``."""
+    counter = SimpleNamespace(count=0, calls=[])
     init = PointEvaluation.__init__
 
-    def counted(self, *args, **kwargs):
+    def counted(self, spec, *args, **kwargs):
         counter.count += 1
-        counter.kwargs.append(kwargs)
-        init(self, *args, **kwargs)
+        counter.calls.append((spec, kwargs))
+        init(self, spec, *args, **kwargs)
 
     monkeypatch.setattr(PointEvaluation, "__init__", counted)
     return counter
@@ -256,13 +257,15 @@ def _per_suite_rows(spec, n_points, seed):
     rows = {}
 
     worst = shift = 0.0
-    sigma = expr.parse_expression(SIGMA_TEST_EXPRESSION)
+    spec_b = replace(spec, sigma=expr.parse_expression(SIGMA_TEST_EXPRESSION))
     for x, y in points[:25]:
         ev_a = PointEvaluation(spec, PhasePoint(x, y), order=5)
-        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=sigma)
+        ev_b = PointEvaluation(spec_b, PhasePoint(x, y), order=5)
         E_a, E_b = ev_a.E.num, ev_b.E.num
+        E_S_a, E_S_b = ev_a.E_S.num, ev_b.E_S.num
         chi_a, chi_b = ev_a.chi.num, ev_b.chi.num
-        worst = max(worst, _norm(E_a - E_b) / max(1.0, _norm(E_a)), _norm(chi_a - chi_b) / max(1.0, _norm(chi_a)))
+        Es = max(1.0, _norm(E_a))
+        worst = max(worst, _norm(E_a - E_b) / Es, _norm(E_S_a - E_S_b) / Es, _norm(chi_a - chi_b) / max(1.0, _norm(chi_a)))
         shift = max(shift, abs(ev_a.tau.num - ev_b.tau.num))
     rows["sigma_independence"] = SuiteResult("sigma_independence", worst <= 1e-8, worst, 1e-8)
     rows["sigma_shifts_tau"] = shift
@@ -306,7 +309,7 @@ def _per_suite_rows(spec, n_points, seed):
 
 @pytest.mark.parametrize("name", ["funk_ball_berwald", "riemannian_round_sphere"])
 def test_one_order6_evaluation_feeds_every_point_suite(catalog3, evaluations, name):
-    # per point: the shared order-6 evaluation, the sigma-overridden one and
+    # per point: the shared order-6 evaluation, the one under the test density and
     # the lambda = 2 and 1/2 packets; per point of the first ten, the Hamel
     # residual at a second fiber direction -- 4 * 5 = 20 at four points
     # (36 on the ball and 32 on the sphere with an evaluation per suite);
@@ -317,10 +320,10 @@ def test_one_order6_evaluation_feeds_every_point_suite(catalog3, evaluations, na
 
 def test_subset_suites_stop_at_their_sizes(catalog3, evaluations):
     # past every subset size: the order-6 evaluation at each of 45 points,
-    # sigma-overridden ones at 25, two ladder rungs at 40, a second fiber
+    # ones under the test density at 25, two ladder rungs at 40, a second fiber
     # direction at 10 and the oracle's order-4 jets at 2
     verify_metric(catalog3["euclidean"], n_points=45, seed=SEED)
-    kinds = Counter((kw["order"], "sigma" in kw, kw.get("x_cap", 2)) for kw in evaluations.kwargs)
+    kinds = Counter((kw["order"], spec.sigma is not None, kw.get("x_cap", 2)) for spec, kw in evaluations.calls)
     assert kinds == {(6, False, 2): 45, (5, True, 2): 25, (5, False, 1): 80, (5, False, 2): 10, (4, False, 2): 2}
     assert evaluations.count == 162
 
@@ -359,10 +362,10 @@ def _packet_route(spec, n_points, seed):
             getattr(ev, name)
         ev.nabla2(ev.g)
         ev.nabla2(ev.E)
-    sigma = expr.parse_expression(SIGMA_TEST_EXPRESSION)
+    spec_b = replace(spec, sigma=expr.parse_expression(SIGMA_TEST_EXPRESSION))
     for x, y in points[:25]:
-        ev_b = PointEvaluation(spec, PhasePoint(x, y), order=5, sigma=sigma)
-        ev_b.E, ev_b.chi, ev_b.tau
+        ev_b = PointEvaluation(spec_b, PhasePoint(x, y), order=5)
+        ev_b.E, ev_b.E_S, ev_b.chi, ev_b.tau
     for x, y in points[:40]:
         for lam in (2.0, 0.5):
             PointEvaluation(spec, PhasePoint(x, lam * np.asarray(y)), order=5).packet()
