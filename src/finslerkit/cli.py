@@ -110,7 +110,19 @@ def _bounded(option: str, kind, bound, strict: bool = True):
     return parse
 
 
+class _Given(argparse.Action):
+    """``store`` that also adds the option's dest to ``args.given``, so that
+    an option a command would ignore in some combination is an error only
+    where it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def cmd_inspect(args) -> int:
+    if args.point and args.given & {"seed", "npoints"}:
+        raise FinslerError("inspect --point takes no --seed or --npoints: it samples no points")
     spec = _load_spec(args.metric)
     points = [_parse_point(t) for t in args.point or []] or metrics.sample_points(spec, args.npoints, args.seed)
     docs = []
@@ -167,10 +179,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    watch = [w for w in (args.watch or "").split(",") if w]
+    if "tol" in args.given and not watch:
+        raise FinslerError("flow --tol needs --watch: it bounds the watched fields' drift")
     spec = _load_spec(args.metric)
     x0 = _parse_floats(args.x0, f"--x0 {args.x0!r}")
     y0 = _parse_floats(args.y0, f"--y0 {args.y0!r}")
-    watch = [w for w in (args.watch or "").split(",") if w]
     if watch:
         integrals.field_order(spec, watch)  # an unknown field fails now, not after the integration
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
@@ -246,19 +260,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finsler curvature pipeline: packets, invariant suites, "
         "geodesic flow and first-integral checks.",
     )
+    parser.set_defaults(given=frozenset())
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, npoints_default):
         p.add_argument("--metric", required=True, help="metric config file or built-in name")
-        p.add_argument("--seed", type=int, default=0, help="seed for phase-point sampling")
+        p.add_argument("--seed", type=int, default=0, action=_Given, help="seed for phase-point sampling")
         p.add_argument("--out", help="write the report here instead of stdout")
         npoints = _bounded("--npoints", int, 1, strict=False)
-        p.add_argument("--npoints", type=npoints, default=npoints_default, help="sample count")
+        p.add_argument("--npoints", type=npoints, default=npoints_default, action=_Given, help="sample count")
 
     p_inspect = sub.add_parser("inspect", help="curvature packet and first integrals at points")
     common(p_inspect, 3)
     p_inspect.add_argument(
-        "--point", action="append", help="phase point 'x1,..,xn;y1,..,yn' (repeatable)"
+        "--point", action="append", help="phase point 'x1,..,xn;y1,..,yn' (repeatable; no --seed or --npoints)"
     )
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
@@ -277,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--atol", type=_bounded("--atol", float, 0), default=flow.IntegrateSettings.atol)
     p_flow.add_argument("--watch", help="comma-separated field ids to track")
     p_flow.add_argument(
-        "--tol", type=_bounded("--tol", float, 0, strict=False), default=flow.DRIFT_TOL,
-        help="relative drift tolerance",
+        "--tol", type=_bounded("--tol", float, 0, strict=False), default=flow.DRIFT_TOL, action=_Given,
+        help="relative drift tolerance of the watched fields (needs --watch)",
     )
 
     p_bracket = sub.add_parser("bracket", help="Poisson bracket of two fields at sampled points")

@@ -18,9 +18,9 @@ column.  Exponents are integer or rational literals only; there is no
 on the domain where it evaluates without :class:`BranchError` /
 :class:`PoleError`.
 
-Evaluation is generic over the scalar type: floats, :class:`~finslerkit.jets.Jet`
-and :class:`~finslerkit.jets.DualLayer` all work, so the same tree serves
-the fast float path and every differentiation order.  Literals stay plain
+Evaluation is generic over the scalar type: floats and
+:class:`~finslerkit.jets.Jet` both work, so the same tree serves the fast
+float path and every differentiation order.  Literals stay plain
 numbers whatever the scalar type: a jet scaled by a float costs no table
 product, so ``0.3*x1`` or ``4/(1 + normx2)^2`` multiply only where a
 variable is involved, and a subtree without variables (``g_1_1 = 1.5``)
@@ -300,7 +300,7 @@ def _branch(fn_name: str, v: float):
 
 
 def evaluate(node: Node, xs, ys):
-    """Evaluate over scalars (floats, jets or duals) ``xs``, ``ys``; a
+    """Evaluate over scalars (floats or jets) ``xs``, ``ys``; a
     subtree without variables gives a float (module docstring)."""
     if isinstance(node, Num):
         return node.value

@@ -1,5 +1,4 @@
-"""Truncated multivariate Taylor arithmetic (jets), tensors of jets and a
-first-order dual layer.
+"""Truncated multivariate Taylor arithmetic (jets) and tensors of jets.
 
 A :class:`Jet` stores the Taylor coefficients of a smooth function around a
 base point, for all multi-indices of total degree <= ``order`` in ``dim``
@@ -116,7 +115,9 @@ costs about one product's worth of pairs and issues no jet product.  A
 function fails only where a coefficient it returns would not fit in a
 float: a value part that is not finite, or a coefficient that overflows,
 raises :class:`~finslerkit.errors.DomainError`, and underflow to zero or
-to a subnormal is the rounded result.  So a homothety ``c F^2`` evaluates
+to a subnormal is the rounded result.  Where ``t`` overflows although the
+result fits, the function retries once with the variables rescaled by a
+power of two (:meth:`Jet._solve`).  So a homothety ``c F^2`` evaluates
 for every constant ``c`` at which its coefficients fit.
 
 Tensors of jets
@@ -133,21 +134,18 @@ jets, and sums over an index add left to right, so a tensor formula
 gives the bits of the same formula on single jets.
 
 :class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
-extra directional derivative through any computation written against the
-shared scalar interface (operators plus ``sqrt/ln/exp/powc/d`` and the
-``space``/``to_space`` alignment pair); with tensor parts it is a dual
-tensor.  It nests: the components may themselves be duals.  The library
-no longer computes with it: gradients come from the degree-1 coefficients
-of a jet seeded one order higher (see :mod:`finslerkit.integrals`).  It and
-:func:`seed_dual_phase_point` remain only as the independent oracle from
-which the gradient tests rebuild the former dual-seeded route, for one more
-change.  Their removal waits for the benchmark tracer (``bench/tracer.py``),
-which patches ``DualLayer.__mul__``, to stop doing so.
+extra directional derivative through the arithmetic operators and
+``sqrt/ln/exp/powc``; it nests.  Nothing computes with it:
+a gradient is the degree-1 coefficients of a jet seeded one order higher
+(see :mod:`finslerkit.integrals`), and the tests check those against
+Richardson differences (:mod:`finslerkit.fdcheck`).  It is kept only
+because the benchmark's tracer (``bench/tracer.py``) patches
+``DualLayer.__mul__``, as it does :meth:`Jet.truncated`, and the tracer's
+test requires every name it patches to exist; both can go with those hooks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
@@ -166,7 +164,7 @@ from .errors import (
     SignatureError,
 )
 
-__all__ = ["Jet", "JetArray", "DualLayer", "JetSpace", "jet_space", "stack", "seed_phase_point", "seed_dual_phase_point"]
+__all__ = ["Jet", "JetArray", "DualLayer", "JetSpace", "jet_space", "stack", "seed_phase_point"]
 
 
 def _compositions(total: int, parts: int):
@@ -236,11 +234,6 @@ class JetSpace:
 
     def _key(self, exponents: np.ndarray) -> np.ndarray:
         return exponents.sum(axis=1) * self._degree_key + exponents @ self._digits
-
-    @cached_property
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        """Position of each multi-index; only :meth:`Jet.extract` needs it."""
-        return {tuple(e): i for i, e in enumerate(self.exponents.tolist())}
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._keys, keys)
@@ -377,19 +370,15 @@ def jet_space(dim: int, order: int, x_cap: int | None = None) -> JetSpace:
     return space
 
 
-@contextlib.contextmanager
-def _float_range(name: str, b0):
-    """Context for computing the coefficients of the jet function ``name``
-    at value part ``b0``: a value part that is not finite, or a float
-    overflow or invalid operation in the body, raises :class:`DomainError`
-    naming both.  Underflow is left to round."""
-    if not _value_function("isfinite", b0):
-        raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError):
-        raise DomainError(f"{name} of a jet with value part {b0!r}: a coefficient leaves the float range") from None
+def _rescale_exponent(coeffs: np.ndarray, b0, degrees: np.ndarray) -> int:
+    """The least k >= 0 at which every coefficient of ``coeffs / b0`` past
+    the value part, times ``2**(-k d)`` for its degree d, is below 2 in
+    size, up to rounding of the exponents: rescaling the variables by
+    ``2**-k`` brings the scaled jet's growth per degree to about 1."""
+    _, e = np.frexp(coeffs[1:])
+    _, e0 = np.frexp(b0)
+    live = coeffs[1:] != 0
+    return int(np.ceil(np.max((e[live] - e0) / degrees[1:][live], initial=0)))
 
 
 def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gamma: float, delta: float = 0.0):
@@ -423,6 +412,14 @@ def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gam
             block += t[lo:hi] * delta
         p[lo:hi] = block
     return p
+
+
+def _scaled(coeffs: np.ndarray, b0) -> np.ndarray:
+    """Coefficients of u / b0 - 1 for a jet u of value part b0: the scaled
+    jet less its value part."""
+    t = coeffs / b0
+    t[0] = 0.0
+    return t
 
 
 def _value_function(name: str, b0):
@@ -661,7 +658,7 @@ class Jet(_Coefficients):
                 f"requested x-degree {sum(index[: self.space.dim // 2])} exceeds "
                 f"the jet's x-degree cap {self.space.x_cap}"
             )
-        pos = self.space.index_of[index]
+        pos = self.space._positions(self.space._key(np.array([index])))[0]
         return float(self.coeffs[pos] * self.space.factorials[pos])
 
     def gradient(self) -> np.ndarray:
@@ -722,63 +719,94 @@ class Jet(_Coefficients):
 
     # -- analytic functions by degree-graded recurrences ------------------
 
-    def _b0(self):
-        """The value part in the coefficients' precision: a float for
-        float64, else a numpy scalar of the wider dtype."""
-        return self.coeffs[0].item()
+    def _b0(self, name: str):
+        """The value part in the coefficients' precision (a float for
+        float64, else a numpy scalar of the wider dtype), for the function
+        ``name``: one that is not finite raises :class:`DomainError`."""
+        b0 = self.coeffs[0].item()
+        if not _value_function("isfinite", b0):
+            raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
+        return b0
 
-    def _scaled(self, b0) -> np.ndarray:
-        """Coefficients of self / b0 - 1: the scaled jet less its value part."""
-        t = self.coeffs / b0
-        t[0] = 0.0
-        return t
+    def _solve(self, name: str, b0, solve) -> "Jet":
+        """The jet function ``name`` at value part ``b0``, whose coefficients
+        ``solve`` computes from this jet's.
+
+        ``u / b0`` can overflow where every coefficient of the result
+        fits, so an overflow or invalid operation retries once with the
+        variables rescaled by ``2**-k`` (:func:`_rescale_exponent`): block d
+        times ``2**(-k d)`` before, ``2**(k d)`` after.  Each block's
+        recurrence is homogeneous, so the retry gives, bit for bit, the
+        first try's coefficients in an unbounded exponent range, or raises
+        :class:`DomainError`: on an overflow, invalid operation or
+        underflow in it, or a value part below the normal range (Python's
+        float power underflows to zero silently).  Underflow on the first
+        try is left to round.
+        """
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return Jet(self.space, solve(self.coeffs))
+        except (FloatingPointError, OverflowError):
+            pass
+        degrees = self.space.degrees
+        try:
+            with np.errstate(over="raise", invalid="raise", under="raise"):
+                k = _rescale_exponent(self.coeffs, b0, degrees)
+                p = solve(np.ldexp(self.coeffs, -k * degrees))
+                if abs(p[0]) >= np.finfo(p.dtype).tiny:
+                    return Jet(self.space, np.ldexp(p, k * degrees))
+        except (FloatingPointError, OverflowError):
+            pass
+        raise DomainError(f"{name} of a jet with value part {b0!r}: a coefficient leaves the float range")
 
     def recip(self) -> "Jet":
-        b0 = self._b0()
-        with _float_range("recip", b0):
-            if b0 == 0.0:
-                raise PoleError("division by a jet with zero value part")
-            # (1 + t) v = 1
-            p = _graded_solve(self.space, self._scaled(b0), 1.0, 0.0, 1.0)
-            p /= b0
-        return Jet(self.space, p)
+        b0 = self._b0("recip")
+        if b0 == 0.0:
+            raise PoleError("division by a jet with zero value part")
+        # (1 + t) v = 1
+        return self._solve("recip", b0, lambda c: _graded_solve(self.space, _scaled(c, b0), 1.0, 0.0, 1.0) / b0)
 
     def sqrt(self) -> "Jet":
         return self._power(0.5, "sqrt")
 
     def ln(self) -> "Jet":
-        b0 = self._b0()
-        with _float_range("ln", b0):
-            if b0 <= 0.0:
-                raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
+        b0 = self._b0("ln")
+        if b0 <= 0.0:
+            raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
+
+        def solve(c):
             # (1 + t) E(w) = E(t)
-            p = _graded_solve(self.space, self._scaled(b0), 0.0, 1.0, 1.0, 1.0)
+            p = _graded_solve(self.space, _scaled(c, b0), 0.0, 1.0, 1.0, 1.0)
             p[0] = _value_function("log", b0)
-        return Jet(self.space, p)
+            return p
+
+        return self._solve("ln", b0, solve)
 
     def exp(self) -> "Jet":
-        b0 = self._b0()
-        with _float_range("exp", b0):
-            t = self.coeffs.copy()
+        b0 = self._b0("exp")
+
+        def solve(c):
+            t = c.copy()
             t[0] = 0.0
             # E(e) = e E(t)
-            p = _graded_solve(self.space, t, 1.0, 1.0, 0.0)
-            p *= _value_function("exp", b0)
-        return Jet(self.space, p)
+            return _graded_solve(self.space, t, 1.0, 1.0, 0.0) * _value_function("exp", b0)
+
+        return self._solve("exp", b0, solve)
 
     def powc(self, alpha: float) -> "Jet":
         """Real power with constant exponent; requires a positive value part."""
         return self._power(alpha, f"power {alpha!r}")
 
     def _power(self, alpha: float, name: str) -> "Jet":
-        b0 = self._b0()
-        with _float_range(name, b0):
-            if b0 <= 0.0:
-                raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
+        b0 = self._b0(name)
+        if b0 <= 0.0:
+            raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
+
+        def solve(c):
             # (1 + t) E(p) = alpha p E(t)
-            p = _graded_solve(self.space, self._scaled(b0), 1.0, alpha + 1.0, 1.0)
-            p *= b0**alpha
-        return Jet(self.space, p)
+            return _graded_solve(self.space, _scaled(c, b0), 1.0, alpha + 1.0, 1.0) * b0**alpha
+
+        return self._solve(name, b0, solve)
 
 
 class JetArray(_Coefficients):
@@ -856,30 +884,20 @@ class JetArray(_Coefficients):
 
 
 def stack(entries):
-    """One tensor from jets, tensors or duals of them, all of one space and
-    shape, along a new first axis."""
+    """One tensor from jets or tensors, all of one space and shape, along a
+    new first axis."""
     first = entries[0]
-    if isinstance(first, DualLayer):
-        return DualLayer(stack([e.value for e in entries]), stack([e.tangent for e in entries]))
     return JetArray(first.space, np.stack([e.coeffs for e in entries]), max(e.deg for e in entries))
-
-
-def _on_both_parts(name: str):
-    """A dual's method applying the parts' own method ``name`` to both."""
-
-    def method(self, *args, **kwargs):
-        return DualLayer(getattr(self.value, name)(*args, **kwargs), getattr(self.tangent, name)(*args, **kwargs))
-
-    return method
 
 
 class DualLayer:
     """(value, tangent) pair propagating one extra directional derivative.
 
     Components are jets (or nested duals) of identical signature.  Running
-    a computation on duals whose tangents are seeded with d/ds of the
-    inputs yields the directional derivative of every output along s.
-    Kept only as a test oracle for the jet-based gradients (module docstring).
+    scalar arithmetic and the analytic functions on duals whose tangents
+    are seeded with d/ds of the inputs yields the directional derivative
+    of every output along s.  Unused by the library, and kept only for the
+    benchmark's tracer (module docstring).
     """
 
     __slots__ = ("value", "tangent")
@@ -889,24 +907,11 @@ class DualLayer:
         self.tangent = tangent
 
     @property
-    def order(self) -> int:
-        return self.value.order
-
-    @property
-    def space(self) -> JetSpace:
-        return self.value.space
-
-    @property
     def num(self) -> float:
         return self.value.num
 
     def const(self, v: float) -> "DualLayer":
         return DualLayer(self.value.const(v), self.tangent.const(0.0))
-
-    def to_space(self, space: JetSpace) -> "DualLayer":
-        if space is self.space:
-            return self
-        return DualLayer(self.value.to_space(space), self.tangent.to_space(space))
 
     def __repr__(self):
         return f"DualLayer(value={self.value!r})"
@@ -941,7 +946,7 @@ class DualLayer:
                 self.value * other.value,
                 self.tangent * other.value + self.value * other.tangent,
             )
-        if isinstance(other, (numbers.Real, np.ndarray)):
+        if isinstance(other, numbers.Real):
             return DualLayer(self.value * other, self.tangent * other)
         return NotImplemented
 
@@ -982,20 +987,6 @@ class DualLayer:
     def powc(self, alpha: float) -> "DualLayer":
         return DualLayer(self.value.powc(alpha), self.tangent * self.value.powc(alpha - 1.0) * alpha)
 
-    # the linear maps act on each part alike; a dual of tensors has
-    # JetArray parts, and @ follows the product rule like *
-    d = _on_both_parts("d")  # d/ds commutes with coordinate partials
-    partials = _on_both_parts("partials")
-    __getitem__ = _on_both_parts("__getitem__")
-    transpose = _on_both_parts("transpose")
-    sum = _on_both_parts("sum")
-    trace = _on_both_parts("trace")
-    shape = property(lambda self: self.value.shape)
-    T = property(lambda self: self.transpose())
-
-    def __matmul__(self, other: "DualLayer") -> "DualLayer":
-        return DualLayer(self.value @ other.value, self.tangent @ other.value + self.value @ other.tangent)
-
 
 def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float64):
     """Coordinate jets for a :class:`~finslerkit.metrics.PhasePoint`.
@@ -1015,21 +1006,3 @@ def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float
     seeds = [Jet.variable(space, k, v, dtype) for k, v in enumerate(point.x)]
     seeds += [Jet.variable(space, n + k, v, dtype) for k, v in enumerate(point.y)]
     return seeds
-
-
-def seed_dual_phase_point(point, order: int, direction: int):
-    """Dual-valued coordinate seeds whose tangent is d/d(variable ``direction``).
-
-    Running any scalar computation on these seeds produces, in the tangent
-    component, the partial derivative of the result with respect to phase
-    variable ``direction`` (0..n-1 positions, n..2n-1 fiber), in addition to
-    whatever jet orders the value component carries.  Kept only as a test
-    oracle for the jet-based gradients (module docstring).
-    """
-    base = seed_phase_point(point, order)
-    if not 0 <= direction < len(base):
-        raise DimensionError(f"direction {direction} out of range for {len(base)} phase variables")
-    duals = []
-    for k, jet in enumerate(base):
-        duals.append(DualLayer(jet, jet.const(1.0 if k == direction else 0.0)))
-    return duals

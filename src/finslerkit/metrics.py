@@ -58,7 +58,7 @@ Config file format (UTF-8, line oriented)::
     ; g_j_i mirrors g_i_j; missing off-diagonal entries are 0.
     ; g_1_1 = 4/(1 + normx2)^2
 
-Every evaluation path (floats, jets, duals) shares one implementation per
+Every evaluation path (floats and jets) shares one implementation per
 family, so the fast float path and all differentiation orders agree by
 construction.
 """
@@ -171,7 +171,7 @@ class MetricSpec:
 _ZERO = expr.Num(0.0)
 
 
-# -- scalar helpers (floats, jets and duals share one code path) ---------
+# -- scalar helpers (floats and jets share one code path) ---------------
 
 def _sqrt(v):
     if expr._is_plain(v):

@@ -73,7 +73,7 @@ import numpy as np
 
 from . import expr, metrics
 from .errors import DomainError, OrderError, SingularMetricError
-from .jets import DualLayer, Jet, JetArray, JetSpace, seed_phase_point, stack
+from .jets import Jet, JetArray, JetSpace, seed_phase_point, stack
 from .metrics import PhasePoint
 
 __all__ = [
@@ -172,15 +172,10 @@ def mat_inv_det(mat):
     entries.  That takes ``(k-1) k (k+1)`` products and ``k`` reciprocals,
     with the full elimination's operands in its order, so every entry it
     forms equals the full elimination's (up to the sign of a zero
-    coefficient).  The inverse comes back as a tensor.  A dual matrix
-    inverts its value part and takes the tangents from d(A^-1) = -A^-1 dA
-    A^-1 and d(det A) = det A tr(A^-1 dA).  Raises
-    :class:`SingularMetricError` on an exactly singular value part.
+    coefficient).  The inverse comes back as a tensor and the determinant
+    as a jet.  Raises :class:`SingularMetricError` on an exactly singular
+    value part.
     """
-    if isinstance(mat, DualLayer):
-        inv, det = mat_inv_det(mat.value)
-        step = inv @ mat.tangent
-        return DualLayer(inv, -(step @ inv)), DualLayer(det, det * step.trace())
     space, k, deg = mat.space, mat.shape[0], mat.deg
     # Row r of ``aug`` holds the left block from the current column on,
     # then the live right-block columns in the order their rows pivoted.
@@ -264,9 +259,9 @@ class PointEvaluation:
     ``dtype``, and so is every tensor: ``np.longdouble`` runs the same
     formulas with a longer mantissa where the platform has one.  A float
     overflow in a stage is an error naming the stage and the point
-    (:func:`_stage`).  Pass ``seeds`` to run the same formulas over other
-    coordinate scalars with the jet interface: duals of jets
-    (:class:`~finslerkit.jets.DualLayer`) give duals of tensors.
+    (:func:`_stage`).  The coordinate jets of
+    :func:`~finslerkit.jets.seed_phase_point` are ``seeds``: positions
+    first, then fibers.
     """
 
     def __init__(
@@ -274,7 +269,6 @@ class PointEvaluation:
         spec: metrics.MetricSpec,
         point,
         order: int = 5,
-        seeds=None,
         x_cap: int | None = 2,
         dtype=np.float64,
     ):
@@ -282,12 +276,10 @@ class PointEvaluation:
         self.spec = spec
         self.point = point
         self.n = spec.dimension
-        if seeds is None:
-            seeds = seed_phase_point(point, order, x_cap, dtype)
-        self.seeds = seeds
-        self.order = seeds[0].order
-        self.xs = seeds[: self.n]
-        self.ys = seeds[self.n :]
+        self.order = order
+        self.seeds = seed_phase_point(point, order, x_cap, dtype)
+        self.xs = self.seeds[: self.n]
+        self.ys = self.seeds[self.n :]
 
     # -- derivative helpers -------------------------------------------
 

@@ -669,6 +669,32 @@ def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+_POINT_SAMPLES_NOTHING = "inspect --point takes no --seed or --npoints: it samples no points"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["inspect", "--metric", FUNK, "--point", "0,0,0;1,0,0", "--seed", "0"], _POINT_SAMPLES_NOTHING),
+        (["inspect", "--metric", FUNK, "--npoints", "3", "--point", "0,0,0;1,0,0"], _POINT_SAMPLES_NOTHING),
+        (
+            ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1", "--tol", "1e-6"],
+            "flow --tol needs --watch: it bounds the watched fields' drift",
+        ),
+    ],
+    ids=["point-seed", "point-npoints", "tol-unwatched"],
+)
+def test_options_ignored_in_combination_exit_two(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_flow_takes_tol_with_watch(capsys):
+    argv = ["flow", "--metric", "euclidean", "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "0.1"]
+    assert run(argv + ["--watch", "F", "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-6
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         ["finslerkit", "inspect", "--metric", "euclidean", "--point", "0,0,0;1,2,0"],

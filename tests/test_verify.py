@@ -127,15 +127,26 @@ def test_a_suite_without_a_table_row_raises(funk, monkeypatch, name):
         verify_metric(funk, n_points=1, seed=SEED)
 
 
-def test_chi_reported_not_asserted_on_curved_riemannian(reports):
-    # no vanishing claim covers a curved Riemannian metric, so chi and its
-    # equivalents downgrade to report-only rows there
-    rep = reports["riemannian_round_sphere"]
+CURVED_RIEMANNIAN = (
+    "[metric]\nname = curved_riemannian\ndimension = 3\nfamily = riemannian\n"
+    "g_1_1 = 1 + x1^2\ng_2_2 = exp(x2)\ng_3_3 = 2 + x1*x3\ng_1_2 = 0.2*x3\n"
+)
+
+
+@pytest.mark.parametrize("metric", ["riemannian_round_sphere", "curved_riemannian"])
+def test_chi_asserted_on_curved_riemannian(reports, metric):
+    # tau depends on x alone on a Riemannian metric, so dS/dy = dtau/dx and
+    # D(dS/dy) = dS/dx: chi vanishes, and so do its equivalents
+    if metric in reports:
+        rep = reports[metric]
+    else:
+        rep = verify_metric(metrics.parse_metric(CURVED_RIEMANNIAN), n_points=N_POINTS, seed=SEED)
+        assert rep.passed
     for name in ("chi_vanishes", "hamel_residual", "nabla_E_vanishes"):
         s = _suite(rep, name)
-        assert not s.asserted
-        assert "reported only" in s.note
-        assert s.passed  # report-only rows never block
+        assert s.asserted, f"{metric}:{name}"
+        assert s.passed
+        assert s.note == ""
 
 
 def test_chi_asserted_on_flat_and_ball_families(reports):
