@@ -29,7 +29,7 @@ from .integrals import (
     paper_closed_forms,
     poisson_bracket_scaled,
 )
-from .jets import DualLayer, Jet, JetArray, JetSpace
+from .jets import Jet, JetArray, JetSpace
 from .metrics import MetricSpec, PhasePoint, catalog, load_metric_file, parse_metric, sample_phase_point
 from .tensors import CurvaturePacket, FlagData, PointEvaluation
 from .verify import VerifyReport, verify_metric
@@ -42,7 +42,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "DriftReport",
-    "DualLayer",
     "FamilyError",
     "FieldDrift",
     "FinslerError",

@@ -132,16 +132,6 @@ for a product one gather of the pairs of the space's product table for
 every entry at once.  Each entry sums its pairs like a product of two
 jets, and sums over an index add left to right, so a tensor formula
 gives the bits of the same formula on single jets.
-
-:class:`DualLayer` wraps a (value, tangent) pair of jets and propagates one
-extra directional derivative through the arithmetic operators and
-``sqrt/ln/exp/powc``; it nests.  Nothing computes with it:
-a gradient is the degree-1 coefficients of a jet seeded one order higher
-(see :mod:`finslerkit.integrals`), and the tests check those against
-Richardson differences (:mod:`finslerkit.fdcheck`).  It is kept only
-because the benchmark's tracer (``bench/tracer.py``) patches
-``DualLayer.__mul__``, as it does :meth:`Jet.truncated`, and the tracer's
-test requires every name it patches to exist; both can go with those hooks.
 """
 
 from __future__ import annotations
@@ -164,7 +154,7 @@ from .errors import (
     SignatureError,
 )
 
-__all__ = ["Jet", "JetArray", "DualLayer", "JetSpace", "jet_space", "stack", "seed_phase_point"]
+__all__ = ["Jet", "JetArray", "JetSpace", "jet_space", "stack", "seed_phase_point"]
 
 
 def _compositions(total: int, parts: int):
@@ -429,7 +419,7 @@ def _value_function(name: str, b0):
 
 
 def _ipow(base, n: int):
-    """Integer power by repeated squaring; works for any scalar type here.
+    """Integer power of a jet by repeated squaring.
 
     Exact for negative value parts (no branch functions involved) when
     ``n >= 0``; negative ``n`` goes through the reciprocal.
@@ -636,8 +626,8 @@ class Jet(_Coefficients):
         """Value part (coefficient of the empty multi-index), as a float."""
         return float(self.coeffs[0])
 
-    # ``num`` is the shared "plain number for control flow" accessor of the
-    # scalar interface; for duals it recurses into the value component.
+    # ``num`` is the "plain number for control flow" accessor that jets and
+    # tensors share.
     num = value
 
     def extract(self, index) -> float:
@@ -891,101 +881,12 @@ def stack(entries):
 
 
 class DualLayer:
-    """(value, tangent) pair propagating one extra directional derivative.
-
-    Components are jets (or nested duals) of identical signature.  Running
-    scalar arithmetic and the analytic functions on duals whose tangents
-    are seeded with d/ds of the inputs yields the directional derivative
-    of every output along s.  Unused by the library, and kept only for the
-    benchmark's tracer (module docstring).
-    """
-
-    __slots__ = ("value", "tangent")
-
-    def __init__(self, value, tangent):
-        self.value = value
-        self.tangent = tangent
-
-    @property
-    def num(self) -> float:
-        return self.value.num
-
-    def const(self, v: float) -> "DualLayer":
-        return DualLayer(self.value.const(v), self.tangent.const(0.0))
-
-    def __repr__(self):
-        return f"DualLayer(value={self.value!r})"
-
-    def __neg__(self):
-        return DualLayer(-self.value, -self.tangent)
-
-    def __add__(self, other):
-        if isinstance(other, DualLayer):
-            return DualLayer(self.value + other.value, self.tangent + other.tangent)
-        if isinstance(other, numbers.Real):
-            return DualLayer(self.value + other, self.tangent)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualLayer):
-            return DualLayer(self.value - other.value, self.tangent - other.tangent)
-        if isinstance(other, numbers.Real):
-            return DualLayer(self.value - other, self.tangent)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, numbers.Real):
-            return DualLayer(other - self.value, -self.tangent)
-        return NotImplemented
+    """No library code makes one.  The class stays only because the
+    benchmark's tracer (``bench/tracer.py``) patches ``__mul__`` and tests
+    ``isinstance`` against it; it goes with those hooks."""
 
     def __mul__(self, other):
-        if isinstance(other, DualLayer):
-            return DualLayer(
-                self.value * other.value,
-                self.tangent * other.value + self.value * other.tangent,
-            )
-        if isinstance(other, numbers.Real):
-            return DualLayer(self.value * other, self.tangent * other)
         return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualLayer):
-            return self * other.recip()
-        if isinstance(other, numbers.Real):
-            return DualLayer(self.value / other, self.tangent / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return self.recip() * float(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if isinstance(n, numbers.Integral):
-            return _ipow(self, int(n))
-        return NotImplemented
-
-    def recip(self) -> "DualLayer":
-        r = self.value.recip()
-        return DualLayer(r, -(self.tangent * r) * r)
-
-    def sqrt(self) -> "DualLayer":
-        s = self.value.sqrt()
-        return DualLayer(s, self.tangent / (s * 2.0))
-
-    def ln(self) -> "DualLayer":
-        return DualLayer(self.value.ln(), self.tangent / self.value)
-
-    def exp(self) -> "DualLayer":
-        e = self.value.exp()
-        return DualLayer(e, self.tangent * e)
-
-    def powc(self, alpha: float) -> "DualLayer":
-        return DualLayer(self.value.powc(alpha), self.tangent * self.value.powc(alpha - 1.0) * alpha)
 
 
 def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float64):

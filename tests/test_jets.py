@@ -24,7 +24,6 @@ from finslerkit.errors import (
     SignatureError,
 )
 from finslerkit.jets import (
-    DualLayer,
     Jet,
     JetArray,
     JetSpace,
@@ -187,31 +186,6 @@ def test_chain_rule_against_composition(ca, value):
         lhs = a.ln().d(var)
         rhs = a.d(var) / a.truncated(2)
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
-
-
-def test_dual_layer_tangent_is_directional_derivative():
-    space = jet_space(2, 3)
-    u = DualLayer(Jet.variable(space, 0, 0.3), Jet.constant(space, 1.0))
-    v = DualLayer(Jet.variable(space, 1, 1.7), Jet.constant(space, 0.0))
-    f = u.exp() * v.sqrt() / (1.0 + u * v)
-    assert f.num == pytest.approx(F_PARTIALS[(0, 0)], rel=1e-13)
-    assert f.tangent.num == pytest.approx(F_PARTIALS[(1, 0)], rel=1e-13)
-    # the tangent is itself a jet: mixed dual/jet derivative
-    assert f.tangent.extract((0, 1)) == pytest.approx(F_PARTIALS[(1, 1)], rel=1e-12)
-
-
-def test_nested_duals_give_second_directionals():
-    space = jet_space(2, 2)
-
-    def build(mk_u, mk_v):
-        return mk_u.exp() * mk_v.sqrt() / (1.0 + mk_u * mk_v)
-
-    inner_u = DualLayer(Jet.variable(space, 0, 0.3), Jet.constant(space, 1.0))
-    inner_v = DualLayer(Jet.variable(space, 1, 1.7), Jet.constant(space, 0.0))
-    outer_u = DualLayer(inner_u, inner_u.const(0.0) + 1.0)
-    outer_v = DualLayer(inner_v, inner_v.const(0.0))
-    f = build(outer_u, outer_v)
-    assert f.tangent.tangent.num == pytest.approx(F_PARTIALS[(2, 0)], rel=1e-12)
 
 
 def test_seed_phase_point_layout():

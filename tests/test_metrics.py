@@ -182,6 +182,27 @@ def test_sigma_and_comments_parse():
             ConfigError,
             "(line 4, column 13)",
         ),
+        ("", ConfigError, "missing [metric] section"),
+        (
+            "[metric]\ndimension = 2\nfamily = euclidean\nnonsense",
+            ConfigError,
+            "line 4: expected 'key = value'",
+        ),
+        (
+            "[metric]\ndimension = 2\nfamily = riemannian\ng_1_1 = 1\ng_2_2 = 1\nh_1_2 = 0",
+            ConfigError,
+            "unknown key 'h_1_2'",
+        ),
+        (
+            "[metric]\ndimension = 2\nfamily = riemannian\ng_1_1 = 1\ng_2_2 = 1\ng_a_b = 0",
+            ConfigError,
+            "malformed component key 'g_a_b'",
+        ),
+        (
+            "[metric]\ndimension = 2\nfamily = riemannian\ng_1_1 = 1\ng_2_2 = 1\ng_1_2 = 0.5*x1\ng_2_1 = 0",
+            ConfigError,
+            "not symmetric",
+        ),
     ],
 )
 def test_rejected_configs(text, exc, fragment):
@@ -196,6 +217,17 @@ def test_fractional_terms_can_still_be_2_homogeneous():
     spec = metrics.parse_metric(text)
     v = metrics.f2_value(spec, [0.2, 0.1], [0.5, 0.4])
     assert v == pytest.approx(0.25 + 0.16 + 0.2 * 0.4**3 / 0.5)
+
+
+def test_rational_power_of_a_jet_matches_its_sqrt(randers):
+    # normy2^(1/2) runs Jet.powc(0.5), sqrt(normy2) Jet.sqrt: one recurrence
+    assert expr.parse_expression("x1^(2/4)") == expr.parse_expression("x1^(1/2)")
+    text = "[metric]\ndimension = 3\nfamily = custom\nexpression = (normy2^(1/2) + 0.3*y1 - 0.2*y3)^2"
+    spec = metrics.parse_metric(text)
+    for p in metrics.sample_points(spec, 3, 5):
+        got, want = PointEvaluation(spec, p, order=6), PointEvaluation(randers, p, order=6)
+        for name in ("F2", "g", "E", "E_S", "E_CL", "chi"):
+            np.testing.assert_array_equal(getattr(got, name).coeffs, getattr(want, name).coeffs, err_msg=name)
 
 
 def test_expression_error_position_is_file_relative():
