@@ -129,34 +129,14 @@ def cmd_inspect(args) -> int:
     for p in points:
         pkt = tensors.PointEvaluation(spec, p).packet()
         fis = integrals.first_integral_set(pkt.F, pkt.g, pkt.g_inv, pkt.E, np.array(p.y))
-        docs.append(
-            {
-                "point": p,
-                "F": pkt.F,
-                "g": pkt.g,
-                "g_inv": pkt.g_inv,
-                "h": pkt.h,
-                "G": pkt.G,
-                "N": pkt.N,
-                "jacobi": pkt.R_jac,
-                "R_curv": pkt.R_curv,
-                "E": pkt.E,
-                "tau": pkt.tau,
-                "S": pkt.S,
-                "chi": pkt.chi,
-                "I": pkt.I,
-                "J": pkt.J,
-                "I_hcov": pkt.I_hcov,
-                "J_vder": pkt.J_vder,
-                "alpha": {"horizontal": pkt.alpha[0], "vertical": pkt.alpha[1]},
-                "flag": pkt.flag,
-                "EE": fis.EE,
-                "f": fis.f,
-                "c": fis.c,
-                "newton_residual": fis.newton_residual,
-                "bordered_value": fis.bordered_value,
-            }
-        )
+        doc = {
+            "jacobi" if f.name == "R_jac" else f.name: getattr(pkt, f.name)
+            for f in dataclasses.fields(pkt)
+            if f.name not in ("metric", "order", "B")
+        }
+        doc["alpha"] = dict(zip(("horizontal", "vertical"), pkt.alpha))
+        doc.update((f.name, getattr(fis, f.name)) for f in dataclasses.fields(fis))
+        docs.append(doc)
     _emit(_report("inspect", spec, seed=args.seed, points=docs), args.out)
     return 0
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
 from .expr import _sum_products
-from .metrics import MetricSpec, PhasePoint, _radius, _sqrt, check_domain
+from .metrics import FAMILIES, MetricSpec, PhasePoint, _radius, _sqrt, check_domain
 from .tensors import PointEvaluation, _align, spray_values
 
 __all__ = [
@@ -253,10 +253,10 @@ def _s_cl(ev: PointEvaluation):
 
 
 @functools.cache
-def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
-    """The registry depends on the dimension and family only, so it is built
-    once per such pair (a handful) and shared, read-only, by every spec of
-    that shape."""
+def _fields_for(n: int, closed_forms: bool) -> Mapping[str, _Field]:
+    """The registry depends only on the dimension and on whether the printed
+    closed forms apply (the family row claims ``closed_forms_vs_charpoly``),
+    so it is built once per such pair and shared, read-only, by every spec."""
     fields = {
         "one": _Field(1, lambda ev: ev.F2.const(1.0)),  # constant 1, a bracket sanity field
         "F": _Field(1, lambda ev: ev.F),
@@ -266,19 +266,23 @@ def _fields_for(n: int, family: str) -> Mapping[str, _Field]:
     for a in range(1, n):
         fields[f"f{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _power_traces)[a - 1])
         fields[f"c{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _charpoly)[a - 1])
-    if family == "funk_ball_berwald" and n == 3:
+    if closed_forms and n == 3:
         fields["g1_paper"] = _Field(1, lambda ev: _g1_closed(ev.xs, ev.ys))
         fields["g2_paper"] = _Field(1, lambda ev: _g2_closed(ev.xs, ev.ys))
     return MappingProxyType(fields)
 
 
+def _fields(spec: MetricSpec) -> Mapping[str, _Field]:
+    return _fields_for(spec.dimension, "closed_forms_vs_charpoly" in FAMILIES[spec.family].claims)
+
+
 def field_ids(spec: MetricSpec) -> list[str]:
     """Registered scalar-field ids for this metric."""
-    return sorted(_fields_for(spec.dimension, spec.family))
+    return sorted(_fields(spec))
 
 
 def _lookup(spec: MetricSpec, name: str) -> _Field:
-    table = _fields_for(spec.dimension, spec.family)
+    table = _fields(spec)
     if name not in table:
         if name in ("g1_paper", "g2_paper"):
             raise FamilyError(f"field {name!r} exists only for family funk_ball_berwald with n = 3")

@@ -14,7 +14,10 @@ which takes a :class:`PhasePoint` as it is and builds one from an
 is :func:`sample_points`, which draws as :func:`sample_phase_point` does.
 
 A :class:`MetricSpec` declares the data defining one Finsler metric through
-its energy function F^2(x, y):
+its energy function F^2(x, y).  A family is declared once, as a
+:class:`Family` row of :data:`FAMILIES`: its F^2 evaluator, its guard (read
+by the domain checks and the sampler) and the claims that :mod:`~finslerkit.verify`
+and :mod:`~finslerkit.integrals` read.  A spec of no row raises :class:`FamilyError`:
 
 ``euclidean``
     F^2 = |y|^2.
@@ -68,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -85,6 +89,7 @@ from .errors import (
 __all__ = [
     "PhasePoint",
     "MetricSpec",
+    "Family",
     "FAMILIES",
     "FUNK_GUARD_INSET",
     "MAX_DIMENSION",
@@ -99,8 +104,6 @@ __all__ = [
     "sample_points",
     "catalog",
 ]
-
-FAMILIES = ("euclidean", "riemannian", "funk_ball_berwald", "custom")
 
 # The ball guard keeps a fixed inset from the true singular boundary |x| = 1.
 FUNK_GUARD_INSET = 1e-6
@@ -149,6 +152,9 @@ class MetricSpec:
     components: tuple[tuple[expr.Node, ...], ...] | None = None
     sigma: expr.Node | None = None
 
+    def __post_init__(self):
+        _check_family(self.family)
+
     @cached_property
     def riemannian_terms(self) -> tuple[tuple[expr.Node, tuple[tuple[int, int, float], ...]], ...]:
         """``(node, pairs)`` terms with F^2 = sum node(x) * sum_pairs w y^i y^j
@@ -194,7 +200,7 @@ def _num(v) -> float:
     return float(v) if expr._is_plain(v) else v.num
 
 
-# -- family evaluators ---------------------------------------------------
+# -- family rows ----------------------------------------------------------
 
 def _funk_pieces(xs, ys):
     """(A, w, 1 - |x|^2) with A = |y|^2 - (|x|^2 |y|^2 - <x,y>^2) and
@@ -207,23 +213,49 @@ def _funk_pieces(xs, ys):
     return a, w, 1.0 - nx2
 
 
-def _family_F2(spec: MetricSpec, xs, ys):
-    """The family's F^2 at ``xs``, ``ys``, unchecked."""
-    if spec.family == "euclidean":
-        return expr._sum_products(ys, ys)
-    if spec.family == "riemannian":
-        terms = [
-            expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
-            for node, pairs in spec.riemannian_terms
-        ]
-        return expr._total(terms) if terms else 0.0  # all components zero: caught by eval_F2
-    if spec.family == "funk_ball_berwald":
-        a, w, one_minus = _funk_pieces(xs, ys)
-        w2 = w * w
-        return (w2 * w2) / (one_minus * one_minus * one_minus * one_minus * a)
-    if spec.family == "custom":
-        return expr.evaluate(spec.expression, xs, ys)
-    raise FamilyError(f"unknown family {spec.family!r}")
+def _riemannian_F2(spec: MetricSpec, xs, ys):
+    terms = [
+        expr.evaluate(node, xs, ys) * _quadratic_form(pairs, ys)
+        for node, pairs in spec.riemannian_terms
+    ]
+    return expr._total(terms) if terms else 0.0  # all components zero: caught by eval_F2
+
+
+def _ball_F2(spec: MetricSpec, xs, ys):
+    a, w, one_minus = _funk_pieces(xs, ys)
+    w2 = w * w
+    return (w2 * w2) / (one_minus * one_minus * one_minus * one_minus * a)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One metric family: ``F2(spec, xs, ys)``, its F^2 at scalar coordinates,
+    unchecked; ``guard``, the largest accepted |x| (inf: none); ``claims``,
+    the :mod:`finslerkit.verify` suites that hold on every metric of the
+    family and are asserted, or run, only there."""
+
+    F2: Callable
+    guard: float = math.inf
+    claims: frozenset[str] = frozenset()
+
+
+FAMILIES: dict[str, Family] = {
+    "euclidean": Family(
+        lambda spec, xs, ys: expr._sum_products(ys, ys),
+        claims=frozenset({"chi_vanishes", "riemannian_degeneration", "euclidean_flag_zero"}),
+    ),
+    "riemannian": Family(_riemannian_F2, claims=frozenset({"chi_vanishes", "riemannian_degeneration"})),
+    "funk_ball_berwald": Family(
+        _ball_F2, guard=1.0 - FUNK_GUARD_INSET,
+        claims=frozenset({"chi_vanishes", "jacobi_vanishes", "closed_forms_vs_charpoly"}),
+    ),
+    "custom": Family(lambda spec, xs, ys: expr.evaluate(spec.expression, xs, ys)),
+}
+
+
+def _check_family(name: str) -> None:
+    if name not in FAMILIES:
+        raise FamilyError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
 
 
 def eval_F2(spec: MetricSpec, xs, ys):
@@ -240,7 +272,7 @@ def eval_F2(spec: MetricSpec, xs, ys):
             f"metric has dimension {spec.dimension}, got {len(xs)} position "
             f"and {len(ys)} fiber coordinates"
         )
-    out = _family_F2(spec, xs, ys)
+    out = FAMILIES[spec.family].F2(spec, xs, ys)
     if not 0.0 < _num(out) < math.inf:  # NaN fails too
         raise DomainError(
             f"F^2 is not finite and positive at this point (value {_num(out)!r}); outside the domain"
@@ -287,12 +319,8 @@ def check_domain(spec: MetricSpec, point) -> PhasePoint:
     p = point if isinstance(point, PhasePoint) else PhasePoint(*point)
     if len(p.x) != spec.dimension:
         raise DimensionError(f"point has dimension {len(p.x)}, metric dimension is {spec.dimension}")
-    if spec.family == "funk_ball_berwald":
-        r = _radius(p.x)
-        if r > 1.0 - FUNK_GUARD_INSET:
-            raise DomainError(
-                f"|x| = {r!r} outside the ball guard |x| <= 1 - {FUNK_GUARD_INSET}"
-            )
+    if guard_distance(spec, p.x) < 0.0:
+        raise DomainError(f"|x| = {_radius(p.x)!r} outside the ball guard |x| <= 1 - {FUNK_GUARD_INSET}")
     return p
 
 
@@ -306,14 +334,10 @@ def _radius(xs) -> float:
 
 
 def guard_distance(spec: MetricSpec, x) -> float:
-    """Distance from x to the guard boundary (positive inside; -inf when
-    |x| leaves the float range).
-
-    Metrics without a position guard return +inf.
-    """
-    if spec.family == "funk_ball_berwald":
-        return (1.0 - FUNK_GUARD_INSET) - _radius(map(float, x))
-    return math.inf
+    """Distance from x to the guard boundary: positive inside, -inf when
+    |x| leaves the float range, +inf for a metric without a position guard."""
+    guard = FAMILIES[spec.family].guard
+    return guard - _radius(map(float, x)) if guard < math.inf else math.inf
 
 
 # -- random in-domain sampling -------------------------------------------
@@ -327,13 +351,14 @@ def sample_phase_point(spec: MetricSpec, rng: np.random.Generator):
     fiber poles).
     """
     n = spec.dimension
+    guard = FAMILIES[spec.family].guard
     for _ in range(200):
-        if spec.family == "funk_ball_berwald":
+        if guard < math.inf:
             direction = rng.standard_normal(n)
             direction /= np.linalg.norm(direction)
             # cap the radius: closer to the boundary cond(g) ~ dist^-2
             # drowns the verified identities in roundoff
-            radius = 0.95 * (1.0 - FUNK_GUARD_INSET) * rng.uniform() ** (1.0 / n)
+            radius = 0.95 * guard * rng.uniform() ** (1.0 / n)
             x = radius * direction
         else:
             x = rng.uniform(-1.0, 1.0, n)
@@ -430,8 +455,7 @@ def parse_metric(text: str) -> MetricSpec:
     if family_item is None:
         raise ConfigError("missing required key 'family'")
     family = family_item[0]
-    if family not in FAMILIES:
-        raise FamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_family(family)
     name = name_item[0] if name_item else "metric"
 
     sigma = None

@@ -10,14 +10,16 @@ records a quantity the governing claims do not pin down numerically (chi
 outside the families below, y-independence of the Hamel residual, the
 closed-form-vs-charpoly comparison) and never affects the overall verdict.
 
-Families gate what is asserted:
+Families gate what is asserted, by the ``claims`` of their rows
+(:class:`finslerkit.metrics.Family`); a family-specific suite runs only
+where its family claims it:
 
-* chi = 0 is asserted for every Riemannian metric (euclidean and
-  riemannian) and for the constant-curvature ball family; elsewhere chi
+* chi = 0 is claimed by every Riemannian family (euclidean and
+  riemannian) and by the constant-curvature ball family; elsewhere chi
   is reported.  On a Riemannian metric tau depends on x alone, so
   dS/dy = dtau/dx and D(dS/dy) = dS/dx, which is chi = 0.
 * nabla E = 0 and the Hamel residual are equivalent to chi = 0 and share
-  its gate, so a custom metric with genuine chi-curvature fails neither.
+  its claim, so a custom metric with genuine chi-curvature fails neither.
 * the Hamel-residual/chi biconditional is asserted for every metric.
 
 All tolerances are relative to natural scales with an absolute floor, so
@@ -35,11 +37,11 @@ evaluations that *are* the checks stay separate.
 Evaluations are lazy, and each builds only the tensors its suites read:
 
 * the point's order-6 evaluation: F, g, h, g^-1, G, N, the Jacobi
-  endomorphism (for the ball's jacobi_vanishes), B, E,
+  endomorphism (only for jacobi_vanishes), B, E,
   the other two routes E_S and E_CL (through I, J and their
   derivatives), tau, S, chi, the Hamel residual and the covariant
-  derivatives of g and E; the scalar-flag diagnosis only for the
-  euclidean family;
+  derivatives of g and E; the scalar-flag diagnosis only for
+  euclidean_flag_zero;
 * the one under the test density sigma: E, E_S, chi and tau;
 * the ones at lambda*y for lambda = 2 and 1/2: F, g, g^-1, G, N and E,
   which are all the ladder and the first integrals compare; these take
@@ -99,9 +101,7 @@ def _norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
-# chi, the Hamel residual and nabla E are reported only unless a vanishing
-# claim covers the metric's family: verify_metric lifts it on Riemannian
-# metrics and the ball family
+# chi, the Hamel residual and nabla E: reported only unless the family claims chi_vanishes
 _NO_CLAIM = "reported only: no vanishing claim covers this family"
 
 # name: (tolerance, note), one row per suite, in report order.  A non-empty
@@ -182,8 +182,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     points = metrics.sample_points(spec, n_points, seed)
     spec_b = replace(spec, sigma=_SIGMA_TEST_NODE)  # the metric under the test density
     n = spec.dimension
-    is_funk = spec.family == "funk_ball_berwald"
-    is_riem = spec.family in ("euclidean", "riemannian")
+    claims = metrics.FAMILIES[spec.family].claims
 
     worst: dict[str, float] = {}
 
@@ -195,7 +194,6 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
         if residual > worst.setdefault(name, 0.0):
             worst[name] = residual
 
-    max_jacobi = 0.0
     idxs = _fd_index_sample(n)
     # draws a second fiber direction at each of the first ten points, in order
     rng2 = np.random.default_rng(seed + 1)
@@ -261,8 +259,8 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                 scale_chi = 1.0 + _norm(N) * _norm(S_y)
                 add("chi_vanishes", _norm(chi_v) / scale_chi)
                 add("hamel_residual", _norm(hamel) / scale_chi)
-                if is_funk:
-                    max_jacobi = max(max_jacobi, _norm(ev.R_jac.num) / max(1.0, _norm(N) ** 2))
+                if "jacobi_vanishes" in claims:
+                    add("jacobi_vanishes", _norm(ev.R_jac.num) / max(1.0, _norm(N) ** 2))
 
                 # first integrals
                 F = ev.F.num
@@ -278,11 +276,11 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                 ) / max(1.0, float(np.abs(fis.c).max()))
                 add("charpoly_fit_agrees", fit_res)
 
-                if is_riem:
+                if "riemannian_degeneration" in claims:
                     for t in (B, E, I, J, fis.f, fis.c):
                         add("riemannian_degeneration", float(np.abs(t).max()))
 
-                if spec.family == "euclidean":
+                if "euclidean_flag_zero" in claims:
                     flag = ev.flag
                     add("euclidean_flag_zero", abs(flag.kappa))
                     add("euclidean_flag_zero", flag.residual)
@@ -337,7 +335,7 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                     h2 = PointEvaluation(spec, PhasePoint(p.x, y2), order=5).hamel.num
                     add("hamel_y_independence", _norm(hamel - h2))
                     # printed closed forms against the char-poly coefficients
-                    if is_funk and n == 3:
+                    if "closed_forms_vs_charpoly" in claims and n == 3:
                         g1p, g2p = integrals.paper_closed_forms(p)
                         add("closed_forms_vs_charpoly", abs(g1p - fis.c[0]))
                         add("closed_forms_vs_charpoly", abs(g2p - fis.c[1]))
@@ -349,17 +347,11 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     hamel_small = worst["hamel_residual"] <= _SUITES["hamel_residual"][0]
     add("hamel_chi_biconditional", 0.0 if chi_small == hamel_small else 1.0)
 
-    if is_funk:
-        add("jacobi_vanishes", max_jacobi)
-
-    # chi vanishes on every Riemannian metric and on the constant-curvature
-    # ball family (module docstring)
-    chi_claim = is_funk or is_riem
     suites = []
     for name, (tol, note) in _SUITES.items():
         if name not in worst:
             continue
-        if note == _NO_CLAIM and chi_claim:
+        if note == _NO_CLAIM and "chi_vanishes" in claims:
             note = ""
         asserted = not note
         w = worst[name]

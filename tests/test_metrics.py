@@ -320,6 +320,35 @@ def test_guard_distance_of_a_position_past_the_float_range_is_minus_inf(funk):
     assert metrics.guard_distance(funk, np.array([0.0, -1e160, 0.0])) == -math.inf
 
 
+# -- family rows ----------------------------------------------------------------
+
+def test_a_family_row_is_the_only_source_of_its_results(funk, monkeypatch):
+    # a second name for the ball's row gives the ball's guard, sample,
+    # fields and verify report: nothing outside the row knows the ball's name
+    from finslerkit import verify
+
+    monkeypatch.setitem(metrics.FAMILIES, "ball_copy", metrics.FAMILIES["funk_ball_berwald"])
+    copy = metrics.parse_metric("[metric]\nname = funk_ball_berwald\ndimension = 3\nfamily = ball_copy\n")
+    outside = ([0.9999995, 0.0, 0.0], [1.0, 0.0, 0.0])
+    errors = []
+    for spec in (funk, copy):
+        with pytest.raises(DomainError) as err:
+            metrics.check_domain(spec, outside)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    for x in ([0.3, -0.2, 0.1], [0.9999995, 0.0, 0.0]):
+        assert metrics.guard_distance(copy, x) == metrics.guard_distance(funk, x)
+    assert metrics.sample_points(copy, 5, 1) == metrics.sample_points(funk, 5, 1)
+    assert integrals.field_ids(copy) == integrals.field_ids(funk)
+    assert {"g1_paper", "g2_paper"} <= set(integrals.field_ids(copy))
+    assert verify.verify_metric(copy, 6, 2) == verify.verify_metric(funk, 6, 2)
+
+
+def test_a_spec_of_an_unknown_family_is_not_built():
+    with pytest.raises(FamilyError, match="unknown family 'weird'; expected one of \\("):
+        metrics.MetricSpec(name="w", dimension=3, family="weird")
+
+
 # -- the phase-point boundary -------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
