@@ -42,6 +42,13 @@ RUNS = {
     "bracket/funk_ball_berwald/11": (
         "bracket", "funk_ball_berwald", "--fields", "f1,f2", "--npoints", "3", "--seed", "11",
     ),
+    "flow/ball4": (
+        "flow", "ball4.cfg", "--x0", "0.1,-0.2,0.05,0.02", "--y0", "0.3,1,-0.4,0.2", "--tmax", "0.5",
+        "--watch", "f1,f2,f3,c3,s_cl",
+    ),
+    "bracket/funk_ball_berwald/c1,c2/12": (
+        "bracket", "funk_ball_berwald", "--fields", "c1,c2", "--npoints", "3", "--seed", "12",
+    ),
     "bracket-csv/randers3/12": (
         "bracket", "randers3.cfg", "--fields", "f1,F", "--npoints", "3", "--seed", "12", "--format", "csv",
     ),
