@@ -144,17 +144,8 @@ def cmd_inspect(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load_spec(args.metric)
     report = verify.verify_metric(spec, n_points=args.npoints, seed=args.seed)
-    _emit(
-        _report(
-            "verify",
-            spec,
-            n_points=report.n_points,
-            seed=report.seed,
-            passed=report.passed,
-            suites=list(report.suites),
-        ),
-        args.out,
-    )
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "metric"}
+    _emit(_report("verify", spec, **fields), args.out)
     return 0 if report.passed else 1
 
 
@@ -169,10 +160,10 @@ def cmd_flow(args) -> int:
         integrals.field_order(spec, watch)  # an unknown field fails now, not after the integration
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
     traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
-    # the CSV and the drift report share one evaluation per sample
-    values = flow.field_values(spec, traj, watch) if watch else None
+    # the CSV and the drift report read one evaluation per sample
+    values = flow.field_values(spec, traj, watch) if watch else {}
     if args.out:
-        Path(args.out).write_text(flow.trajectory_csv(spec, traj, watch, values=values))
+        Path(args.out).write_text(flow.trajectory_csv(traj, values))
     report = _report(
         "flow",
         spec,
@@ -184,7 +175,7 @@ def cmd_flow(args) -> int:
     )
     exit_code = 0
     if watch:
-        drift_report = flow.drift(spec, traj, watch, tol=args.tol, values=values)
+        drift_report = flow.drift(traj, values, tol=args.tol)
         report["drift"] = {
             "passed": drift_report.passed,
             "fields": drift_report.fields,

@@ -299,6 +299,17 @@ def _branch(fn_name: str, v: float):
         raise BranchError(f"{fn_name} of non-positive value {v!r}")
 
 
+def _call(fn: str, arg):
+    """The function ``fn`` (``sqrt``, ``ln`` or ``exp``) of a float or a jet;
+    sqrt and ln of a float that is not positive raise :class:`BranchError`."""
+    if _is_plain(arg):
+        if fn == "exp":
+            return math.exp(arg)
+        _branch(fn, arg)
+        return math.sqrt(arg) if fn == "sqrt" else math.log(arg)
+    return getattr(arg, fn)()
+
+
 def evaluate(node: Node, xs, ys):
     """Evaluate over scalars (floats or jets) ``xs``, ``ys``; a
     subtree without variables gives a float (module docstring)."""
@@ -318,13 +329,7 @@ def evaluate(node: Node, xs, ys):
     if isinstance(node, Neg):
         return -evaluate(node.arg, xs, ys)
     if isinstance(node, Call):
-        arg = evaluate(node.arg, xs, ys)
-        if _is_plain(arg):
-            if node.fn == "exp":
-                return math.exp(arg)
-            _branch(node.fn, arg)
-            return math.sqrt(arg) if node.fn == "sqrt" else math.log(arg)
-        return getattr(arg, node.fn)()
+        return _call(node.fn, evaluate(node.arg, xs, ys))
     if isinstance(node, Pow):
         base = evaluate(node.base, xs, ys)
         if node.den == 1:

@@ -23,9 +23,10 @@ its dense output, the last being the step's own end point; a trajectory
 is then thinned to at most :data:`MAX_SAMPLES`.  Drift of registered
 scalar fields is measured at those samples only, never at internal
 stages, so the measurement is decoupled from step control.  The fields
-are evaluated in long double (:func:`field_values`): in float64, the
-roundoff of the mean Berwald tensor near the ball's boundary is as large
-as the default drift tolerance :data:`DRIFT_TOL`.  Where ``np.longdouble``
+are evaluated once per sample by :func:`field_values`, whose columns
+:func:`drift` and :func:`trajectory_csv` read, and in long double: in
+float64, the roundoff of the mean Berwald tensor near the ball's boundary
+is as large as the default drift tolerance :data:`DRIFT_TOL`.  Where ``np.longdouble``
 is float64 (MSVC, Apple silicon), it still is.  Relative drift uses
 denominator max(|initial|, 1e-8).
 """
@@ -417,39 +418,34 @@ def _refine_exit(dense, guard) -> float:
     return lo
 
 
-def field_values(spec, traj: Trajectory, fields) -> list[dict[str, float]]:
-    """Values of the named fields at every trajectory sample, as floats,
-    from one shared pipeline evaluation per sample in long double (module
-    docstring)."""
+def field_values(spec, traj: Trajectory, fields) -> dict[str, np.ndarray]:
+    """The named fields at every trajectory sample, one float64 column per
+    field, from one shared pipeline evaluation per sample in long double
+    (module docstring).  :func:`drift` and :func:`trajectory_csv` read them."""
     fields = list(fields)
-    return [integrals.evaluate_fields(spec, fields, (x, y), np.longdouble) for x, y in zip(traj.xs, traj.ys)]
+    rows = [integrals.evaluate_fields(spec, fields, (x, y), np.longdouble) for x, y in zip(traj.xs, traj.ys)]
+    return {name: np.array([row[name] for row in rows]) for name in fields}
 
 
-def drift(spec, traj: Trajectory, fields, tol: float = DRIFT_TOL, values=None) -> DriftReport:
-    """Drift of fields over the samples; ``values`` (from :func:`field_values`)
-    is evaluated here when not given."""
+def drift(traj: Trajectory, values: dict[str, np.ndarray], tol: float = DRIFT_TOL) -> DriftReport:
+    """Drift of each column of ``values`` (from :func:`field_values`) over
+    the samples: the largest deviation from the first sample, at the first
+    sample that reaches it, relative to max(|initial|, 1e-8)."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    fields = list(fields)
-    if values is None:
-        values = field_values(spec, traj, fields)
     report_fields = {}
-    passed = True
-    for name in fields:
-        initial = values[0][name]
-        denom = max(abs(initial), 1e-8)
-        max_abs = 0.0
-        t_at = traj.ts[0]
-        for t, vals in zip(traj.ts, values):
-            dev = abs(vals[name] - initial)
-            if dev > max_abs:
-                max_abs = dev
-                t_at = t
-        rel = max_abs / denom
+    for name, column in values.items():
+        initial = float(column[0])
+        dev = np.abs(column - initial)
+        k = int(np.argmax(dev))
+        max_abs = float(dev[k])
         report_fields[name] = FieldDrift(
-            initial=initial, max_abs_dev=max_abs, max_rel_drift=rel, t_at_max=float(t_at)
+            initial=initial,
+            max_abs_dev=max_abs,
+            max_rel_drift=max_abs / max(abs(initial), 1e-8),
+            t_at_max=float(traj.ts[k]),
         )
-        passed = passed and rel <= tol
+    passed = all(d.max_rel_drift <= tol for d in report_fields.values())
     return DriftReport(fields=report_fields, tol=tol, passed=passed)
 
 
@@ -461,11 +457,8 @@ def phase_csv(n: int, rows, before=(), after=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_csv(spec, traj: Trajectory, fields=(), values=None) -> str:
-    """CSV text: t, x, y and optional field columns at every sample;
-    ``values`` (from :func:`field_values`) is evaluated here when not given."""
-    fields = list(fields)
-    if fields and values is None:
-        values = field_values(spec, traj, fields)
-    rows = ([t, *x, *y, *(values[k][name] for name in fields)] for k, (t, x, y) in enumerate(traj.samples))
-    return phase_csv(traj.xs.shape[1], rows, before=["t"], after=fields)
+def trajectory_csv(traj: Trajectory, values: dict[str, np.ndarray]) -> str:
+    """CSV text: t, x, y and a column for each field of ``values`` (from
+    :func:`field_values`) at every sample."""
+    rows = np.column_stack((traj.ts, traj.xs, traj.ys, *values.values()))
+    return phase_csv(traj.xs.shape[1], rows, before=["t"], after=list(values))

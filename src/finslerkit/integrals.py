@@ -31,10 +31,15 @@ as separate claims and report the discrepancy rather than reconcile it.
 
 Scalar fields (F, f_a, c_a, the closed forms) are registered under stable
 string ids so the flow and CLI layers can address them; the id is the
-registry key, and an entry holds only the field's jet order and builder.  The f_a and c_a
-read E from the Berwald tensor; ``s_cl`` contracts the mean Cartan and
-mean Landsberg route E_CL instead, so the paper's second expression is a
-field of its own (it equals f_1 / (2F)).
+registry key, and an entry holds only the field's jet order and builder.  A
+builder reads a :class:`~finslerkit.tensors.PointEvaluation` stage, so
+fields evaluated together share one EE and one set of invariants: the
+f_a and c_a read ``power_traces`` and ``charpoly`` of EE, whose E comes
+from the Berwald tensor; ``s_cl`` contracts the mean Cartan and mean
+Landsberg route E_CL instead, so the paper's second expression is a
+field of its own (it equals f_1 / (2F)).  :func:`build_EE` and the two
+invariant routines live beside those stages and are the ones
+:func:`first_integral_set` applies to float values.
 
 A field built from jets seeded one order above its ``min_order`` comes
 out as a jet of order >= 1, and its degree-1 Taylor coefficients are its
@@ -58,9 +63,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyError, UnknownFieldError
-from .expr import _sum_products
-from .metrics import FAMILIES, MetricSpec, PhasePoint, _radius, _sqrt, check_domain
-from .tensors import PointEvaluation, _align, spray_values
+from .expr import _call, _sum_products
+from .metrics import FAMILIES, MetricSpec, PhasePoint, _radius, check_domain
+from .tensors import PointEvaluation, _charpoly, _power_traces, build_EE, spray_values
 
 __all__ = [
     "FirstIntegralSet",
@@ -88,37 +93,6 @@ class FirstIntegralSet:
     c: np.ndarray
     newton_residual: float
     bordered_value: float
-
-
-def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or a jet
-    and tensors in one space."""
-    return 2.0 * F * (g_inv @ E)
-
-
-def _power_traces(EE: np.ndarray) -> np.ndarray:
-    """f_a = tr(EE^a), a = 1..n-1."""
-    power = EE
-    f = [power.trace()]
-    for _ in range(EE.shape[0] - 2):
-        power = power @ EE
-        f.append(power.trace())
-    return np.array(f)
-
-
-def _charpoly(EE: np.ndarray) -> np.ndarray:
-    """c_1..c_{n-1}, the coefficients of det(Lambda I + EE) by
-    Faddeev-LeVerrier: M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}),
-    c_k = tr(M_k)/k.  EE holds floats or, for the scalar fields, is a tensor
-    of jets, and so do the coefficients."""
-    n = EE.shape[0]
-    M = EE
-    c = [M.trace()]
-    eye = np.eye(n)
-    for k in range(1, n - 1):
-        M = EE @ (c[k - 1] * eye - M)
-        c.append(M.trace() / (k + 1))
-    return np.array(c)
 
 
 def newton_from_traces(f: np.ndarray) -> np.ndarray:
@@ -190,7 +164,7 @@ def _closed_form_pieces(xs, ys):
 
 def _g1_closed(xs, ys):
     ny2, nx2, d, A = _closed_form_pieces(xs, ys)
-    root = _sqrt(A)
+    root = _call("sqrt", A)
     num_factor = d * root * (-2.0) - d * d * 2.0 - ny2 * (1.0 - nx2)
     numerator = num_factor * (A * A)
     den_core = ny2 * 0.5 + nx2 * ny2 - d * d * 2.0
@@ -232,26 +206,6 @@ class _Field:
     build: Callable[[PointEvaluation], object]
 
 
-def _ee_family(ev: PointEvaluation, family):
-    """The power traces (``family`` = :func:`_power_traces`) or char-poly
-    coefficients (:func:`_charpoly`) of EE at ``ev``.  Each family is built
-    once per evaluation, and only when a field reads it; the two share one
-    EE."""
-    cache = vars(ev).setdefault("_ee_families", {})
-    if family not in cache:
-        if "EE" not in cache:
-            cache["EE"] = build_EE(*_align(ev.F, ev.g_inv, ev.E))
-        cache[family] = family(cache["EE"])
-    return cache[family]
-
-
-def _s_cl(ev: PointEvaluation):
-    # g^{ij} E_CL_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}), the mean Cartan and
-    # mean Landsberg route; it equals f_1 / (2F), which reads E from B
-    g_inv, E_CL = _align(ev.g_inv, ev.E_CL)
-    return (g_inv * E_CL).sum(axis=1).sum()
-
-
 @functools.cache
 def _fields_for(n: int, closed_forms: bool) -> Mapping[str, _Field]:
     """The registry depends only on the dimension and on whether the printed
@@ -261,11 +215,11 @@ def _fields_for(n: int, closed_forms: bool) -> Mapping[str, _Field]:
         "one": _Field(1, lambda ev: ev.F2.const(1.0)),  # constant 1, a bracket sanity field
         "F": _Field(1, lambda ev: ev.F),
         "F2": _Field(1, lambda ev: ev.F2),
-        "s_cl": _Field(5, _s_cl),
+        "s_cl": _Field(5, lambda ev: ev.s_cl),
     }
     for a in range(1, n):
-        fields[f"f{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _power_traces)[a - 1])
-        fields[f"c{a}"] = _Field(5, lambda ev, a=a: _ee_family(ev, _charpoly)[a - 1])
+        fields[f"f{a}"] = _Field(5, lambda ev, a=a: ev.power_traces[a - 1])
+        fields[f"c{a}"] = _Field(5, lambda ev, a=a: ev.charpoly[a - 1])
     if closed_forms and n == 3:
         fields["g1_paper"] = _Field(1, lambda ev: _g1_closed(ev.xs, ev.ys))
         fields["g2_paper"] = _Field(1, lambda ev: _g2_closed(ev.xs, ev.ys))

@@ -77,7 +77,6 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    BranchError,
     ConfigError,
     DimensionError,
     DomainError,
@@ -179,14 +178,6 @@ _ZERO = expr.Num(0.0)
 
 # -- scalar helpers (floats and jets share one code path) ---------------
 
-def _sqrt(v):
-    if expr._is_plain(v):
-        if v <= 0.0:
-            raise BranchError(f"sqrt of non-positive value {v!r}")
-        return math.sqrt(v)
-    return v.sqrt()
-
-
 def _quadratic_form(pairs, ys):
     """Sum of w y^i y^j over the ``(i, j, w)`` pairs."""
     terms = []
@@ -209,7 +200,7 @@ def _funk_pieces(xs, ys):
     ny2 = expr._sum_products(ys, ys)
     d = expr._sum_products(xs, ys)
     a = ny2 - (nx2 * ny2 - d * d)
-    w = _sqrt(a) + d
+    w = expr._call("sqrt", a) + d
     return a, w, 1.0 - nx2
 
 

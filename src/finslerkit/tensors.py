@@ -14,6 +14,7 @@ g_ij, spray G^i                   2    2                          1
 connection N^i_j                  3    3                          1
 Jacobi/curvature R                4    4                          2
 B, E, S-derived tensors, chi      5    5                          2
+EE, f_a, c_a, s_cl                5    5                          1
 covariant derivative of E         6    6                          2
 ==============================  =====  =========================  ======================
 
@@ -23,6 +24,13 @@ cap c - k, and its gradient too when c - k >= 1.  So a
 :class:`PointEvaluation` seeds at cap 2, field gradients and brackets read
 cap-2 evaluations, and field values alone need only cap 1 (f_a and c_a
 read E, one x-derivative deep).
+
+The first integrals of :mod:`finslerkit.integrals` are stages too:
+``EE`` = 2 F g^-1 E (:func:`build_EE`), its power traces
+``power_traces`` (f_a) and char-poly coefficients ``charpoly`` (c_a), each
+an object array of jets, and ``s_cl``, the trace g^{ij} E_CL_ij of the
+Cartan/Landsberg route.  The scalar fields read them, so fields evaluated
+at one point share one EE, and an overflow in them names the stage.
 
 Conventions (indices are 0-based in code):
 
@@ -51,8 +59,9 @@ all entries at low order.  Truncation commutes with sums and products,
 coefficient for coefficient, and each contraction keeps the operand
 order and left-to-right summation of the index formulas above, so the
 results are bit for bit those of single jets aligned at each product.
-The scalars (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``) are
-single jets, and so is any one entry: ``ev.g[i, j]`` or ``ev.g[i][j]``.
+The scalars (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``,
+``s_cl``) are single jets, and so is any one entry: ``ev.g[i, j]`` or
+``ev.g[i][j]``.
 
 Seeding one order above a quantity's depth leaves it a jet of order >= 1
 whose degree-1 coefficients are its phase-space gradient; the Poisson
@@ -217,6 +226,37 @@ def mat_inv_det(mat):
     return JetArray(space, aug[:, np.argsort(columns)]), (-det if sign < 0 else det)
 
 
+def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or a jet
+    and tensors in one space."""
+    return 2.0 * F * (g_inv @ E)
+
+
+def _power_traces(EE: np.ndarray) -> np.ndarray:
+    """f_a = tr(EE^a), a = 1..n-1."""
+    power = EE
+    f = [power.trace()]
+    for _ in range(EE.shape[0] - 2):
+        power = power @ EE
+        f.append(power.trace())
+    return np.array(f)
+
+
+def _charpoly(EE: np.ndarray) -> np.ndarray:
+    """c_1..c_{n-1}, the coefficients of det(Lambda I + EE) by
+    Faddeev-LeVerrier: M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}),
+    c_k = tr(M_k)/k.  EE holds floats or, for the scalar fields, is a tensor
+    of jets, and so do the coefficients."""
+    n = EE.shape[0]
+    M = EE
+    c = [M.trace()]
+    eye = np.eye(n)
+    for k in range(1, n - 1):
+        M = EE @ (c[k - 1] * eye - M)
+        c.append(M.trace() / (k + 1))
+    return np.array(c)
+
+
 def _out_of_range(name: str, point, err: FloatingPointError) -> DomainError:
     """The error for a float overflow raised in the stage ``name`` at ``point``."""
     return DomainError(f"{name} leaves the float range at {point}: {err}")
@@ -249,8 +289,9 @@ class PointEvaluation:
     """Lazy pipeline evaluation at one phase point, the one route to every
     pointwise tensor.
 
-    Properties are tensors (:class:`~finslerkit.jets.JetArray`) or single
-    jets (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``), built on
+    Properties are tensors (:class:`~finslerkit.jets.JetArray`), single
+    jets (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``, ``s_cl``) or
+    object arrays of jets (``power_traces``, ``charpoly``), built on
     first use at a seed ``order`` no lower than the module docstring's
     table asks for; :meth:`packet` is the numpy snapshot of the whole
     tower (order >= 5).  The seeds carry at most ``x_cap`` position
@@ -442,6 +483,28 @@ class PointEvaluation:
         # hSy[j][i] is delta(dS/dy^j)/dx^i
         hSy = self.hder(self._grad_y(self.S))
         return hSy.T - hSy
+
+    @_stage
+    def EE(self):
+        """EE^i_j = 2 F g^{ik} E_kj (:func:`build_EE`), E from the trace of B."""
+        return build_EE(*_align(self.F, self.g_inv, self.E))
+
+    @_stage
+    def power_traces(self):
+        """The jets f_a = tr(EE^a), a = 1..n-1, in an object array."""
+        return _power_traces(self.EE)
+
+    @_stage
+    def charpoly(self):
+        """The jets c_1..c_{n-1} of det(Lambda I + EE), in an object array."""
+        return _charpoly(self.EE)
+
+    @_stage
+    def s_cl(self):
+        """g^{ij} E_CL_ij = 1/2 g^{ij} (I_{j;i} + J_{i.j}), the mean Cartan
+        and mean Landsberg route; it equals f_1 / (2F), which reads E from B."""
+        g_inv, E_CL = _align(self.g_inv, self.E_CL)
+        return (g_inv * E_CL).sum(axis=1).sum()
 
     def nabla2(self, T):
         """Covariant derivative of a (0,2) tensor along the spray."""

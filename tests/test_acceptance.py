@@ -106,7 +106,7 @@ def test_c3_first_integrals_constant_along_geodesic(funk, axis_trajectory):
     tol = 1e-6
     traj, t_int = axis_trajectory
     t0 = time.perf_counter()
-    rep = flow.drift(funk, traj, ["f1", "f2", "c1", "c2"], tol=tol)
+    rep = flow.drift(traj, flow.field_values(funk, traj, ["f1", "f2", "c1", "c2"]), tol=tol)
     elapsed = t_int + (time.perf_counter() - t0)
     f1_0 = rep.fields["f1"].initial
     f2_0 = rep.fields["f2"].initial
@@ -140,7 +140,7 @@ def test_c3_drift_is_far_inside_its_tolerance(funk, axis_trajectory):
     # C3's drift is roundoff in E near the boundary; in long double it is
     # far below C3's tolerance
     traj, _ = axis_trajectory
-    rep = flow.drift(funk, traj, ["f1", "f2", "c1", "c2"], tol=1e-9)
+    rep = flow.drift(traj, flow.field_values(funk, traj, ["f1", "f2", "c1", "c2"]), tol=1e-9)
     worst = max(d.max_rel_drift for d in rep.fields.values())
     _line("C3'", rep.passed, f"long-double fields at {len(traj)} samples: worst rel drift {worst:.3e} (tol 1e-09)")
     assert len(traj) == flow.MAX_SAMPLES
@@ -200,7 +200,7 @@ def test_c4_printed_closed_forms(funk, axis_trajectory):
         failures.append("center values")
 
     # (b) constancy along the criterion-3 trajectory, field by field
-    rep = flow.drift(funk, traj, ["g1_paper", "g2_paper"], tol=tol_drift)
+    rep = flow.drift(traj, flow.field_values(funk, traj, ["g1_paper", "g2_paper"]), tol=tol_drift)
     for name in ("g1_paper", "g2_paper"):
         d = rep.fields[name]
         ok = d.max_rel_drift <= tol_drift

@@ -187,11 +187,12 @@ def test_invalid_time_span_is_rejected(funk):
 def test_invalid_drift_tolerance_is_rejected(funk, monkeypatch):
     monkeypatch.setattr(flow, "MAX_SAMPLES", 5)
     traj = integrate(funk, AXIS_INIT, 0.5)
+    values = flow.field_values(funk, traj, ["F"])
     for tol in (float("nan"), float("inf"), -1e-9):
         with pytest.raises(ValueError, match="tol"):
-            flow.drift(funk, traj, ["F"], tol=tol)
+            flow.drift(traj, values, tol=tol)
     # a zero tolerance stays valid: it passes exactly the drift-free fields
-    report = flow.drift(funk, traj, ["F"], tol=0.0)
+    report = flow.drift(traj, values, tol=0.0)
     assert report.tol == 0.0 and report.passed == (report.fields["F"].max_abs_dev == 0.0)
 
 
@@ -209,7 +210,7 @@ def test_step_budget_failure_carries_partial_trajectory(funk, monkeypatch):
 def test_energy_and_integrals_hold_on_short_runs(funk):
     init = ((0.05, 0.1, -0.1), (0.8, -0.2, 0.4))
     traj = integrate(funk, init, 10.0)
-    report = flow.drift(funk, traj, ["F", "f1", "c2"], tol=1e-6)
+    report = flow.drift(traj, flow.field_values(funk, traj, ["F", "f1", "c2"]), tol=1e-6)
     assert report.passed
     assert report.fields["F"].max_rel_drift < 1e-8
     assert report.fields["f1"].max_rel_drift < 1e-6
@@ -220,7 +221,7 @@ def test_energy_and_integrals_hold_on_short_runs(funk):
 
 def test_drift_report_flags_violations(funk):
     traj = integrate(funk, AXIS_INIT, 1.0)
-    strict = flow.drift(funk, traj, ["F"], tol=1e-18)
+    strict = flow.drift(traj, flow.field_values(funk, traj, ["F"]), tol=1e-18)
     assert not strict.passed
     assert strict.fields["F"].max_rel_drift > 1e-18
     assert strict.tol == 1e-18
@@ -238,7 +239,7 @@ def test_sample_thinning_keeps_endpoints(euclid, monkeypatch):
 def test_trajectory_csv_round_trips(funk, monkeypatch):
     monkeypatch.setattr(flow, "MAX_SAMPLES", 20)
     traj = integrate(funk, AXIS_INIT, 1.0)
-    text = flow.trajectory_csv(funk, traj, ["f1", "c2"])
+    text = flow.trajectory_csv(traj, flow.field_values(funk, traj, ["f1", "c2"]))
     lines = text.strip().splitlines()
     assert lines[0] == "t,x1,x2,x3,y1,y2,y3,f1,c2"
     assert len(lines) == len(traj) + 1
@@ -259,14 +260,58 @@ def test_integrator_stats_are_populated(funk):
     assert traj.stats.rejections >= 0
 
 
-def test_shared_field_values_give_the_same_outputs(funk, monkeypatch):
+def test_field_values_are_one_column_per_field(funk, monkeypatch):
     monkeypatch.setattr(flow, "MAX_SAMPLES", 20)
     traj = integrate(funk, AXIS_INIT, 1.0)
-    fields = ["F", "f1", "c2"]
+    fields = ["F", "f1", "c2", "s_cl"]
     values = flow.field_values(funk, traj, fields)
-    assert len(values) == len(traj)
-    assert flow.trajectory_csv(funk, traj, fields, values=values) == flow.trajectory_csv(funk, traj, fields)
-    assert flow.drift(funk, traj, fields, values=values) == flow.drift(funk, traj, fields)
+    assert list(values) == fields
+    for name in fields:
+        assert values[name].dtype == np.float64 and values[name].shape == (len(traj),)
+    for k, (x, y) in enumerate(zip(traj.xs, traj.ys)):
+        sample = integrals.evaluate_fields(funk, fields, (x, y), np.longdouble)
+        assert [values[name][k] for name in fields] == [sample[name] for name in fields]
+
+
+def _synthetic_trajectory(size):
+    ts = np.linspace(0.0, 1.0, size)
+    xs = np.zeros((size, 3))
+    return Trajectory(ts, xs, xs + 1.0, "completed", flow.IntegratorStats(1, 0, 0, 12, 1.0))
+
+
+def test_drift_reads_its_columns():
+    traj = _synthetic_trajectory(5)
+    values = {
+        # the largest deviation, 2, is reached at samples 1 and 3: the first is reported
+        "tied": np.array([1.0, 3.0, 0.5, -1.0, 1.0]),
+        # an initial 0 divides by the 1e-8 floor
+        "zero": np.array([0.0, 1e-12, -3e-12, 0.0, 2e-12]),
+        # a relative drift equal to the tolerance passes
+        "at_tol": np.array([4.0, 4.0, 6.0, 4.0, 2.0]),
+    }
+    report = flow.drift(traj, values, tol=0.5)
+    tied, zero, at_tol = (report.fields[name] for name in values)
+    assert (tied.initial, tied.max_abs_dev, tied.t_at_max) == (1.0, 2.0, 0.25)
+    assert tied.max_rel_drift == 2.0
+    assert zero.max_abs_dev == 3e-12 and zero.max_rel_drift == 3e-12 / 1e-8 and zero.t_at_max == 0.5
+    assert at_tol.max_rel_drift == 0.5 and at_tol.t_at_max == 0.5
+    assert not report.passed  # tied reads 2
+    assert flow.drift(traj, {"at_tol": values["at_tol"]}, tol=0.5).passed
+    assert not flow.drift(traj, {"at_tol": values["at_tol"]}, tol=np.nextafter(0.5, 0.0)).passed
+
+
+def test_drift_equals_a_loop_over_the_samples():
+    rng = np.random.default_rng(4)
+    traj = _synthetic_trajectory(60)
+    column = 3.0 + rng.normal(scale=1e-9, size=60)
+    column[[17, 41]] = 3.0 + 5e-9  # a tie
+    got = flow.drift(traj, {"u": column}).fields["u"]
+    initial, max_abs, t_at = float(column[0]), 0.0, traj.ts[0]
+    for t, v in zip(traj.ts, column):
+        if abs(float(v) - initial) > max_abs:
+            max_abs, t_at = abs(float(v) - initial), t
+    assert (got.initial, got.max_abs_dev, got.t_at_max) == (initial, max_abs, t_at)
+    assert got.max_rel_drift == max_abs / abs(initial)
 
 
 def test_non_finite_stage_is_a_rejected_step(funk, monkeypatch):

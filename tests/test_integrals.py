@@ -166,6 +166,25 @@ def test_evaluate_fields_consistency(funk):
     assert max(float(np.abs(fit[:2] - c).max()), abs(float(fit[2]))) / scale <= 1e-9
 
 
+def test_fields_share_one_EE_and_one_set_of_invariants(funk, monkeypatch):
+    calls = {"build_EE": 0, "_power_traces": 0, "_charpoly": 0}
+
+    def counted(name):
+        original = getattr(tensors, name)
+
+        def run(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(tensors, name, counted(name))
+    vals = integrals.evaluate_fields(funk, ["f1", "f2", "c1", "c2"], _sample(funk, 10))
+    assert calls == {"build_EE": 1, "_power_traces": 1, "_charpoly": 1}
+    assert sorted(vals) == ["c1", "c2", "f1", "f2"]
+
+
 def test_s_cl_reads_the_cartan_landsberg_route(funk, monkeypatch):
     # s_cl contracts E_CL = 1/2 (I_{j;i} + J_{i.j}), never the Berwald E:
     # with E replaced by garbage its value stays the same, bit for bit
