@@ -18,14 +18,26 @@ column.  Exponents are integer or rational literals only; there is no
 on the domain where it evaluates without :class:`BranchError` /
 :class:`PoleError`.
 
-Evaluation is generic over the scalar type: floats and
-:class:`~finslerkit.jets.Jet` both work, so the same tree serves the fast
-float path and every differentiation order.  Literals stay plain
+Evaluation is generic over the scalar type: floats,
+:class:`~finslerkit.jets.Jet` and float64 numpy arrays (one entry per
+point) all work, so the same tree serves the fast float path, every
+differentiation order and a batch of points.  Literals stay plain
 numbers whatever the scalar type: a jet scaled by a float costs no table
 product, so ``0.3*x1`` or ``4/(1 + normx2)^2`` multiply only where a
 variable is involved, and a subtree without variables (``g_1_1 = 1.5``)
 evaluates to a float even over jets.  Callers that need a jet wrap such a
 result in a constant jet.
+
+An array entry has the bits of the same tree over that entry's floats.
+IEEE ``+ - * /`` and ``sqrt`` are correctly rounded, so they run as numpy
+operations; numpy's powers, ``exp`` and ``log`` differ from ``math``'s in
+the last bit for some arguments, so those nodes apply the float function
+entry by entry.  A guard (``sqrt`` or ``ln`` of a value that is not
+positive, a zero divisor, a zero base under a negative power) raises the
+float error of the first entry that fails.  An overflow that floats carry
+as inf is carried as inf over arrays too, provided the caller's numpy
+errstate lets it pass; a float power or ``exp`` that raises
+``OverflowError`` raises it for the first entry that overflows.
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BranchError, ConfigError, DimensionError, ExpressionSyntaxError, PoleError
 
@@ -299,19 +313,42 @@ def _branch(fn_name: str, v: float):
         raise BranchError(f"{fn_name} of non-positive value {v!r}")
 
 
+def _entrywise(fn, values: np.ndarray, *args) -> np.ndarray:
+    """``fn(v, *args)`` of each float entry v, in order: the first entry
+    whose float function raises raises the error."""
+    return np.array([fn(v, *args) for v in values.tolist()])
+
+
 def _call(fn: str, arg):
-    """The function ``fn`` (``sqrt``, ``ln`` or ``exp``) of a float or a jet;
-    sqrt and ln of a float that is not positive raise :class:`BranchError`."""
+    """The function ``fn`` (``sqrt``, ``ln`` or ``exp``) of a float, an
+    array or a jet; sqrt and ln of a float that is not positive raise
+    :class:`BranchError`."""
     if _is_plain(arg):
         if fn == "exp":
             return math.exp(arg)
         _branch(fn, arg)
         return math.sqrt(arg) if fn == "sqrt" else math.log(arg)
+    if isinstance(arg, np.ndarray):
+        if fn != "sqrt":  # numpy's exp and log are not math's, bit for bit
+            return _entrywise(functools.partial(_call, fn), arg)
+        for v in arg[arg <= 0.0][:1].tolist():  # the first entry that is not positive
+            _branch(fn, v)
+        return np.sqrt(arg)
     return getattr(arg, fn)()
 
 
+def _float_power(base: float, num: int, den: int) -> float:
+    """``base ** (num/den)`` of a float, with the power's guards."""
+    if den == 1:
+        if num < 0 and base == 0.0:
+            raise PoleError("zero base raised to a negative power")
+        return float(base) ** num
+    _branch(f"power {num}/{den}", base)
+    return float(base) ** (num / den)
+
+
 def evaluate(node: Node, xs, ys):
-    """Evaluate over scalars (floats or jets) ``xs``, ``ys``; a
+    """Evaluate over scalars (floats, arrays or jets) ``xs``, ``ys``; a
     subtree without variables gives a float (module docstring)."""
     if isinstance(node, Num):
         return node.value
@@ -332,17 +369,11 @@ def evaluate(node: Node, xs, ys):
         return _call(node.fn, evaluate(node.arg, xs, ys))
     if isinstance(node, Pow):
         base = evaluate(node.base, xs, ys)
-        if node.den == 1:
-            if _is_plain(base):
-                if node.num < 0 and base == 0.0:
-                    raise PoleError("zero base raised to a negative power")
-                return float(base) ** node.num
-            return base**node.num
-        alpha = node.num / node.den
         if _is_plain(base):
-            _branch(f"power {node.num}/{node.den}", base)
-            return float(base) ** alpha
-        return base.powc(alpha)
+            return _float_power(base, node.num, node.den)
+        if isinstance(base, np.ndarray):
+            return _entrywise(_float_power, base, node.num, node.den)
+        return base**node.num if node.den == 1 else base.powc(node.num / node.den)
     if isinstance(node, BinOp):
         left = evaluate(node.left, xs, ys)
         right = evaluate(node.right, xs, ys)
@@ -352,7 +383,7 @@ def evaluate(node: Node, xs, ys):
             return left - right
         if node.op == "*":
             return left * right
-        if _is_plain(right) and float(right) == 0.0:
+        if _is_plain(right) and float(right) == 0.0 or isinstance(right, np.ndarray) and (right == 0.0).any():
             raise PoleError("division by zero")
         return left / right
     raise TypeError(f"not an expression node: {node!r}")

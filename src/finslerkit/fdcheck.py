@@ -17,13 +17,25 @@ least against its neighbour (the plateau between the truncation and the
 roundoff regimes).  Values
 below :func:`noise_floor` are invisible to the oracle entirely, so
 comparisons should gate on it rather than trust a raw relative error.
+
+The stencil points of a whole ladder are independent, so
+:func:`fd_partials` evaluates those of several partials at one point as
+one float array, in one call of a batched function
+(:func:`finslerkit.metrics.f2_values`, say), and :func:`fd_partial` is its
+one-partial case over a function of one point.  The points, the weights
+``w / h^k`` (``h^k`` by the float power), the left-to-right stencil sums and
+the Richardson windows are each formed as a per-point loop would form
+them, in the same order, so a partial has the same bits however it is
+batched.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 
-__all__ = ["fd_partial", "noise_floor", "LADDER_STEPS"]
+import numpy as np
+
+__all__ = ["fd_partial", "fd_partials", "noise_floor", "LADDER_STEPS"]
 
 BASE_H = 0.16
 LEVELS = 3
@@ -39,6 +51,88 @@ _STENCILS = {
 }
 
 
+def _active(coords, orders) -> list[tuple[int, int]]:
+    """The ``(variable, order)`` pairs of ``orders`` with a positive order.
+    An ``orders`` of another length than ``coords``, or an order outside
+    0..4, raises ``ValueError``."""
+    if len(orders) != len(coords):
+        raise ValueError(f"{len(orders)} derivative orders for {len(coords)} coordinates")
+    for k in orders:
+        if k != 0 and k not in _STENCILS:
+            raise ValueError(f"no stencil for single-variable order {k}")
+    return [(i, int(k)) for i, k in enumerate(orders) if k > 0]
+
+
+def _ladder(coords: list[float], active, stencil):
+    """``(points, weights)`` of one partial: its stencil points on every
+    ladder step, ``(steps * combinations, d)`` in the order a per-point loop
+    visits them (steps, then the stencils' product with the last variable
+    fastest), and each point's weight, ``(steps, combinations)``, from the
+    ``stencil(i, k)`` of each active ``(i, k)``.  Without a derivative, the
+    point itself and no weights."""
+    if not active:
+        return np.array([coords]), None
+    grid = (LADDER_STEPS,) + tuple(len(_STENCILS[k]) for _, k in active)
+    points = np.empty(grid + (len(coords),))
+    points[...] = coords
+    weights = 1.0
+    for axis, (i, k) in enumerate(active, start=1):
+        shifts, factors = stencil(i, k)
+        shape = [LADDER_STEPS] + [1] * len(active)
+        shape[axis] = shifts.shape[1]
+        points[..., i] = coords[i] + shifts.reshape(shape)
+        weights = weights * factors.reshape(shape)
+    return points.reshape(-1, len(coords)), weights.reshape(LADDER_STEPS, -1)
+
+
+def _richardson(ladder: np.ndarray):
+    """The value of the window of :data:`LEVELS` adjacent ladder steps that
+    :func:`fd_partial` keeps."""
+    windows = ladder
+    for stage in range(1, LEVELS):  # every window at once: they share stages
+        factor = 4.0**stage
+        windows = (factor * windows[1:] - windows[:-1]) / (factor - 1.0)
+    best = 0
+    if len(windows) > 1:
+        best = 1 + min(range(len(windows) - 1), key=lambda w: abs(windows[w + 1] - windows[w]))
+    return windows[best]
+
+
+def fd_partials(fn, coords, orders_list) -> list:
+    """:func:`fd_partial` of each multi-index of ``orders_list`` at ``coords``,
+    by one call of ``fn``, which maps an ``(m, d)`` float array of points to
+    their m values.  Each partial has the bits of its own
+    :func:`fd_partial`; ``fn``'s points are the per-point calls' in order,
+    so a ``fn`` that raises for the first point that fails raises what
+    those calls would."""
+    coords = [float(v) for v in coords]
+    h = np.array([BASE_H / 2.0**j for j in range(LADDER_STEPS)])
+
+    @functools.cache
+    def stencil(i: int, k: int):
+        """Variable i's order-k stencil on every ladder step, as arrays
+        ``(steps, offsets)``: the shifts off * h_i and the factors w / h_i^k."""
+        offsets, w = np.array(_STENCILS[k]).T
+        steps = h * max(1.0, abs(coords[i]))
+        powers = np.array([step**k for step in steps.tolist()])  # the float power's bits
+        return offsets * steps[:, None], w / powers[:, None]
+
+    ladders = [_ladder(coords, _active(coords, orders), stencil) for orders in orders_list]
+    values = np.asarray(fn(np.concatenate([points for points, _ in ladders])))
+    partials = []
+    start = 0
+    for points, weights in ladders:
+        f = values[start : start + len(points)]
+        start += len(points)
+        if weights is None:
+            partials.append(float(f[0]))
+            continue
+        # each step's stencil sum, from 0.0 and left to right: a running sum
+        terms = np.concatenate([np.zeros((LADDER_STEPS, 1), f.dtype), weights * f.reshape(weights.shape)], axis=1)
+        partials.append(_richardson(terms.cumsum(axis=1)[:, -1]))
+    return partials
+
+
 def fd_partial(fn, coords, orders) -> float:
     """Mixed partial of ``fn`` at ``coords`` by finite differences.
 
@@ -48,41 +142,11 @@ def fd_partial(fn, coords, orders) -> float:
     magnitude of each coordinate.  The ladder is ``BASE_H / 2**j`` for
     ``j < LADDER_STEPS``; each window of ``LEVELS`` adjacent steps gives
     one Richardson value, and of the adjacent pair of windows whose values
-    differ least the one with the smaller steps is returned.
+    differ least the one with the smaller steps is returned.  An
+    ``orders`` of another length than ``coords``, or an order outside
+    0..4, raises ``ValueError``.
     """
-    coords = [float(v) for v in coords]
-    active = [(i, k) for i, k in enumerate(orders) if k > 0]
-    for _, k in active:
-        if k not in _STENCILS:
-            raise ValueError(f"no stencil for single-variable order {k}")
-    if not active:
-        return float(fn(coords))
-
-    def resolved(h: float) -> float:
-        acc = 0.0
-        stencil_sets = [_STENCILS[k] for _, k in active]
-        steps = [h * max(1.0, abs(coords[i])) for i, _ in active]
-        for combo in itertools.product(*stencil_sets):
-            point = list(coords)
-            weight = 1.0
-            for (i, k), (off, w), hi in zip(active, combo, steps):
-                point[i] += off * hi
-                weight *= w / hi**k
-            acc += weight * fn(point)
-        return acc
-
-    def extrapolated(values):
-        for stage in range(1, LEVELS):
-            factor = 4.0**stage
-            values = [(factor * values[j + 1] - values[j]) / (factor - 1.0) for j in range(len(values) - 1)]
-        return values[0]
-
-    ladder = [resolved(BASE_H / 2.0**j) for j in range(LADDER_STEPS)]
-    windows = [extrapolated(ladder[w : w + LEVELS]) for w in range(LADDER_STEPS - LEVELS + 1)]
-    best = 0
-    if len(windows) > 1:
-        best = 1 + min(range(len(windows) - 1), key=lambda w: abs(windows[w + 1] - windows[w]))
-    return windows[best]
+    return fd_partials(lambda points: [fn(p) for p in points.tolist()], coords, [orders])[0]
 
 
 def noise_floor(f_scale: float, coords, orders) -> float:
@@ -94,9 +158,10 @@ def noise_floor(f_scale: float, coords, orders) -> float:
     :func:`fd_partial` keeps), and the extrapolation stages multiply it
     by at most prod (4^s + 1)/(4^s - 1).  A comparison whose true value
     sits below this bound measures nothing but floating-point noise.
+    ``orders`` is checked as :func:`fd_partial` checks it.
     """
     coords = [float(v) for v in coords]
-    active = [(i, k) for i, k in enumerate(orders) if k > 0]
+    active = _active(coords, orders)
     if not active:
         return 2.3e-16 * abs(f_scale)
     h_min = BASE_H / 2.0 ** (LADDER_STEPS - 1)

@@ -61,9 +61,10 @@ Config file format (UTF-8, line oriented)::
     ; g_j_i mirrors g_i_j; missing off-diagonal entries are 0.
     ; g_1_1 = 4/(1 + normx2)^2
 
-Every evaluation path (floats and jets) shares one implementation per
-family, so the fast float path and all differentiation orders agree by
-construction.
+Every evaluation path (floats, jets and float arrays of points) shares
+one implementation per family, so the fast float path, all
+differentiation orders and :func:`f2_values` agree by construction; an
+array entry has the bits of the float path (:mod:`finslerkit.expr`).
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ __all__ = [
     "eval_F2",
     "eval_projective_factor",
     "f2_value",
+    "f2_values",
     "check_domain",
     "guard_distance",
     "sample_phase_point",
@@ -187,8 +189,11 @@ def _quadratic_form(pairs, ys):
     return expr._total(terms)
 
 
-def _num(v) -> float:
-    return float(v) if expr._is_plain(v) else v.num
+def _values(v) -> list[float]:
+    """The value parts of a scalar: a float's, a jet's, or one per array entry."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return [float(v) if expr._is_plain(v) else v.num]
 
 
 # -- family rows ----------------------------------------------------------
@@ -250,11 +255,13 @@ def _check_family(name: str) -> None:
 
 
 def eval_F2(spec: MetricSpec, xs, ys):
-    """F^2 at scalar coordinates ``xs``, ``ys`` (one scalar per variable).
+    """F^2 at scalar coordinates ``xs``, ``ys`` (one scalar per variable:
+    floats, jets, or float arrays holding one point per entry).
 
-    The value part of the result must be finite and strictly positive;
-    otherwise the point is outside the metric's domain and
-    :class:`DomainError` is raised.  A float overflow in a coefficient
+    The value part of the result must be finite and strictly positive, at
+    every entry of an array; otherwise the point, or the first failing
+    entry, is outside the metric's domain and :class:`DomainError` is
+    raised.  A float overflow in a coefficient
     follows the caller's errstate: the stage ``F2`` and the spray
     (:mod:`finslerkit.tensors`) raise it as their error naming the point.
     """
@@ -264,9 +271,10 @@ def eval_F2(spec: MetricSpec, xs, ys):
             f"and {len(ys)} fiber coordinates"
         )
     out = FAMILIES[spec.family].F2(spec, xs, ys)
-    if not 0.0 < _num(out) < math.inf:  # NaN fails too
+    failing = [v for v in _values(out) if not 0.0 < v < math.inf]  # NaN fails too
+    if failing:
         raise DomainError(
-            f"F^2 is not finite and positive at this point (value {_num(out)!r}); outside the domain"
+            f"F^2 is not finite and positive at this point (value {failing[0]!r}); outside the domain"
         )
     return out
 
@@ -291,6 +299,25 @@ def f2_value(spec: MetricSpec, x, y) -> float:
         raise DomainError(f"F^2 cannot be evaluated in floats at this point: {err}") from None
 
 
+def f2_values(spec: MetricSpec, points) -> np.ndarray:
+    """F^2 at each row (x, y) of ``points``, a float array of m rows of 2n
+    coordinates, by one :func:`eval_F2` call on float arrays: row by row
+    the bits of :func:`f2_value` (:mod:`finslerkit.expr`).  Where a row
+    fails, the rows go through :func:`f2_value` in order, so the first
+    failing row raises its own error."""
+    points = np.asarray(points, dtype=np.float64)
+    n = spec.dimension
+    try:
+        # floats carry an overflow as inf, and so do arrays under "ignore"
+        with np.errstate(all="ignore"):
+            if _accepts(spec, points):
+                columns = list(np.ascontiguousarray(points.T))
+                return eval_F2(spec, columns[:n], columns[n:])
+    except (FinslerError, ArithmeticError):
+        pass
+    return np.array([f2_value(spec, p[:n], p[n:]) for p in points])
+
+
 def _float_expression(node: expr.Node, xs) -> float:
     """A position-only expression at float coordinates ``xs``; overflow
     raises :class:`DomainError`, as in :func:`f2_value`."""
@@ -313,6 +340,22 @@ def check_domain(spec: MetricSpec, point) -> PhasePoint:
     if guard_distance(spec, p.x) < 0.0:
         raise DomainError(f"|x| = {_radius(p.x)!r} outside the ball guard |x| <= 1 - {FUNK_GUARD_INSET}")
     return p
+
+
+def _accepts(spec: MetricSpec, points: np.ndarray) -> bool:
+    """Whether :func:`check_domain` accepts every row (x, y) of the float
+    array ``points``."""
+    n = spec.dimension
+    if points.ndim != 2 or points.shape[1] != 2 * n or not np.isfinite(points).all():
+        return False
+    if not (points[:, n:] != 0.0).any(axis=1).all():
+        return False
+    guard = FAMILIES[spec.family].guard
+    if guard == math.inf:
+        return True
+    # numpy's |x| is within a few ulps of _radius's: nearer rows are decided by guard_distance
+    radii = np.sqrt((points[:, :n] ** 2).sum(axis=1))
+    return all(guard_distance(spec, x) >= 0.0 for x in points[radii >= guard - 1e-12, :n])
 
 
 def _radius(xs) -> float:

@@ -82,7 +82,7 @@ import numpy as np
 
 from . import expr, metrics
 from .errors import DomainError, OrderError, SingularMetricError
-from .jets import Jet, JetArray, JetSpace, seed_phase_point, stack
+from .jets import Jet, JetArray, JetSpace, _sequential_sum, seed_phase_point, stack
 from .metrics import PhasePoint
 
 __all__ = [
@@ -226,34 +226,51 @@ def mat_inv_det(mat):
     return JetArray(space, aug[:, np.argsort(columns)]), (-det if sign < 0 else det)
 
 
-def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
+# The contractions of the first-integral formulas below: numpy's for float
+# values (first_integral_set), a tensor's own for tensors of jets; the
+# left-to-right ones run the jets' sums on plain values (PointEvaluation.EE).
+_TRACE = operator.methodcaller("trace")
+
+
+def _matmul_left_to_right(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of plain matrices, each entry adding its products left to right
+    as a tensor's ``@`` does (numpy's may call BLAS, which can fuse them)."""
+    return _sequential_sum(a[..., None] * b[..., None, :, :], a.ndim - 1)
+
+
+def _trace_left_to_right(a: np.ndarray):
+    """The trace of a plain matrix, adding left to right as a tensor's does."""
+    return _sequential_sum(np.diagonal(a), 0)
+
+
+def build_EE(F, g_inv: np.ndarray, E: np.ndarray, matmul=operator.matmul) -> np.ndarray:
     """EE^i_j = 2 F g^{ik} E_kj from F, g^-1 and E: their values, or a jet
     and tensors in one space."""
-    return 2.0 * F * (g_inv @ E)
+    return 2.0 * F * matmul(g_inv, E)
 
 
-def _power_traces(EE: np.ndarray) -> np.ndarray:
+def _power_traces(EE: np.ndarray, matmul=operator.matmul, trace=_TRACE) -> np.ndarray:
     """f_a = tr(EE^a), a = 1..n-1."""
     power = EE
-    f = [power.trace()]
+    f = [trace(power)]
     for _ in range(EE.shape[0] - 2):
-        power = power @ EE
-        f.append(power.trace())
+        power = matmul(power, EE)
+        f.append(trace(power))
     return np.array(f)
 
 
-def _charpoly(EE: np.ndarray) -> np.ndarray:
+def _charpoly(EE: np.ndarray, matmul=operator.matmul, trace=_TRACE) -> np.ndarray:
     """c_1..c_{n-1}, the coefficients of det(Lambda I + EE) by
     Faddeev-LeVerrier: M_1 = EE, c_1 = tr M_1, M_k = EE (c_{k-1} I - M_{k-1}),
     c_k = tr(M_k)/k.  EE holds floats or, for the scalar fields, is a tensor
     of jets, and so do the coefficients."""
     n = EE.shape[0]
     M = EE
-    c = [M.trace()]
+    c = [trace(M)]
     eye = np.eye(n)
     for k in range(1, n - 1):
-        M = EE @ (c[k - 1] * eye - M)
-        c.append(M.trace() / (k + 1))
+        M = matmul(EE, c[k - 1] * eye - M)
+        c.append(trace(M) / (k + 1))
     return np.array(c)
 
 
@@ -486,18 +503,35 @@ class PointEvaluation:
 
     @_stage
     def EE(self):
-        """EE^i_j = 2 F g^{ik} E_kj (:func:`build_EE`), E from the trace of B."""
-        return build_EE(*_align(self.F, self.g_inv, self.E))
+        """EE^i_j = 2 F g^{ik} E_kj (:func:`build_EE`), E from the trace of B.
+        Of order-0 jets (a field value's), it is formed on their values
+        with the jets' left-to-right sums: the same bits, without the
+        tensor arithmetic."""
+        F, g_inv, E = _align(self.F, self.g_inv, self.E)
+        if F.space.order:
+            return build_EE(F, g_inv, E)
+        values = build_EE(F.coeffs[0], g_inv.num, E.num, _matmul_left_to_right)
+        return JetArray(F.space, values[..., None], 0)
+
+    def _invariants(self, invariants):
+        """``invariants`` (:func:`_power_traces` or :func:`_charpoly`) of EE,
+        jets in an object array; of order-0 jets, run on EE's values as
+        :attr:`EE` runs."""
+        EE = self.EE
+        if EE.space.order:
+            return invariants(EE)
+        values = invariants(EE.num, _matmul_left_to_right, _trace_left_to_right)
+        return np.array([Jet(EE.space, c, 0) for c in values[:, None]])
 
     @_stage
     def power_traces(self):
         """The jets f_a = tr(EE^a), a = 1..n-1, in an object array."""
-        return _power_traces(self.EE)
+        return self._invariants(_power_traces)
 
     @_stage
     def charpoly(self):
         """The jets c_1..c_{n-1} of det(Lambda I + EE), in an object array."""
-        return _charpoly(self.EE)
+        return self._invariants(_charpoly)
 
     @_stage
     def s_cl(self):

@@ -49,7 +49,8 @@ Evaluations are lazy, and each builds only the tensors its suites read:
   cap 1 (:mod:`finslerkit.tensors`), the others at the default cap 2;
 * the one at a second fiber direction: the Hamel residual;
 * the finite-difference oracle: an order-4 jet of F^2, also at cap 2,
-  and float values.
+  and the float F^2 values of every sampled partial's stencil points, in
+  one array call (:func:`finslerkit.fdcheck.fd_partials`).
 
 None of them builds a full curvature packet (:meth:`PointEvaluation.packet`)
 or the curvature R^i_jk of the nonlinear connection.  No suite compares
@@ -198,9 +199,6 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
     # draws a second fiber direction at each of the first ten points, in order
     rng2 = np.random.default_rng(seed + 1)
 
-    def f2_flat(c):
-        return metrics.f2_value(spec, c[:n], c[n:])
-
     # the oracle's row is reported even when every partial is below its noise floor
     add("jets_match_finite_differences", 0.0)
 
@@ -303,8 +301,9 @@ def verify_metric(spec, n_points: int = 200, seed: int = 0) -> VerifyReport:
                     coords = list(x_fd) + list(p.y)
                     jet_vals = {m: jet.extract(m) for m in idxs}
                     scale = max(abs(v) for v in jet_vals.values())
-                    for m in idxs:
-                        fd = fdcheck.fd_partial(f2_flat, coords, m)
+                    # the stencil points of every sampled partial in one array F^2 call
+                    fds = fdcheck.fd_partials(lambda points: metrics.f2_values(spec, points), coords, idxs)
+                    for m, fd in zip(idxs, fds):
                         # partials smaller than the stencils' roundoff amplification
                         # are invisible to the oracle: both routes agree the value is
                         # "zero at this resolution" and a ratio would be pure noise

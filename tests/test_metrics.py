@@ -87,6 +87,53 @@ def test_evaluation_errors():
         expr.check_variables(expr.parse_expression("x4"), 3)
 
 
+# every node type: literals, variables, the reducers, negation, the three
+# functions, integer, negative and rational powers and the four operators
+ARRAY_CASES = (
+    "2.5", "x1", "y2", "normx2", "normy2", "dotxy", "-x2", "sqrt(normy2)", "ln(normy2)",
+    "exp(x1 - y2)", "y1^3", "x1^-2", "normy2^(3/2)", "normy2^(-1/3)", "x1 + y1", "x1 - y2",
+    "x2*y1", "y1/x2", "2.5*exp(0.3*x1)*(normy2 + 1)^(1/2) - ln(1 + x2^2)/y2",
+)
+
+
+@pytest.mark.parametrize("text", ARRAY_CASES)
+def test_array_evaluation_has_each_entry_s_float_bits(text):
+    """Over float arrays every entry has the bits of the same tree over that
+    entry's floats; numpy's own powers, exp and log differ from math's in
+    the last bit for a few percent of these arguments, so 400 entries show
+    a tree that uses them."""
+    rng = np.random.default_rng(7)
+    xs = list(rng.uniform(0.2, 2.0, (2, 400)))
+    ys = list(rng.uniform(0.2, 2.0, (2, 400)) * rng.choice([-1.0, 1.0], (2, 400)))
+    node = expr.parse_expression(text)
+    got = np.broadcast_to(expr.evaluate(node, xs, ys), (400,))
+    for k in range(400):
+        want = expr.evaluate(node, [x[k] for x in xs], [y[k] for y in ys])
+        assert float(got[k]).hex() == float(want).hex(), (text, k)
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("sqrt(x1)", [0.5, -0.25, -1.0]),
+        ("ln(x1)", [0.5, 0.0, -1.0]),
+        ("x1^(1/2)", [0.5, -0.0, -1.0]),
+        ("1/x1", [0.5, -0.0, 0.0]),
+        ("x1^-2", [0.5, 0.0, 1.0]),
+        ("exp(1e6*x1)", [-1.0, 1.0, 2.0]),
+        ("x1^400", [1.0, 1e300, 1e200]),
+    ],
+)
+def test_array_guards_raise_the_first_failing_entry_s_float_error(text, values):
+    node = expr.parse_expression(text)
+    with pytest.raises(Exception) as want:
+        for v in values:
+            expr.evaluate(node, [v], [1.0])
+    with pytest.raises(want.type) as got:
+        expr.evaluate(node, [np.array(values)], [np.ones(3)])
+    assert str(got.value) == str(want.value)
+
+
 def test_check_variables_names_the_first_defect_in_reading_order():
     def message(text):
         with pytest.raises(DimensionError) as info:
@@ -581,3 +628,63 @@ def test_float_overflow_is_outside_the_domain():
     with pytest.raises(DomainError):
         metrics.parse_metric("[metric]\ndimension = 2\nfamily = euclidean\nsigma = exp(1e6*(1 + normx2))\n")
 
+
+
+# -- F^2 over an array of points ----------------------------------------------------
+
+ELEMENTARY = (
+    "[metric]\nname = elementary\ndimension = 3\nfamily = custom\n"
+    "expression = exp(0.3*x1)*normy2 + ln(2 + x2)*(y1^2 + y3^2) + (normy2^2 + y2^4)^(1/2)\n"
+)
+
+
+def test_array_energy_has_the_bits_of_f2_value(catalog3, randers, written):
+    specs = [*catalog3.values(), metrics.catalog(4)["funk_ball_berwald"], randers, written, metrics.parse_metric(ELEMENTARY)]
+    for spec in specs:
+        n = spec.dimension
+        points = np.array([p.x + p.y for p in metrics.sample_points(spec, 50, 2)])
+        got = metrics.f2_values(spec, points)
+        assert got.dtype == np.float64 and got.shape == (50,)
+        for row, value in zip(points, got):
+            assert value.hex() == metrics.f2_value(spec, row[:n], row[n:]).hex(), spec.name
+
+
+def _custom(text):
+    return metrics.MetricSpec(name="probe", dimension=2, family="custom", expression=expr.parse_expression(text))
+
+
+GOOD_ROW = [0.1, -0.2, 0.8, 0.5]
+
+
+@pytest.mark.parametrize(
+    "spec, bad_rows",
+    [
+        # a guard exit, then a point with y = 0
+        (metrics.catalog(2)["funk_ball_berwald"], [[0.9999995, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0]]),
+        # a fiber pole, then a negative square root
+        (_custom("normy2 + y1^3/y2 + sqrt(y1^4 - x1*y2^4)"), [[0.1, 0.0, 1.0, 0.0], [2.0, 0.0, 1.0, 1.0]]),
+        # a negative square root, then a fiber pole
+        (_custom("normy2 + y1^3/y2 + sqrt(y1^4 - x1*y2^4)"), [[2.0, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 0.0]]),
+        # an overflow in exp, then in a power
+        (_custom("normy2*exp(1e6*x1) + (1e200*y1)^2"), [[0.5, 0.0, 1.0, 0.0], [-1.0, 0.0, 1e200, 0.0]]),
+        # an energy that is not positive, then a non-finite coordinate
+        (_custom("normy2 - 2*x1^2*y1^2"), [[3.0, 0.0, 2.0, 0.1], [math.nan, 0.0, 1.0, 0.0]]),
+        (_custom("normy2"), [[math.inf, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+    ],
+)
+def test_array_energy_raises_f2_value_s_error_for_the_first_failing_row(spec, bad_rows):
+    bad = bad_rows[0]
+    with pytest.raises(Exception) as want:
+        metrics.f2_value(spec, bad[:2], bad[2:])
+    with pytest.raises(want.type) as got:
+        metrics.f2_values(spec, np.array([GOOD_ROW, *bad_rows, GOOD_ROW]))
+    assert str(got.value) == str(want.value)
+
+
+def test_array_energy_of_rows_of_another_width_raises_f2_value_s_error(funk):
+    """A row is split as x, its first n coordinates, and y, the rest."""
+    with pytest.raises(DimensionError) as want:
+        metrics.f2_value(funk, [0.1, 0.2, 1.0], [0.0])
+    with pytest.raises(DimensionError) as got:
+        metrics.f2_values(funk, np.array([[0.1, 0.2, 1.0, 0.0]]))
+    assert str(got.value) == str(want.value)

@@ -652,6 +652,32 @@ def test_capped_evaluations_equal_uncapped_bit_for_bit(catalog3, randers, jet_pr
     assert values == {field: integrals._lookup(spec, field).build(uncapped).num for field in names}
 
 
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape, values and signs of zero (long double padding aside)."""
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name", CAP_METRICS)
+def test_order_zero_tail_runs_on_values_with_the_jet_route_s_bits(catalog3, randers, jet_products, name, dtype):
+    """A field value's EE, f_a and c_a are order-0 jets: they are formed on
+    plain value arrays, with no jet product, and equal the jet route."""
+    spec = {**catalog3, "ball4": metrics.catalog(4)["funk_ball_berwald"], "randers3": randers}[name]
+    for seed in (3, 4):
+        ev = PointEvaluation(spec, _sample(spec, seed), order=5, x_cap=1, dtype=dtype)
+        EE = tensors.build_EE(*tensors._align(ev.F, ev.g_inv, ev.E))
+        assert EE.space.order == 0
+        want = {"power_traces": tensors._power_traces(EE), "charpoly": tensors._charpoly(EE)}
+        jet_products.count = 0
+        assert ev.EE.space is EE.space and _bitwise_equal(ev.EE.coeffs, EE.coeffs)
+        for stage, jets in want.items():
+            got = getattr(ev, stage)
+            assert len(got) == len(jets) == spec.dimension - 1
+            for g, w in zip(got, jets):
+                assert g.space is w.space and _bitwise_equal(g.coeffs, w.coeffs), stage
+        assert jet_products.count == 0
+
+
 @pytest.mark.parametrize("n, calls", [(3, 117), (4, 336)])
 def test_berwald_is_three_fiber_gradients_of_G(catalog3, monkeypatch, n, calls):
     spec = catalog3["funk_ball_berwald"] if n == 3 else metrics.catalog(4)["funk_ball_berwald"]
