@@ -37,9 +37,9 @@ fields evaluated together share one EE and one set of invariants: the
 f_a and c_a read ``power_traces`` and ``charpoly`` of EE, whose E comes
 from the Berwald tensor; ``s_cl`` contracts the mean Cartan and mean
 Landsberg route E_CL instead, so the paper's second expression is a
-field of its own (it equals f_1 / (2F)).  :func:`build_EE` and the two
-invariant routines live beside those stages and are the ones
-:func:`first_integral_set` applies to float values.
+field of its own (it equals f_1 / (2F)).  :func:`first_integral_set` applies
+:func:`build_EE` and the two invariant routines of those stages to float
+values, so its EE, f_a and c_a have the fields' bits at the same point.
 
 A field built from jets seeded one order above its ``min_order`` comes
 out as a jet of order >= 1, and its degree-1 Taylor coefficients are its

@@ -5,9 +5,12 @@ CSVs, must reproduce the committed reports, `generated_at` aside.
 Strings, booleans and integers must be equal and floats must agree to
 1e-12 relative.  After a change that moves an output on purpose, rewrite
 the file with ``PYTHONPATH=src python tests/test_golden.py`` and explain
-the difference where the change is recorded.
+the difference where the change is recorded.  With ``--diff`` the script
+writes nothing and prints every float that moved, with its old and new
+value and relative change, and every other difference.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -118,6 +121,26 @@ def _mismatch(got, want, where: str) -> str | None:
     return None
 
 
+def differences(got, want, where: str = ""):
+    """A line for each leaf where ``got`` is not ``want`` bit for bit: the old
+    and new value, and for a float its relative change."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for k in sorted(want.keys() ^ got.keys()):
+            yield f"{where}.{k}: only in the {'new' if k in got else 'old'} reports".lstrip(".")
+        for k in want:
+            if k in got:
+                yield from differences(got[k], want[k], f"{where}.{k}".lstrip("."))
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from differences(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and isinstance(got, float):
+        if got != want and not (math.isnan(got) and math.isnan(want)):
+            rel = abs(got - want) / abs(want) if want else math.inf
+            yield f"{where}: {want!r} -> {got!r} (relative {rel:.2e})"
+    elif type(got) is not type(want) or got != want:
+        yield f"{where}: {want!r} -> {got!r}"
+
+
 def test_reports_match_the_golden_files(tmp_path):
     want = json.loads(GOLDEN.read_text())
     got = reports(tmp_path)
@@ -134,9 +157,35 @@ def test_mismatch_reads_relative_differences():
     assert _mismatch({"a": "x"}, {"b": "x"}, "r") == "r: keys differ"
 
 
+def test_differences_list_every_moved_leaf():
+    old = {"a": [1.0, "x", 2.0], "b": 0.0, "c": 3}
+    new = {"a": [1.0 + 2**-52, "y", 2.0], "b": 1e-300, "d": 3}
+    assert list(differences(new, old, "r")) == [
+        "r.c: only in the old reports",
+        "r.d: only in the new reports",
+        "r.a[0]: 1.0 -> 1.0000000000000002 (relative 2.22e-16)",
+        "r.a[1]: 'x' -> 'y'",
+        "r.b: 0.0 -> 1e-300 (relative inf)",
+    ]
+    assert list(differences({"a": [float("nan"), True]}, {"a": [float("nan"), True]})) == []
+    assert list(differences({"a": 1, "b": True}, {"a": 1.0, "c": 1})) == [
+        "b: only in the new reports", "c: only in the old reports", "a: 1.0 -> 1",
+    ]
+    assert list(differences({"a": [1.0]}, {"a": [1.0, 2.0]})) == ["a: [1.0, 2.0] -> [1.0]"]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden reports, or list how they moved.")
+    parser.add_argument("--diff", action="store_true", help="print every difference from the file; write nothing")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         docs = reports(Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(docs, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {len(docs)} reports to {GOLDEN}", file=sys.stderr)
+    if args.diff:
+        lines = list(differences(docs, json.loads(GOLDEN.read_text())))
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} differences from {GOLDEN}", file=sys.stderr)
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(docs, sort_keys=True, indent=1) + "\n")
+        print(f"wrote {len(docs)} reports to {GOLDEN}", file=sys.stderr)

@@ -185,6 +185,48 @@ def test_fields_share_one_EE_and_one_set_of_invariants(funk, monkeypatch):
     assert sorted(vals) == ["c1", "c2", "f1", "f2"]
 
 
+TOWER = ("euclidean", "funk_ball_berwald", "riemannian_flat_skew", "riemannian_round_sphere", "ball4", "randers3")
+
+
+def _tower_spec(name, catalog3, randers):
+    return {**catalog3, "ball4": metrics.catalog(4)["funk_ball_berwald"], "randers3": randers}[name]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape, values and signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_first_integral_set_has_the_bits_of_the_fields(catalog3, randers, name):
+    # one contraction for plain values: inspect and verify (first_integral_set
+    # on a packet) give the EE, f_a and c_a that flow and bracket read
+    spec = _tower_spec(name, catalog3, randers)
+    n = spec.dimension
+    names = [f"f{a}" for a in range(1, n)] + [f"c{a}" for a in range(1, n)]
+    for p in metrics.sample_points(spec, 20, 0):
+        fis = _packet_integrals(tensors.PointEvaluation(spec, p).packet())
+        vals = integrals.evaluate_fields(spec, names, p)
+        assert _same_bits(np.concatenate([fis.f, fis.c]), [vals[k] for k in names])
+        assert _same_bits(fis.EE, tensors.PointEvaluation(spec, p, order=5, x_cap=1).EE.num)
+        assert _same_bits(fis.EE, tensors.PointEvaluation(spec, p, order=5).EE.num)
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_the_plain_contraction_has_the_stages_bits_in_long_double(catalog3, randers, name):
+    # numpy.linalg takes no long double, so first_integral_set's cross-checks
+    # cannot run there; its contraction of the values can
+    spec = _tower_spec(name, catalog3, randers)
+    for p in metrics.sample_points(spec, 20, 0):
+        ev = tensors.PointEvaluation(spec, p, order=5, dtype=np.longdouble)
+        EE = tensors.build_EE(ev.F.coeffs[0], ev.g_inv.num, ev.E.num)
+        fields = tensors.PointEvaluation(spec, p, order=5, x_cap=1, dtype=np.longdouble)
+        assert _same_bits(EE, fields.EE.num) and _same_bits(EE, ev.EE.num)
+        for stage, invariants in (("power_traces", tensors._power_traces), ("charpoly", tensors._charpoly)):
+            assert _same_bits(invariants(EE), [jet.coeffs[0] for jet in getattr(fields, stage)]), stage
+
+
 def test_s_cl_reads_the_cartan_landsberg_route(funk, monkeypatch):
     # s_cl contracts E_CL = 1/2 (I_{j;i} + J_{i.j}), never the Berwald E:
     # with E replaced by garbage its value stays the same, bit for bit

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from finslerkit import expr, integrals, metrics, tensors, verify
+from finslerkit.errors import DomainError
 from finslerkit.jets import seed_phase_point
 from finslerkit.tensors import PhasePoint, PointEvaluation
 from finslerkit.verify import SIGMA_TEST_EXPRESSION, SuiteResult, _norm, verify_metric
@@ -99,6 +100,28 @@ RANDERS3_CONFIG = (
     "[metric]\nname = randers3\ndimension = 3\nfamily = custom\n"
     "expression = (sqrt(normy2) + 0.3*y1 - 0.2*y3)^2\n"
 )
+
+# the ball as a custom metric: no position guard, so a sampled |x| > 1
+# leaves part of the fiber outside the domain
+BALL_CUSTOM_CONFIG = (
+    "[metric]\nname = ballc\ndimension = 3\nfamily = custom\n"
+    "expression = (sqrt(normy2 - (normx2*normy2 - dotxy*dotxy)) + dotxy)^4"
+    " / ((1 - normx2)^4 * (normy2 - (normx2*normy2 - dotxy*dotxy)))\n"
+)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_hamel_suite_redraws_a_second_fiber_direction_outside_the_domain(seed):
+    rep = verify_metric(metrics.parse_metric(BALL_CUSTOM_CONFIG), n_points=12, seed=seed)
+    assert "hamel_y_independence" in [s.name for s in rep.suites]
+
+
+def test_hamel_suite_names_itself_and_the_point_when_no_fiber_direction_evaluates():
+    # at |x| = 1.2 the fiber direction e_2, orthogonal to x, is outside the domain
+    always_e2 = SimpleNamespace(standard_normal=lambda n: np.array([0.0, 1.0, 0.0]))
+    spec = metrics.parse_metric(BALL_CUSTOM_CONFIG)
+    with pytest.raises(DomainError, match=r"hamel_y_independence.*200 draws.*x = \(1\.2, 0\.0, 0\.0\)"):
+        verify._second_fiber_hamel(spec, (1.2, 0.0, 0.0), always_e2)
 
 
 def test_reports_follow_the_suite_table_and_use_every_row(reports):
