@@ -159,7 +159,14 @@ def cmd_flow(args) -> int:
     if watch:
         integrals.field_order(spec, watch)  # an unknown field fails now, not after the integration
     settings = flow.IntegrateSettings(rtol=args.rtol, atol=args.atol)
-    traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
+    failure = None
+    try:
+        traj = flow.integrate(spec, (x0, y0), args.tmax, settings)
+    except StepFailure as exc:
+        if exc.trajectory is None:
+            raise
+        # report the samples so far, then fail with the integrator's error
+        traj, failure = exc.trajectory, exc
     # the CSV and the drift report read one evaluation per sample
     values = flow.field_values(spec, traj, watch) if watch else {}
     if args.out:
@@ -182,6 +189,8 @@ def cmd_flow(args) -> int:
         }
         exit_code = 0 if drift_report.passed else 1
     _emit(report, None)
+    if failure is not None:
+        raise failure
     return exit_code
 
 

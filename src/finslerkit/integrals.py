@@ -252,7 +252,10 @@ def field_order(spec: MetricSpec, names) -> int:
 
 def evaluate_fields(spec: MetricSpec, names, p, dtype=np.float64) -> dict[str, float]:
     """Values of the named fields at one phase point (shared evaluation),
-    computed in ``dtype`` and returned as floats.
+    computed in ``dtype`` and returned as floats.  At a batch of points (a
+    list; :class:`~finslerkit.tensors.PointEvaluation`), each value is an
+    array of ``dtype``, one entry per point, with the bits of that point
+    evaluated alone.
 
     Values read at most one x-derivative of F^2 (E, for f_a and c_a), so
     the evaluation is seeded at x-degree cap 1."""

@@ -132,6 +132,24 @@ for a product one gather of the pairs of the space's product table for
 every entry at once.  Each entry sums its pairs like a product of two
 jets, and sums over an index add left to right, so a tensor formula
 gives the bits of the same formula on single jets.
+
+Batches of points
+-----------------
+A jet or tensor may also carry a sample axis, just before the coefficient
+axis: ``coeffs[*index, sample, size]``, with ``batched`` set.  It holds
+the same quantity at several points of one space, seeded by
+:func:`seed_phase_point` from a list of points.  No index operation ever
+touches that axis: indexing, :meth:`~JetArray.transpose`, sums, traces,
+``@``, :meth:`~_Coefficients.partials` and ``shape`` see the index axes
+alone, and an operand without the axis meets a batch as the same jet at
+every sample.  Linear operations and products act on each sample's
+coefficient vector as they act on a single jet's, so every sample has the
+bits of the same formula on its point alone.  The analytic functions
+compute each value part (and the function of it) entry by entry with the
+scalar code above, and solve the blocks of all samples at once; where a
+sample's first try fails, each sample is solved on its own
+(:meth:`Jet._solve`).  Batching pays past a point's order-5 F^2, whose
+products are too large to gain (:mod:`finslerkit.tensors`).
 """
 
 from __future__ import annotations
@@ -154,7 +172,7 @@ from .errors import (
     SignatureError,
 )
 
-__all__ = ["Jet", "JetArray", "JetSpace", "jet_space", "stack", "seed_phase_point"]
+__all__ = ["Jet", "JetArray", "JetSpace", "jet_space", "stack", "stack_samples", "seed_phase_point"]
 
 
 def _compositions(total: int, parts: int):
@@ -378,6 +396,7 @@ def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gam
 
     where ``t`` has a zero value part and ``t_k p_{d-k}`` is the degree-d
     part of the product of two homogeneous blocks (module docstring).
+    ``t`` holds one coefficient vector, or a batch's, one per row.
 
     Block d is solved from the degree-d slice of the product table: its
     pairs with a first factor of degree 0 read ``t_0 = 0``, and those with a
@@ -386,21 +405,24 @@ def _graded_solve(space: JetSpace, t: np.ndarray, start: float, beta: float, gam
     factor's degree alone, so it scales ``t`` before the gather; it is exact
     for the library's exponents, and the block is divided by d once.
     """
-    p = np.zeros(space.size, t.dtype)
-    p[0] = start
+    p = np.zeros(t.shape, t.dtype)
+    p[..., 0] = start
     if space.order >= 1:
         end = space.degree_end[1]
-        p[1:end] = t[1:end] * (delta + (beta - gamma) * start)
+        p[..., 1:end] = t[..., 1:end] * (delta + (beta - gamma) * start)
     for (d, lo, hi, ia, ib, starts), w in zip(space.graded_table, space.graded_weights(beta, gamma)):
         # not in place: the float64 weights would round a wider t
-        s = w * t[:hi]
-        prod = s[ia]
-        prod *= p[ib]
-        block = np.add.reduceat(prod, starts)
+        s = w * t[..., :hi]
+        if s.ndim == 1:
+            prod = s[ia]
+            prod *= p[ib]
+        else:  # a batch
+            prod = s.take(ia, axis=-1) * p.take(ib, axis=-1)
+        block = np.add.reduceat(prod, starts, axis=-1)
         block /= d
         if delta:
-            block += t[lo:hi] * delta
-        p[lo:hi] = block
+            block += t[..., lo:hi] * delta
+        p[..., lo:hi] = block
     return p
 
 
@@ -408,14 +430,33 @@ def _scaled(coeffs: np.ndarray, b0) -> np.ndarray:
     """Coefficients of u / b0 - 1 for a jet u of value part b0: the scaled
     jet less its value part."""
     t = coeffs / b0
-    t[0] = 0.0
+    t[..., 0] = 0.0
     return t
 
 
-def _value_function(name: str, b0):
+def _value_function(b0, name: str):
     """``math``'s function ``name`` at a float value part, numpy's at a
     wider one (see :meth:`Jet._b0`): float64 keeps math's bits."""
     return getattr(np if isinstance(b0, np.generic) else math, name)(b0)
+
+
+def _checked_b0(name: str, b0, positive: bool):
+    """The value part ``b0`` for the function ``name``: one that is not
+    finite raises :class:`DomainError`, and one that is not positive, where
+    ``positive`` asks for it, :class:`BranchError`."""
+    if not _value_function(b0, "isfinite"):
+        raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
+    if positive and b0 <= 0.0:
+        raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
+    return b0
+
+
+def _at_b0(b0, dtype, fn, *args):
+    """``fn(b0, *args)`` at a value part; at a batch's list of them
+    (:meth:`Jet._b0`), a column of it at each, in ``dtype``."""
+    if isinstance(b0, list):
+        return np.array([fn(b, *args) for b in b0], dtype)[:, None]
+    return fn(b0, *args)
 
 
 def _ipow(base, n: int):
@@ -452,15 +493,18 @@ def _products(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduceat(a.take(ia, axis=-1) * b.take(ib, axis=-1), starts, axis=-1)
 
 
-def _wrap(space: JetSpace, coeffs: np.ndarray, deg: int):
-    """A jet for one coefficient vector, a tensor for more."""
-    return Jet(space, coeffs, deg) if coeffs.ndim == 1 else JetArray(space, coeffs, deg)
+def _wrap(space: JetSpace, coeffs: np.ndarray, deg: int, batched: bool = False):
+    """A jet for one coefficient vector (or one batch of them), a tensor for more."""
+    if coeffs.ndim == 1 + batched:
+        return Jet(space, coeffs, deg, batched)
+    return JetArray(space, coeffs, deg, batched)
 
 
-def _index(index) -> tuple:
-    """A tensor index extended to the coefficient axis, which it never touches."""
+def _index(index, batched: bool) -> tuple:
+    """A tensor index extended to the sample and coefficient axes, which it
+    never touches."""
     index = index if isinstance(index, tuple) else (index,)
-    return index + (slice(None),) if any(i is Ellipsis for i in index) else index
+    return index + (slice(None),) * (1 + batched) if any(i is Ellipsis for i in index) else index
 
 
 def _sequential_sum(c: np.ndarray, axis: int) -> np.ndarray:
@@ -472,17 +516,19 @@ def _sequential_sum(c: np.ndarray, axis: int) -> np.ndarray:
 
 class _Coefficients:
     """What a jet and a tensor of jets share: a space, coefficients
-    ``coeffs[..., size]`` and their polynomial degree bound ``deg`` (module
-    docstring; the order when not given), and the operations that act on
+    ``coeffs[..., size]``, their polynomial degree bound ``deg`` (module
+    docstring; the order when not given) and whether they carry a sample
+    axis, ``batched`` (module docstring), and the operations that act on
     every coefficient vector alike.  Operands combine with broadcasting, so
     a jet meets a tensor as a tensor of one entry."""
 
-    __slots__ = ("space", "coeffs", "deg")
+    __slots__ = ("space", "coeffs", "deg", "batched")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, deg: int | None = None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, deg: int | None = None, batched: bool = False):
         self.space = space
         self.coeffs = coeffs
         self.deg = space.order if deg is None else deg  # callers keep it <= the order
+        self.batched = batched
 
     def _peer(self, other):
         if other.space is not self.space:
@@ -492,63 +538,84 @@ class _Coefficients:
             )
         return other
 
+    def _operands(self, other):
+        """For operands of which one is a batch: the coefficients of this
+        and of ``other`` aligned for broadcasting, the one without the
+        sample axis the same at every sample, and True, since their result
+        is a batch.  Operands of other spaces raise :class:`SignatureError`."""
+        self._peer(other)
+        if self.batched:
+            return self.coeffs, other.coeffs[..., None, :], True
+        return self.coeffs[..., None, :], other.coeffs, True
+
     def to_space(self, space: JetSpace):
         """This in a space of lower (or equal) order and cap; a view of
         the coefficients where the target layout is a prefix."""
         if space is self.space:
             return self
-        return type(self)(space, self.coeffs[..., self.space.truncation(space)], min(self.deg, space.order))
+        coeffs = self.coeffs[..., self.space.truncation(space)]
+        return type(self)(space, coeffs, min(self.deg, space.order), self.batched)
 
     def __neg__(self):
-        return type(self)(self.space, -self.coeffs, self.deg)
+        return type(self)(self.space, -self.coeffs, self.deg, self.batched)
 
     def __add__(self, other):
         if isinstance(other, _Coefficients):
-            deg = self._peer(other).deg
-            return _wrap(self.space, self.coeffs + other.coeffs, self.deg if self.deg > deg else deg)
+            a, b, batched = self.coeffs, other.coeffs, self.batched
+            if other.space is not self.space or other.batched != batched:
+                a, b, batched = self._operands(other)
+            deg = other.deg
+            return _wrap(self.space, a + b, self.deg if self.deg > deg else deg, batched)
         if isinstance(other, numbers.Real):
             c = self.coeffs.copy()
             c.T[0] += other  # the value parts
-            return type(self)(self.space, c, self.deg)
+            return type(self)(self.space, c, self.deg, self.batched)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, _Coefficients):
-            deg = self._peer(other).deg
-            return _wrap(self.space, self.coeffs - other.coeffs, self.deg if self.deg > deg else deg)
+            a, b, batched = self.coeffs, other.coeffs, self.batched
+            if other.space is not self.space or other.batched != batched:
+                a, b, batched = self._operands(other)
+            deg = other.deg
+            return _wrap(self.space, a - b, self.deg if self.deg > deg else deg, batched)
         if isinstance(other, numbers.Real):
             c = self.coeffs.copy()
             c.T[0] -= other
-            return type(self)(self.space, c, self.deg)
+            return type(self)(self.space, c, self.deg, self.batched)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, numbers.Real):
             c = -self.coeffs
             c.T[0] += other
-            return type(self)(self.space, c, self.deg)
+            return type(self)(self.space, c, self.deg, self.batched)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _Coefficients):
             space = self.space
-            deg = self.deg + self._peer(other).deg
+            a, b, batched = self.coeffs, other.coeffs, self.batched
+            if other.space is not space or other.batched != batched:
+                a, b, batched = self._operands(other)
+            deg = self.deg + other.deg
             if deg >= space.order:
-                return _wrap(space, _products(space, self.coeffs, other.coeffs), space.order)
+                return _wrap(space, _products(space, a, b), space.order, batched)
             # the product's nonzero coefficients all sit in the lower
             # order's layout, a prefix, and its table sums their pairs
             low = jet_space(space.dim, deg, space.x_cap)
-            part = _products(low, self.coeffs[..., : low.size], other.coeffs[..., : low.size])
+            part = _products(low, a[..., : low.size], b[..., : low.size])
             c = np.zeros(part.shape[:-1] + (space.size,), part.dtype)
             c[..., : low.size] = part
-            return _wrap(space, c, deg)
+            return _wrap(space, c, deg, batched)
         if isinstance(other, numbers.Real):
-            return type(self)(self.space, self.coeffs * float(other), self.deg)
+            return type(self)(self.space, self.coeffs * float(other), self.deg, self.batched)
         if isinstance(other, np.ndarray):
             # numbers times each jet: a tensor
-            return _wrap(self.space, other[..., None] * self.coeffs, self.deg)
+            scale = other.reshape(other.shape + (1,) * (1 + self.batched))
+            return _wrap(self.space, scale * self.coeffs, self.deg, self.batched)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -567,7 +634,7 @@ class _Coefficients:
         lower, src, fac = self.space._diff_table(var)
         out = self.coeffs.take(src, axis=-1)
         out *= fac
-        return type(self)(lower, out, self.deg - 1 if self.deg else 0)
+        return type(self)(lower, out, self.deg - 1 if self.deg else 0, self.batched)
 
     def partials(self, variables: range) -> "JetArray":
         """The partials by each of ``variables`` (all positions or all
@@ -577,7 +644,9 @@ class _Coefficients:
         lower, src, fac = self.space._diff_table(variables)
         out = self.coeffs.take(src, axis=-1)
         out *= fac
-        return JetArray(lower, out, self.deg - 1 if self.deg else 0)
+        if self.batched:
+            out = out.swapaxes(-3, -2)  # the new index axis goes before the samples
+        return JetArray(lower, out, self.deg - 1 if self.deg else 0, self.batched)
 
 
 class Jet(_Coefficients):
@@ -608,8 +677,15 @@ class Jet(_Coefficients):
         return cls(space, c, 1)
 
     def const(self, value: float) -> "Jet":
-        """Constant jet with this jet's signature and coefficient dtype."""
-        return Jet.constant(self.space, value, self.coeffs.dtype)
+        """Constant jet with this jet's signature, coefficient dtype and
+        samples."""
+        c = np.zeros(self.coeffs.shape, self.coeffs.dtype)
+        c[..., 0] = value
+        return Jet(self.space, c, 0, self.batched)
+
+    def samples(self) -> list["Jet"]:
+        """A batch's samples as single jets, views of its coefficients."""
+        return [Jet(self.space, c, self.deg) for c in self.coeffs]
 
     # -- inspection ---------------------------------------------------
 
@@ -623,7 +699,11 @@ class Jet(_Coefficients):
 
     @property
     def value(self) -> float:
-        """Value part (coefficient of the empty multi-index), as a float."""
+        """Value part (coefficient of the empty multi-index), as a float; of
+        a batch, the samples' value parts, an array of the coefficients'
+        dtype."""
+        if self.batched:
+            return self.coeffs[:, 0].copy()
         return float(self.coeffs[0])
 
     # ``num`` is the "plain number for control flow" accessor that jets and
@@ -694,7 +774,7 @@ class Jet(_Coefficients):
         if isinstance(other, Jet):
             return self * self._peer(other).recip()
         if isinstance(other, numbers.Real):
-            return Jet(self.space, self.coeffs / float(other), self.deg)
+            return Jet(self.space, self.coeffs / float(other), self.deg, self.batched)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -709,18 +789,20 @@ class Jet(_Coefficients):
 
     # -- analytic functions by degree-graded recurrences ------------------
 
-    def _b0(self, name: str):
+    def _b0(self, name: str, positive: bool = False):
         """The value part in the coefficients' precision (a float for
         float64, else a numpy scalar of the wider dtype), for the function
-        ``name``: one that is not finite raises :class:`DomainError`."""
-        b0 = self.coeffs[0].item()
-        if not _value_function("isfinite", b0):
-            raise DomainError(f"{name} of a jet with non-finite value part {b0!r}")
-        return b0
+        ``name``, checked by :func:`_checked_b0`; of a batch, the list of
+        its samples' value parts, checked in turn."""
+        if self.batched:
+            return [_checked_b0(name, v.item(), positive) for v in self.coeffs[:, 0]]
+        return _checked_b0(name, self.coeffs[0].item(), positive)
 
-    def _solve(self, name: str, b0, solve) -> "Jet":
+    def _solve(self, name: str, b0, solve, single, *args) -> "Jet":
         """The jet function ``name`` at value part ``b0``, whose coefficients
-        ``solve`` computes from this jet's.
+        ``solve`` computes from this jet's; ``single(jet, *args)`` is the
+        function of one jet, which a batch applies to each sample where a
+        sample's first try fails.
 
         ``u / b0`` can overflow where every coefficient of the result
         fits, so an overflow or invalid operation retries once with the
@@ -735,9 +817,11 @@ class Jet(_Coefficients):
         """
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return Jet(self.space, solve(self.coeffs))
+                return Jet(self.space, solve(self.coeffs), None, self.batched)
         except (FloatingPointError, OverflowError):
             pass
+        if self.batched:
+            return stack_samples([single(sample, *args) for sample in self.samples()])
         degrees = self.space.degrees
         try:
             with np.errstate(over="raise", invalid="raise", under="raise"):
@@ -751,58 +835,62 @@ class Jet(_Coefficients):
 
     def recip(self) -> "Jet":
         b0 = self._b0("recip")
-        if b0 == 0.0:
+        if 0.0 in (b0 if self.batched else [b0]):
             raise PoleError("division by a jet with zero value part")
+        b = self.coeffs[:, :1] if self.batched else b0  # the value parts, by sample
         # (1 + t) v = 1
-        return self._solve("recip", b0, lambda c: _graded_solve(self.space, _scaled(c, b0), 1.0, 0.0, 1.0) / b0)
+        return self._solve(
+            "recip", b0, lambda c: _graded_solve(self.space, _scaled(c, b), 1.0, 0.0, 1.0) / b, Jet.recip
+        )
 
     def sqrt(self) -> "Jet":
         return self._power(0.5, "sqrt")
 
     def ln(self) -> "Jet":
-        b0 = self._b0("ln")
-        if b0 <= 0.0:
-            raise BranchError(f"ln of a jet with non-positive value part {b0!r}")
+        b0 = self._b0("ln", positive=True)
+        b = self.coeffs[:, :1] if self.batched else b0  # the value parts, by sample
 
         def solve(c):
             # (1 + t) E(w) = E(t)
-            p = _graded_solve(self.space, _scaled(c, b0), 0.0, 1.0, 1.0, 1.0)
-            p[0] = _value_function("log", b0)
+            p = _graded_solve(self.space, _scaled(c, b), 0.0, 1.0, 1.0, 1.0)
+            p[..., :1] = _at_b0(b0, p.dtype, _value_function, "log")
             return p
 
-        return self._solve("ln", b0, solve)
+        return self._solve("ln", b0, solve, Jet.ln)
 
     def exp(self) -> "Jet":
         b0 = self._b0("exp")
 
         def solve(c):
             t = c.copy()
-            t[0] = 0.0
+            t[..., 0] = 0.0
             # E(e) = e E(t)
-            return _graded_solve(self.space, t, 1.0, 1.0, 0.0) * _value_function("exp", b0)
+            value = _at_b0(b0, c.dtype, _value_function, "exp")
+            return _graded_solve(self.space, t, 1.0, 1.0, 0.0) * value
 
-        return self._solve("exp", b0, solve)
+        return self._solve("exp", b0, solve, Jet.exp)
 
     def powc(self, alpha: float) -> "Jet":
         """Real power with constant exponent; requires a positive value part."""
         return self._power(alpha, f"power {alpha!r}")
 
     def _power(self, alpha: float, name: str) -> "Jet":
-        b0 = self._b0(name)
-        if b0 <= 0.0:
-            raise BranchError(f"{name} of a jet with non-positive value part {b0!r}")
+        b0 = self._b0(name, positive=True)
+        b = self.coeffs[:, :1] if self.batched else b0  # the value parts, by sample
 
         def solve(c):
             # (1 + t) E(p) = alpha p E(t)
-            return _graded_solve(self.space, _scaled(c, b0), 1.0, alpha + 1.0, 1.0) * b0**alpha
+            power = _at_b0(b0, c.dtype, pow, alpha)
+            return _graded_solve(self.space, _scaled(c, b), 1.0, alpha + 1.0, 1.0) * power
 
-        return self._solve(name, b0, solve)
+        return self._solve(name, b0, solve, Jet._power, alpha, name)
 
 
 class JetArray(_Coefficients):
     """A tensor of jets in one space, stored as one float array
     ``coeffs[*index, size]``: the last axis holds each entry's coefficients
-    in the space's layout.
+    in the space's layout.  A batch stores ``coeffs[*index, sample, size]``
+    (module docstring).
 
     Indexing down to one entry gives a :class:`Jet` (``t[i, j]`` or
     ``t[i][j]``), and so do reductions to a scalar; a result with index
@@ -823,7 +911,8 @@ class JetArray(_Coefficients):
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.coeffs.shape[:-1]
+        """The index axes: neither the sample axis nor the coefficient axis."""
+        return self.coeffs.shape[: self.coeffs.ndim - 1 - self.batched]
 
     @property
     def num(self) -> np.ndarray:
@@ -833,18 +922,21 @@ class JetArray(_Coefficients):
     @property
     def flat(self):
         """The entries in row-major order, as jets."""
-        return (Jet(self.space, c, self.deg) for c in self.coeffs.reshape(-1, self.space.size))
+        entries = self.coeffs.reshape((-1,) + self.coeffs.shape[len(self.shape) :])
+        return (Jet(self.space, c, self.deg, self.batched) for c in entries)
 
     def __repr__(self):
         s = self.space
         return f"JetArray(shape={self.shape}, dim={s.dim}, order={s.order}, x_cap={s.x_cap})"
 
     def __getitem__(self, index):
-        return _wrap(self.space, self.coeffs[_index(index)], self.deg)
+        return _wrap(self.space, self.coeffs[_index(index, self.batched)], self.deg, self.batched)
 
     def transpose(self, *axes) -> "JetArray":
-        axes = axes or tuple(reversed(range(len(self.shape))))
-        return JetArray(self.space, self.coeffs.transpose(*axes, len(self.shape)), self.deg)
+        ndim = len(self.shape)
+        axes = axes or tuple(reversed(range(ndim)))
+        coeffs = self.coeffs.transpose(*axes, *range(ndim, self.coeffs.ndim))
+        return JetArray(self.space, coeffs, self.deg, self.batched)
 
     @property
     def T(self) -> "JetArray":
@@ -853,15 +945,17 @@ class JetArray(_Coefficients):
     def sum(self, axis=None):
         """The sum over one index axis, or over all of them in row-major order."""
         c = self.coeffs
+        ndim = len(self.shape)
         if axis is None:
-            return _wrap(self.space, _sequential_sum(c.reshape(-1, self.space.size), 0), self.deg)
-        return _wrap(self.space, _sequential_sum(c, axis % len(self.shape)), self.deg)
+            entries = c.reshape((-1,) + c.shape[ndim:])
+            return _wrap(self.space, _sequential_sum(entries, 0), self.deg, self.batched)
+        return _wrap(self.space, _sequential_sum(c, axis % ndim), self.deg, self.batched)
 
     def trace(self, axis1: int = 0, axis2: int = 1):
         """The sum of the diagonal of two index axes."""
         ndim = len(self.shape)
         diagonal = np.diagonal(self.coeffs, 0, axis1 % ndim, axis2 % ndim)  # the diagonal axis comes last
-        return _wrap(self.space, _sequential_sum(diagonal, diagonal.ndim - 1), self.deg)
+        return _wrap(self.space, _sequential_sum(diagonal, diagonal.ndim - 1), self.deg, self.batched)
 
     def __matmul__(self, other):
         """numpy's matmul for matrices and vectors; each entry sums its
@@ -874,10 +968,15 @@ class JetArray(_Coefficients):
 
 
 def stack(entries):
-    """One tensor from jets or tensors, all of one space and shape, along a
-    new first axis."""
+    """One tensor from jets or tensors, all of one space, shape and batch,
+    along a new first axis."""
     first = entries[0]
-    return JetArray(first.space, np.stack([e.coeffs for e in entries]), max(e.deg for e in entries))
+    return JetArray(first.space, np.stack([e.coeffs for e in entries]), max(e.deg for e in entries), first.batched)
+
+
+def stack_samples(entries) -> Jet:
+    """One batch from single jets of one space, a sample each."""
+    return Jet(entries[0].space, np.stack([e.coeffs for e in entries]), max(e.deg for e in entries), True)
 
 
 class DualLayer:
@@ -890,7 +989,8 @@ class DualLayer:
 
 
 def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float64):
-    """Coordinate jets for a :class:`~finslerkit.metrics.PhasePoint`.
+    """Coordinate jets for a :class:`~finslerkit.metrics.PhasePoint`, or
+    batches of them for a list of points (module docstring).
 
     Returns ``2n`` jets over the shared space ``(2n, order, x_cap)``:
     variables ``0..n-1`` are the positions ``point.x``, ``n..2n-1`` the
@@ -902,6 +1002,8 @@ def seed_phase_point(point, order: int, x_cap: int | None = None, dtype=np.float
     """
     if order < 1:
         raise OrderError("seeding a phase point requires order >= 1")
+    if isinstance(point, list):
+        return [stack_samples(seeds) for seeds in zip(*(seed_phase_point(p, order, x_cap, dtype) for p in point))]
     n = len(point.x)
     space = jet_space(2 * n, order, x_cap)
     seeds = [Jet.variable(space, k, v, dtype) for k, v in enumerate(point.x)]

@@ -63,6 +63,13 @@ The scalars (``F2``, ``F``, ``det_g``, ``sigma``, ``tau``, ``S``,
 ``s_cl``) are single jets, and so is any one entry: ``ev.g[i, j]`` or
 ``ev.g[i][j]``.
 
+A :class:`PointEvaluation` of a batch of points (a list) runs every stage
+once for all of them, along the jets' sample axis (:mod:`finslerkit.jets`),
+each sample with the bits of its point evaluated alone.  F^2 is the
+exception: it is evaluated point by point and stacked, since its order-5
+products cost as much per point in a batch as alone, while the products
+and ``sqrt`` of the later stages cost a half to a fifth (in long double).
+
 Seeding one order above a quantity's depth leaves it a jet of order >= 1
 whose degree-1 coefficients are its phase-space gradient; the Poisson
 brackets of the derived first integrals read their gradients, ``N`` and
@@ -82,7 +89,7 @@ import numpy as np
 
 from . import expr, metrics
 from .errors import DomainError, OrderError, SingularMetricError
-from .jets import Jet, JetArray, JetSpace, _sequential_sum, seed_phase_point, stack
+from .jets import Jet, JetArray, JetSpace, _sequential_sum, seed_phase_point, stack, stack_samples
 from .metrics import PhasePoint
 
 __all__ = [
@@ -153,7 +160,13 @@ def _check_conditioned(g: np.ndarray, point) -> None:
     fundamental tensor at ``point``, has a 2-norm condition number (max|lambda|
     / min|lambda| over its eigenvalues) above :data:`COND_LIMIT`; a singular
     g, or one with an entry that is not finite, counts as infinite.  The
-    check runs in float64, whatever the coefficients' dtype."""
+    check runs in float64, whatever the coefficients' dtype.  Of a batch
+    (``point`` a list of points), g has a last axis of samples, and each
+    sample is checked in turn."""
+    if isinstance(point, list):
+        for k, p in enumerate(point):
+            _check_conditioned(g[..., k], p)
+        return
     g = np.asarray(g, np.float64)
     cond = math.inf
     if np.isfinite(g).all():
@@ -170,7 +183,7 @@ def _check_conditioned(g: np.ndarray, point) -> None:
 def mat_inv_det(mat):
     """Inverse and determinant of a small square matrix of scalars, by
     Gauss-Jordan elimination on ``[mat | I]`` with partial pivoting on the
-    value parts.
+    value parts; a batch pivots each sample on its own values.
 
     ``mat`` is a k x k tensor.  Each step eliminates one column with two
     tensor products: the pivot row times the pivot's reciprocal, then the
@@ -185,61 +198,88 @@ def mat_inv_det(mat):
     as a jet.  Raises :class:`SingularMetricError` on an exactly singular
     value part.
     """
-    space, k, deg = mat.space, mat.shape[0], mat.deg
+    space, k, deg, batched = mat.space, mat.shape[0], mat.deg, mat.batched
+    samples = mat.coeffs.shape[2] if batched else 1
     # Row r of ``aug`` holds the left block from the current column on,
     # then the live right-block columns in the order their rows pivoted.
-    # The elimination's row r, after its row swaps, is row ``at[r]`` of
-    # ``aug`` and row ``rows[r]`` of ``mat``.
+    # The elimination's row r is row ``at[r]`` of ``aug``; a row swap that
+    # not every sample of a batch makes moves the coefficients of those
+    # that do.  ``rows[s][r]`` is the row of ``mat`` that sample s's row r
+    # started as, and ``odd[s]`` the parity of its swaps.
     aug = mat.coeffs
     at = list(range(k))
-    rows = list(range(k))
-    columns = []  # the column of the inverse each live right one is
+    rows = [list(range(k)) for _ in range(samples)]
+    odd = [False] * samples
     det = None
-    sign = 1.0
     for col in range(k):
-        values = aug[:, 0, 0]
-        pivot_row = max(range(col, k), key=lambda r: abs(values[at[r]]))
-        if values[at[pivot_row]] == 0.0:
-            raise SingularMetricError("matrix of scalars has an exactly singular value part")
-        if pivot_row != col:
-            at[col], at[pivot_row] = at[pivot_row], at[col]
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        columns.append(rows[col])
-        pivot = Jet(space, aug[at[col], 0], deg)
+        values = aug[:, 0, ..., 0]  # a column of value parts per sample
+        picks = [_pivot_row(values[:, s] if batched else values, at, col) for s in range(samples)]
+        if len(set(picks)) == 1:
+            at[col], at[picks[0]] = at[picks[0]], at[col]
+        else:
+            aug = aug.copy() if aug is mat.coeffs else aug
+            view = aug.reshape(k, k, samples, -1)
+            for s, pivot_row in enumerate(picks):
+                a, b = at[col], at[pivot_row]
+                view[[a, b], :, s] = view[[b, a], :, s]
+        for s, pivot_row in enumerate(picks):
+            if pivot_row != col:
+                rows[s][col], rows[s][pivot_row] = rows[s][pivot_row], rows[s][col]
+                odd[s] = not odd[s]
+        pivot = Jet(space, aug[at[col], 0], deg, batched)
         det = pivot if det is None else det * pivot
         inv_pivot = pivot.recip()
         # the other rows keep their order, and the pivot row goes last
-        new = np.empty_like(aug)
+        new = np.empty(aug.shape, aug.dtype)
         pivot_aug = new[-1]
-        pivot_aug[:-1] = (JetArray(space, aug[at[col], 1:], deg) * inv_pivot).coeffs
+        pivot_aug[:-1] = (JetArray(space, aug[at[col], 1:], deg, batched) * inv_pivot).coeffs
         pivot_aug[-1] = inv_pivot.coeffs  # the identity's 1 times inv_pivot
         others = aug[at[:col] + at[col + 1 :]]
-        scaled = (JetArray(space, others[:, :1], deg) * JetArray(space, pivot_aug)).coeffs
+        scaled = (JetArray(space, others[:, :1], deg, batched) * JetArray(space, pivot_aug, None, batched)).coeffs
         np.subtract(others[:, 1:], scaled[:, :-1], out=new[:-1, :-1])
         # the new column is a structural zero in the other rows: -(factor ce)
         np.negative(scaled[:, -1], out=new[:-1, -1])
         aug, deg = new, space.order
         at = [r if r < col else r - 1 for r in range(k)]
         at[col] = k - 1
-    # the last step leaves every row where the elimination has it
-    return JetArray(space, aug[:, np.argsort(columns)]), (-det if sign < 0 else det)
+    # the last step leaves every row where the elimination has it, and its
+    # live columns in the order of ``rows``: put them in the inverse's
+    view = aug.reshape(k, k, samples, -1)
+    inverse = np.empty(view.shape, view.dtype)
+    for s, started in enumerate(rows):
+        inverse[:, :, s] = view[:, np.argsort(started), s]
+    if any(odd):
+        flip = np.array(odd).reshape(det.coeffs.shape[:-1] + (1,))
+        det = Jet(space, np.where(flip, -det.coeffs, det.coeffs), det.deg, batched)
+    return JetArray(space, inverse.reshape(aug.shape), None, batched), det
+
+
+def _pivot_row(values, at, col):
+    """The row from ``col`` on whose value part ``values[at[r]]`` is the
+    first largest in size; a zero one is an exactly singular matrix."""
+    pivot_row = max(range(col, len(at)), key=lambda r: abs(values[at[r]]))
+    if values[at[pivot_row]] == 0.0:
+        raise SingularMetricError("matrix of scalars has an exactly singular value part")
+    return pivot_row
 
 
 def _matmul(a, b):
     """a @ b for the first-integral formulas below: a tensor's own, or of plain
     values the same left-to-right sums, so values and jets get the same bits
-    (numpy's @ may call BLAS, which can fuse them)."""
+    (numpy's @ may call BLAS, which can fuse them).  Plain values index
+    their matrices by the first two axes, as tensors do: a batch's come
+    with a last axis of samples (:attr:`PointEvaluation.EE`)."""
     if isinstance(a, JetArray):
         return a @ b
-    return _sequential_sum(a[..., None] * b[..., None, :, :], a.ndim - 1)
+    return _sequential_sum(a[:, :, None] * b[None], 1)
 
 
 def _trace(a):
     """The trace of a matrix, adding left to right as :func:`_matmul` does."""
     if isinstance(a, JetArray):
         return a.trace()
-    return _sequential_sum(np.diagonal(a), 0)
+    diagonal = np.diagonal(a)  # the diagonal axis comes last
+    return _sequential_sum(diagonal, diagonal.ndim - 1)
 
 
 def build_EE(F, g_inv: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -266,7 +306,7 @@ def _charpoly(EE: np.ndarray) -> np.ndarray:
     n = EE.shape[0]
     M = EE
     c = [_trace(M)]
-    eye = np.eye(n)
+    eye = np.eye(n).reshape(EE.shape[:2] + (1,) * (len(EE.shape) - 2))  # over plain values' samples
     for k in range(1, n - 1):
         M = _matmul(EE, c[k - 1] * eye - M)
         c.append(_trace(M) / (k + 1))
@@ -318,7 +358,9 @@ class PointEvaluation:
     overflow in a stage is an error naming the stage and the point
     (:func:`_stage`).  The coordinate jets of
     :func:`~finslerkit.jets.seed_phase_point` are ``seeds``: positions
-    first, then fibers.
+    first, then fibers.  ``point`` may be a list of points, a batch
+    (module docstring): every jet and tensor then has their samples on its
+    sample axis, and ``num`` reads one value per sample.
     """
 
     def __init__(
@@ -329,7 +371,10 @@ class PointEvaluation:
         x_cap: int | None = 2,
         dtype=np.float64,
     ):
-        point = metrics.check_domain(spec, point)
+        if isinstance(point, list):
+            point = [metrics.check_domain(spec, p) for p in point]
+        else:
+            point = metrics.check_domain(spec, point)
         self.spec = spec
         self.point = point
         self.n = spec.dimension
@@ -368,7 +413,12 @@ class PointEvaluation:
 
     @_stage
     def F2(self):
-        return metrics.eval_F2(self.spec, self.xs, self.ys)
+        if not isinstance(self.point, list):
+            return metrics.eval_F2(self.spec, self.xs, self.ys)
+        # point by point: its order-5 products do not batch (module docstring)
+        n = self.n
+        samples = zip(*(seed.samples() for seed in self.seeds))
+        return stack_samples([metrics.eval_F2(self.spec, s[:n], s[n:]) for s in samples])
 
     @_stage
     def F(self):
@@ -508,8 +558,8 @@ class PointEvaluation:
         F, g_inv, E = _align(self.F, self.g_inv, self.E)
         if F.space.order:
             return build_EE(F, g_inv, E)
-        values = build_EE(F.coeffs[0], g_inv.num, E.num)
-        return JetArray(F.space, values[..., None], 0)
+        values = build_EE(F.coeffs[..., 0], g_inv.num, E.num)
+        return JetArray(F.space, values[..., None], 0, F.batched)
 
     def _invariants(self, invariants):
         """``invariants`` (:func:`_power_traces` or :func:`_charpoly`) of EE,
@@ -519,7 +569,7 @@ class PointEvaluation:
         if EE.space.order:
             return invariants(EE)
         values = invariants(EE.num)
-        return np.array([Jet(EE.space, c, 0) for c in values[:, None]])
+        return np.array([Jet(EE.space, c, 0, EE.batched) for c in values[..., None]])
 
     @_stage
     def power_traces(self):

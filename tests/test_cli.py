@@ -113,18 +113,18 @@ def test_flow_writes_csv_and_drift(tmp_path, capsys):
 
 
 def test_flow_evaluates_watched_fields_once_per_sample(tmp_path, capsys, monkeypatch):
-    calls = []
+    evaluated = []
     evaluate = flow.integrals.evaluate_fields
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
+    def counted(spec, names, p, *args, **kwargs):
+        evaluated.extend(p if isinstance(p, list) else [p])  # a batch evaluates each of its points
+        return evaluate(spec, names, p, *args, **kwargs)
 
     monkeypatch.setattr(flow.integrals, "evaluate_fields", counted)
     argv = ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "2", "--watch", "F,f1"]
     assert run(argv + ["--out", str(tmp_path / "traj.csv")]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert len(calls) == report["samples"]
+    assert len(evaluated) == report["samples"]
 
 
 def test_flow_exit_one_when_watched_field_drifts(capsys):
@@ -147,6 +147,22 @@ def test_flow_maps_step_failure_to_exit_three(monkeypatch, capsys):
     code = run(["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "1"])
     assert code == 3
     assert "underflow" in capsys.readouterr().err
+
+
+def test_flow_reports_the_samples_before_a_step_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    out = tmp_path / "traj.csv"
+    argv = ["flow", "--metric", FUNK, "--x0", "0,0,0", "--y0", "1,0,0", "--tmax", "10", "--watch", "F,f1"]
+    assert run(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exceeded 3 steps at t = ") and captured.err.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report["status"] == "step_failure" and report["stats"]["steps"] >= 1
+    assert 0.0 < report["t_final"] < 10.0 and report["samples"] > 1
+    assert set(report["drift"]["fields"]) == {"F", "f1"} and report["drift"]["passed"]
+    rows = out.read_text().splitlines()
+    assert rows[0] == "t,x1,x2,x3,y1,y2,y3,F,f1" and len(rows) == report["samples"] + 1
+    assert float(rows[-1].split(",")[0]) == report["t_final"]
 
 
 @pytest.mark.parametrize(

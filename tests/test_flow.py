@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from finslerkit import flow, integrals, metrics
-from finslerkit.errors import DomainError, StepFailure
+from finslerkit import expr, flow, integrals, metrics
+from finslerkit.errors import DomainError, SingularMetricError, StepFailure
 from finslerkit.flow import IntegrateSettings, Trajectory, integrate
 from finslerkit.tensors import PhasePoint
 
@@ -345,3 +345,93 @@ def test_non_finite_stage_is_a_rejected_step(funk, monkeypatch):
     assert np.isnan(states[5]).any()
     assert refused == [5]
     assert not any(np.isnan(p.x + p.y).any() for p in calls)
+
+
+# -- batched field values ----------------------------------------------------------
+
+def _per_sample(spec, traj, fields):
+    """The watched fields evaluated one sample at a time."""
+    rows = [integrals.evaluate_fields(spec, fields, (x, y), np.longdouble) for x, y in zip(traj.xs, traj.ys)]
+    return {name: np.array([row[name] for row in rows]) for name in fields}
+
+
+# (metric fixture, initial point, t_max, watched fields); each run spans
+# several batches and ends in a partial one
+BATCHED_RUNS = [
+    ("funk", ((0.24, 0.12, -0.15), (0.21, 0.9, 0.34)), 0.5, "F,F2,one,f1,f2,c1,c2,s_cl,g1_paper,g2_paper"),
+    ("ball4", ((0.1, -0.2, 0.15, 0.05), (0.7, 0.3, -0.5, 0.2)), 0.3, "f1,f2,f3,c3,s_cl"),
+    ("sphere", ((1 / 3, 2 / 3, 2 / 3), (1.0, 0.5, -1.0)), 2.0, "F"),
+    ("randers", ((0.1, -0.3, 0.2), (0.5, 1.0, -0.4)), 1.0, "f1,c2"),
+]
+
+
+@pytest.mark.parametrize("metric, init, t_max, watch", BATCHED_RUNS)
+def test_batched_field_values_equal_each_sample_alone_bit_for_bit(request, metric, init, t_max, watch):
+    spec = metrics.catalog(4)["funk_ball_berwald"] if metric == "ball4" else request.getfixturevalue(metric)
+    traj = integrate(spec, init, t_max)
+    assert len(traj) > 2 * flow.FIELD_BATCH and len(traj) % flow.FIELD_BATCH
+    fields = watch.split(",")
+    got, want = flow.field_values(spec, traj, fields), _per_sample(spec, traj, fields)
+    for name in fields:
+        assert got[name].dtype == np.float64
+        assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64)), name
+
+
+def test_field_values_batch_the_pipeline_but_not_f2(funk, monkeypatch):
+    evaluations, f2_points = [], []
+    evaluation, eval_F2 = flow.integrals.PointEvaluation, metrics.eval_F2
+
+    def counted_evaluation(spec, point, *args, **kwargs):
+        evaluations.append(len(point) if isinstance(point, list) else 1)
+        return evaluation(spec, point, *args, **kwargs)
+
+    def counted_F2(spec, xs, ys):
+        f2_points.append(xs[0].coeffs.ndim)
+        return eval_F2(spec, xs, ys)
+
+    traj = integrate(funk, ((0.24, 0.12, -0.15), (0.21, 0.9, 0.34)), 0.5)
+    assert len(traj) == 113
+    monkeypatch.setattr(flow.integrals, "PointEvaluation", counted_evaluation)
+    monkeypatch.setattr(metrics, "eval_F2", counted_F2)
+    flow.field_values(funk, traj, ["F", "f1", "f2"])
+    assert evaluations == [16] * 7 + [1]  # 8 batched evaluations: the last holds one sample
+    assert f2_points == [1] * 113  # F^2 point by point, a single jet each
+
+
+def _trajectory_with(points):
+    """A trajectory through the given (x, y) samples."""
+    xs, ys = (np.array(column, dtype=float) for column in zip(*points))
+    return Trajectory(np.arange(len(points), dtype=float), xs, ys, "completed", flow.IntegratorStats(1, 0, 0, 12, 1.0))
+
+
+_OVERFLOWING = metrics.MetricSpec(
+    # F^2 = |y|^2 (1 + (1e300 x1)^17): (1e300)^17 leaves even long double's range
+    name="overflowing", dimension=3, family="custom",
+    expression=expr.parse_expression("normy2*(1 + (1e300*x1)^17)"),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, bad, error, message",
+    [
+        ("funk", ((0.9999995, 0.0, 0.0), (0.0, 1.0, 0.0)), DomainError, "|x| = 0.9999995 outside the ball guard"),
+        # inside the guard, with cond(g) beyond COND_LIMIT
+        ("funk", ((0.999998, 0.0, 0.0), (0.3, 1.0, 0.0)), SingularMetricError,
+         "fundamental tensor is numerically singular at PhasePoint(x=(0.999998, 0.0, 0.0)"),
+        (_OVERFLOWING, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), DomainError,
+         "F2 leaves the float range at PhasePoint(x=(1.0, 0.0, 0.0), y=(0.0, 1.0, 0.0)): overflow"),
+    ],
+)
+def test_a_failing_sample_raises_its_own_error_from_a_batch(request, spec, bad, error, message):
+    # the fifth of eleven samples fails: the batch is evaluated again one
+    # sample at a time, and raises what the loop over the samples raises
+    spec = request.getfixturevalue(spec) if isinstance(spec, str) else spec
+    good = [((1e-301 * k, 0.1 * k, 0.0), (1.0, 0.5, -0.2 * k)) for k in range(1, 8)]
+    traj = _trajectory_with(good[:4] + [bad] + good[4:])
+    fields = ["F", "f1", "c2", "s_cl"]
+    with pytest.raises(error) as alone:
+        _per_sample(spec, traj, fields)
+    with pytest.raises(error) as batched:
+        flow.field_values(spec, traj, fields)
+    assert type(batched.value) is type(alone.value) and str(batched.value) == str(alone.value)
+    assert str(alone.value).startswith(message)

@@ -719,3 +719,112 @@ def test_products_below_the_order_keep_the_full_tables_bits(signature, data):
         assert got.deg <= got.space.order
         assert np.all(got.coeffs[..., got.space.degree_end[got.deg] :] == 0.0), op
         pool.append(got)
+
+
+# -- batches of points ----------------------------------------------------------------
+
+def _same(got, want):
+    """Equal arrays, signed zeros included (long double's padding bytes
+    are not compared)."""
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _sample(t, s):
+    """Sample ``s`` of a batched jet or tensor, as a single one."""
+    return type(t)(t.space, t.coeffs[..., s, :], t.deg)
+
+
+def _batch_cases(space, dtype, samples):
+    """(name, batched result, its per-sample results): every operation the
+    field chain runs on batches, on random operands of ``space`` in
+    ``dtype``, against the same operation on each sample alone.  ``u`` and
+    ``c`` carry no sample axis."""
+    rng = np.random.default_rng(7 * space.size + samples)
+
+    def coeffs(*shape):
+        c = rng.standard_normal(shape + (space.size,)).astype(dtype)
+        c[..., 0] = rng.uniform(0.5, 2.0, shape)  # positive value parts, for the analytic functions
+        return c
+
+    A, B = (JetArray(space, coeffs(2, 2, samples), None, True) for _ in range(2))
+    j = Jet(space, coeffs(samples), None, True)
+    c, u = JetArray(space, coeffs(2, 2)), Jet(space, coeffs())
+    per = [(_sample(A, s), _sample(B, s), _sample(j, s)) for s in range(samples)]
+    ops = {
+        "+": lambda A, B, j: A + B, "-": lambda A, B, j: A - B, "+ c": lambda A, B, j: A + c,
+        "c -": lambda A, B, j: c - A, "* 0.3": lambda A, B, j: A * 0.3, "2 -": lambda A, B, j: 2.0 - A,
+        "-A": lambda A, B, j: -A, "*": lambda A, B, j: A * B, "* c": lambda A, B, j: A * c,
+        "c *": lambda A, B, j: c * A, "j * c": lambda A, B, j: j * c, "u * A": lambda A, B, j: u * A,
+        "j * A": lambda A, B, j: j * A, "j * u": lambda A, B, j: j * u, "j * eye": lambda A, B, j: j * np.eye(2),
+        "j / 3": lambda A, B, j: j / 3.0, "j ** 3": lambda A, B, j: j**3, "const": lambda A, B, j: j.const(1.0),
+        "A[1]": lambda A, B, j: A[1], "A[0, 1]": lambda A, B, j: A[0, 1], "A[:, 1]": lambda A, B, j: A[:, 1],
+        "A[1][0]": lambda A, B, j: A[1][0], "A[..., 0, None]": lambda A, B, j: A[..., 0, None],
+        "A[:, None]": lambda A, B, j: A[:, None], "T": lambda A, B, j: A.T,
+        "sum 0": lambda A, B, j: A.sum(axis=0), "sum -1": lambda A, B, j: A.sum(axis=-1),
+        "sum": lambda A, B, j: A.sum(), "trace": lambda A, B, j: A.trace(), "@": lambda A, B, j: A @ B,
+        "@ c": lambda A, B, j: A @ c, "c @": lambda A, B, j: c @ A, "@ vector": lambda A, B, j: A @ B[:, 0],
+        "vector @": lambda A, B, j: A[0] @ B, "stack": lambda A, B, j: stack([j, j * j]),
+    }
+    for var in range(space.dim):
+        if space.order >= 1 and (var >= space.dim // 2 or space.x_cap >= 1):
+            ops[f"d{var}"] = lambda A, B, j, var=var: A.d(var)
+    if space.order >= 1:
+        n = space.dim // 2
+        ops["partials y"] = lambda A, B, j: A.partials(range(n, 2 * n))
+        ops["partials y of j"] = lambda A, B, j: j.partials(range(n, 2 * n)).transpose()
+        if space.x_cap >= 1:
+            ops["partials x, transposed"] = lambda A, B, j: A.partials(range(n)).transpose(0, 2, 1)
+    for target in {jet_space(space.dim, o, c) for o in range(space.order + 1) for c in (0, 1, 2)}:
+        if target.x_cap <= space.x_cap:
+            ops[f"to {target}"] = lambda A, B, j, target=target: A.to_space(target)
+    for name in ("recip", "sqrt", "ln", "exp"):
+        ops[name] = lambda A, B, j, name=name: getattr(j, name)()
+    ops["powc"] = lambda A, B, j: j.powc(1.5)
+    for name, op in ops.items():
+        yield name, op(A, B, j), [op(*args) for args in per]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("order", range(7))
+def test_batched_operations_equal_each_sample_alone_bit_for_bit(dtype, order):
+    # the spaces of the field chain: n = 3 and n = 4 seeded at cap 1, and
+    # the cap-0 spaces its x-partials reach (n = 4 stays at order 5 and below)
+    spaces = [jet_space(6, order, cap) for cap in (0, 1)] + [jet_space(8, order, 1)] * (order <= 5)
+    for space in spaces:
+        for name, got, want in _batch_cases(space, dtype, samples=3):
+            assert got.batched and got.coeffs.dtype == dtype, (space, name)
+            for s, w in enumerate(want):
+                sample = _sample(got, s)
+                assert type(sample) is type(w) and sample.space is w.space, (space, name)
+                assert _same(sample.coeffs, w.coeffs), (space, name, s)
+                assert sample.deg == w.deg, (space, name)
+            # num reads a batch's value parts in their dtype, one per sample
+            assert _same(got.num[..., 1], want[1].coeffs[..., 0]), (space, name)
+
+
+def test_a_batch_solves_a_sample_alone_where_its_first_try_fails():
+    # the first sample's u / b0 overflows, the second's does not: each
+    # keeps its own bits, and a sample whose coefficients overflow raises
+    for name in sorted(RESCUED):
+        method = OUTER_SERIES[name][1]
+        alone = [RESCUED[name], _line(1.5, 0.25)]
+        got = method(jets.stack_samples(alone))
+        for s, jet in enumerate(alone):
+            assert _same(got.coeffs[s], method(jet).coeffs), name
+    message = "recip of a jet with value part 1e-10: a coefficient leaves the float range"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        jets.stack_samples([_line(1.5, 0.25), _line(1e-10, 1e300)]).recip()
+    with pytest.raises(BranchError):
+        jets.stack_samples([_line(1.5, 0.25), _line(-1.0, 0.25)]).sqrt()
+    with pytest.raises(PoleError):
+        jets.stack_samples([_line(0.0, 0.25), _line(1.5, 0.25)]).recip()
+
+
+def test_seeding_a_batch_stacks_each_points_seeds():
+    points = [PhasePoint((0.1, -0.2, 0.3), (1.0, 0.5, -2.0)), PhasePoint((0.0, 0.4, 0.1), (0.3, -1.0, 0.2))]
+    for dtype in (np.float64, np.longdouble):
+        batch = seed_phase_point(points, 5, 1, dtype)
+        for s, p in enumerate(points):
+            for got, want in zip(batch, seed_phase_point(p, 5, 1, dtype)):
+                assert got.batched and _same(_sample(got, s).coeffs, want.coeffs) and got.deg == want.deg
+        assert [b.space for b in batch] == [w.space for w in seed_phase_point(points[0], 5, 1, dtype)]

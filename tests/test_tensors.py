@@ -325,6 +325,47 @@ def test_mat_inv_det_equals_the_full_elimination_bit_for_bit(signature):
                 np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
 
+# value parts whose partial pivoting differs: no swap; row 2 first; rows 1
+# then 2; rows 2 then 2 again (the last also what the first shares below)
+_PIVOT_VALUES = [
+    [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]],
+    [[0.1, 1.0, 2.0], [1.0, 3.0, 0.2], [5.0, 0.2, 2.0]],
+    [[0.1, 2.0, 1.0], [3.0, 0.1, 1.0], [1.0, 4.0, 0.3]],
+    [[1.0, 2.0, 3.0], [2.0, 0.5, 1.0], [3.0, 1.0, 4.0]],
+]
+
+
+def _batched_matrix(values, dtype, seed):
+    """A batch of 3 x 3 matrices of jets in (6, 4, 2), sample s with the
+    value parts ``values[s]``."""
+    space = jet_space(6, 4, 2)
+    coeffs = np.random.default_rng(seed).standard_normal((3, 3, len(values), space.size)).astype(dtype)
+    coeffs[..., 0] = np.moveaxis(np.array(values), 0, -1)
+    return JetArray(space, coeffs, None, True)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("samples", [[0, 1, 2, 3], [3, 3], [1, 3, 1]])
+def test_mat_inv_det_pivots_each_sample_of_a_batch_on_its_own(dtype, samples):
+    mat = _batched_matrix([_PIVOT_VALUES[s] for s in samples], dtype, len(samples))
+    inv, det = mat_inv_det(mat)
+    assert inv.batched and det.batched and inv.shape == (3, 3)
+    for s in range(len(samples)):
+        alone = JetArray(mat.space, mat.coeffs[..., s, :], mat.deg)
+        want_inv, want_det = mat_inv_det(alone)
+        assert np.array_equal(inv.coeffs[..., s, :], want_inv.coeffs) and inv.space is want_inv.space
+        assert np.array_equal(det.coeffs[s], want_det.coeffs)
+        assert np.array_equal(np.signbit(det.coeffs[s]), np.signbit(want_det.coeffs))
+    # the elimination did pivot: det has each sample's sign
+    assert np.array_equal(np.sign(det.num), np.sign([np.linalg.det(np.array(_PIVOT_VALUES[s])) for s in samples]))
+
+
+def test_mat_inv_det_rejects_a_batch_with_one_singular_sample():
+    values = [_PIVOT_VALUES[0], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], _PIVOT_VALUES[1]]
+    with pytest.raises(SingularMetricError):
+        mat_inv_det(_batched_matrix(values, np.float64, 0))
+
+
 @pytest.mark.parametrize("signature, most", [((6, 5, 2), 26), ((8, 5, 2), 63)])
 def test_mat_inv_det_product_count(jet_products, signature, most):
     mat = stack([stack(row) for row in _spd_jet_matrix(signature, 0)])
